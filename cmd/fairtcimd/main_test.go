@@ -85,7 +85,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out server.SelectResponse
+	var out server.SolveResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}

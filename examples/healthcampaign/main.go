@@ -2,9 +2,9 @@
 // information across a large social platform within two sharing rounds,
 // reaching men and women alike. At this scale (tens of thousands of
 // nodes), forward Monte-Carlo greedy is expensive, so this example uses
-// the reverse-influence-sampling (RIS) solver: τ-bounded RR sets sampled
-// per gender group, maximized with lazy greedy, then audited with an
-// independent forward simulation.
+// the reverse-influence-sampling (RIS) engine: τ-bounded RR sets sampled
+// once per gender group, shared by a plain (P1) and a fair (P4) solve,
+// then audited with an independent forward simulation.
 //
 //	go run ./examples/healthcampaign
 package main
@@ -15,8 +15,8 @@ import (
 	"time"
 
 	"fairtcim/internal/cascade"
-	"fairtcim/internal/concave"
 	"fairtcim/internal/datasets"
+	"fairtcim/internal/fairim"
 	"fairtcim/internal/graph"
 	"fairtcim/internal/influence"
 	"fairtcim/internal/ris"
@@ -44,14 +44,18 @@ func main() {
 	}
 	fmt.Printf("sampled %d τ-bounded RR sets in %v\n", col.NumSets(), time.Since(start).Round(time.Millisecond))
 
-	plainSeeds, _, err := ris.SolveBudget(col, budget, nil)
-	if err != nil {
-		log.Fatal(err)
+	solve := func(p fairim.Problem) []graph.NodeID {
+		// A fresh estimator per solve over the one shared sample; P4's
+		// concave wrapper defaults to log.
+		res, err := fairim.Solve(g, fairim.ProblemSpec{Problem: p, Budget: budget, Config: fairim.Config{
+			Tau: tau, Estimator: ris.NewEstimator(col), ReportOnSample: true,
+		}})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res.Seeds
 	}
-	fairSeeds, _, err := ris.SolveFairBudget(col, budget, nil, concave.Log{})
-	if err != nil {
-		log.Fatal(err)
-	}
+	plainSeeds, fairSeeds := solve(fairim.P1), solve(fairim.P4)
 
 	audit := func(name string, seeds []graph.NodeID) {
 		util, err := influence.Estimate(g, seeds, tau, cascade.IC, 500, 3)

@@ -5,9 +5,8 @@
 // signature: given a graph and budget, return a seed set.
 //
 // In the layering, baselines sits beside internal/fairim: both consume the
-// graph substrate and (for Greedy) any estimator.Estimator, and both feed
-// the experiment harness and serving layer above. Nothing below depends on
-// it.
+// graph substrate and feed the experiment harness and serving layer above.
+// Nothing below depends on it.
 package baselines
 
 import (

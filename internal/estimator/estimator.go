@@ -1,6 +1,6 @@
 // Package estimator defines the contract between influence-estimation
-// engines and everything that consumes them — solvers (fairim), baselines,
-// the experiment harness and the CLIs. Two engines implement it today:
+// engines and everything that consumes them — the solvers (fairim), the
+// serving layer and the benchmarks. Two engines implement it today:
 //
 //   - forward Monte Carlo over live-edge worlds (influence.Evaluator and
 //     its delayed/discounted variants), the paper's estimator; and

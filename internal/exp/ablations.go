@@ -9,7 +9,6 @@ import (
 	"fairtcim/internal/fairim"
 	"fairtcim/internal/graph"
 	"fairtcim/internal/influence"
-	"fairtcim/internal/ris"
 	"fairtcim/internal/stats"
 )
 
@@ -78,11 +77,9 @@ func runAblRIS(o Options) (*stats.Table, error) {
 	B := pick(o, 10, 5)
 	pool := pick(o, 3000, 400)
 
-	col, err := ris.Sample(g, tau, []int{pool, pool}, o.Seed+4, 0)
-	if err != nil {
-		return nil, err
-	}
-	risSeeds, risEst, err := ris.SolveBudget(col, B, nil)
+	risRes, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: fairim.Config{
+		Tau: tau, Engine: fairim.EngineRIS, RISPerGroup: pool, Seed: o.Seed + 4, ReportOnSample: true,
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -94,14 +91,14 @@ func runAblRIS(o Options) (*stats.Table, error) {
 		return nil, err
 	}
 	// Evaluate both seed sets with the same fresh forward estimator.
-	risEval, err := fairim.Evaluate(g, risSeeds, fairim.ProblemSpec{Config: cfg})
+	risEval, err := fairim.Evaluate(g, risRes.Seeds, fairim.ProblemSpec{Config: cfg})
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable(
 		"Ablation: RIS vs forward Monte Carlo (budget problem)",
 		"solver", "internal-estimate", "fresh-MC-total", "disparity")
-	t.AddRow("RIS", risEst, risEval.Total, risEval.Disparity)
+	t.AddRow("RIS", risRes.Total, risEval.Total, risEval.Disparity)
 	t.AddRow("forward-MC", fwd.Total, fwd.Total, fwd.Disparity)
 	return t, nil
 }

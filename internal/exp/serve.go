@@ -53,8 +53,8 @@ func runServeCache(o Options) (*stats.Table, error) {
 			`{"graph":"twoblock","problem":"p4","budget":%d,"tau":20,"engine":"%s","samples":%d,"ris_per_group":%d,"seed":%d,"eval":"sample"}`,
 			synthBudget(o), o.Engine, pick(o, 200, 50), pick(o, 40000, 8000), seed)
 	}
-	post := func(body string) (server.SelectResponse, time.Duration, error) {
-		var out server.SelectResponse
+	post := func(body string) (server.SolveResponse, time.Duration, error) {
+		var out server.SolveResponse
 		start := time.Now()
 		resp, err := http.Post(base+"/v1/select", "application/json", bytes.NewReader([]byte(body)))
 		if err != nil {

@@ -79,17 +79,17 @@ func TestRISEngineRejectsUnsupportedModels(t *testing.T) {
 
 	lt := base
 	lt.Model = cascade.LT
-	if _, err := SolveTCIMBudget(g, 1, lt); err == nil {
+	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 1, Config: lt}); err == nil {
 		t.Error("RIS engine accepted the LT model")
 	}
 	delayed := base
 	delayed.Delay = cascade.GeometricDelay{M: 0.5}
-	if _, err := SolveTCIMBudget(g, 1, delayed); err == nil {
+	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 1, Config: delayed}); err == nil {
 		t.Error("RIS engine accepted delayed diffusion")
 	}
 	discounted := base
 	discounted.Discount = 0.5
-	if _, err := SolveTCIMBudget(g, 1, discounted); err == nil {
+	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 1, Config: discounted}); err == nil {
 		t.Error("RIS engine accepted discounted utility")
 	}
 }

@@ -13,7 +13,7 @@ func TestDelayedDiffusionSolve(t *testing.T) {
 	cfg.Tau = 6
 	cfg.Delay = cascade.GeometricDelay{M: 0.5}
 
-	res, err := SolveFairTCIMBudget(g, 5, cfg)
+	res, err := Solve(g, ProblemSpec{Problem: P4, Budget: 5, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestDelayedDiffusionSolve(t *testing.T) {
 	// Same budget without delays reaches more people within the deadline.
 	cfg2 := cfg
 	cfg2.Delay = nil
-	plain, err := SolveFairTCIMBudget(g, 5, cfg2)
+	plain, err := Solve(g, ProblemSpec{Problem: P4, Budget: 5, Config: cfg2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,12 +39,12 @@ func TestDelayedCoverNeedsMoreSeeds(t *testing.T) {
 	cfg.Tau = 6
 	const quota = 0.15
 
-	plain, err := SolveTCIMCover(g, quota, cfg)
+	plain, err := Solve(g, ProblemSpec{Problem: P2, Quota: quota, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Delay = cascade.GeometricDelay{M: 0.4}
-	delayed, err := SolveTCIMCover(g, quota, cfg)
+	delayed, err := Solve(g, ProblemSpec{Problem: P2, Quota: quota, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +58,12 @@ func TestDelayedValidation(t *testing.T) {
 	cfg := quickCfg(35)
 	cfg.Delay = cascade.GeometricDelay{M: 0.5}
 	cfg.Model = cascade.LT
-	if _, err := SolveTCIMBudget(g, 3, cfg); err == nil {
+	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: cfg}); err == nil {
 		t.Fatal("Delay+LT accepted")
 	}
 	cfg.Model = cascade.IC
 	cfg.Discount = 0.5
-	if _, err := SolveTCIMBudget(g, 3, cfg); err == nil {
+	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: cfg}); err == nil {
 		t.Fatal("Delay+Discount accepted")
 	}
 }
@@ -73,7 +73,7 @@ func TestDiscountedSolve(t *testing.T) {
 	cfg := quickCfg(37)
 	cfg.Discount = 0.7
 
-	res, err := SolveFairTCIMBudget(g, 5, cfg)
+	res, err := Solve(g, ProblemSpec{Problem: P4, Budget: 5, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestDiscountedSolve(t *testing.T) {
 	// seeds (report paths differ only in the discount).
 	cfg2 := cfg
 	cfg2.Discount = 0
-	same, err := EvaluateSeeds(g, res.Seeds, cfg2)
+	same, err := Evaluate(g, res.Seeds, ProblemSpec{Config: cfg2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestDiscountValidation(t *testing.T) {
 	cfg := quickCfg(39)
 	for _, d := range []float64{-0.2, 1.0, 2.5} {
 		cfg.Discount = d
-		if _, err := SolveTCIMBudget(g, 3, cfg); err == nil {
+		if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: cfg}); err == nil {
 			t.Fatalf("discount %v accepted", d)
 		}
 	}
@@ -109,7 +109,7 @@ func TestDiscountedEvaluateSeeds(t *testing.T) {
 	g := smallSBM(t, 40)
 	cfg := quickCfg(41)
 	cfg.Discount = 0.8
-	res, err := EvaluateSeeds(g, []graph.NodeID{0, 50}, cfg)
+	res, err := Evaluate(g, []graph.NodeID{0, 50}, ProblemSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestDelayedTraceMonotone(t *testing.T) {
 	cfg.Tau = 8
 	cfg.Delay = cascade.UniformDelay{Min: 1, Max: 3}
 	cfg.Trace = true
-	res, err := SolveFairTCIMCover(g, 0.1, cfg)
+	res, err := Solve(g, ProblemSpec{Problem: P6, Quota: 0.1, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,9 +142,9 @@ type Config struct {
 	Estimator estimator.Estimator
 	// ReportOnSample, if true, reports final utilities from the
 	// optimization sample instead of fresh Monte-Carlo worlds — the
-	// low-latency serving path. Solver results read slightly optimistic
-	// (optimizer's curse); EvaluateSeeds results are unbiased since the
-	// seed set was not chosen on the sample.
+	// low-latency serving path. Solve results read slightly optimistic
+	// (optimizer's curse); Evaluate results are unbiased since the seed
+	// set was not chosen on the sample.
 	ReportOnSample bool
 }
 
@@ -377,40 +377,6 @@ func (c *Config) estimate(g *graph.Graph, seeds []graph.NodeID) ([]float64, erro
 	}
 }
 
-// SolveTCIMBudget solves problem P1 with greedy/CELF.
-//
-// Deprecated: use Solve with ProblemSpec{Problem: P1, Budget: budget}.
-func SolveTCIMBudget(g *graph.Graph, budget int, cfg Config) (*Result, error) {
-	return Solve(g, ProblemSpec{Problem: P1, Budget: budget, Config: cfg})
-}
-
-// SolveFairTCIMBudget solves the surrogate problem P4 with greedy/CELF:
-// maximize Σᵢ H(fτ(S;Vᵢ)) under the budget, carrying Theorem 1's bound on
-// total influence.
-//
-// Deprecated: use Solve with ProblemSpec{Problem: P4, Budget: budget}.
-func SolveFairTCIMBudget(g *graph.Graph, budget int, cfg Config) (*Result, error) {
-	return Solve(g, ProblemSpec{Problem: P4, Budget: budget, Config: cfg})
-}
-
-// SolveTCIMCover solves problem P2: the smallest greedy seed set whose
-// total normalized influence reaches quota.
-//
-// Deprecated: use Solve with ProblemSpec{Problem: P2, Quota: quota}.
-func SolveTCIMCover(g *graph.Graph, quota float64, cfg Config) (*Result, error) {
-	return Solve(g, ProblemSpec{Problem: P2, Quota: quota, Config: cfg})
-}
-
-// SolveFairTCIMCover solves the surrogate problem P6: the smallest greedy
-// seed set influencing *every* group up to quota, via the truncated
-// objective Σᵢ min(fτ(S;Vᵢ)/|Vᵢ|, Q) ≥ kQ (Theorem 2). Any feasible
-// solution has disparity at most 1 − Q.
-//
-// Deprecated: use Solve with ProblemSpec{Problem: P6, Quota: quota}.
-func SolveFairTCIMCover(g *graph.Graph, quota float64, cfg Config) (*Result, error) {
-	return Solve(g, ProblemSpec{Problem: P6, Quota: quota, Config: cfg})
-}
-
 // coverSlack absorbs floating-point noise in Monte-Carlo-estimated cover
 // targets.
 const coverSlack = 1e-9
@@ -483,19 +449,6 @@ func cover(obj *objective, cfg Config, g *graph.Graph, target float64) (submodul
 	res, err := submodular.GreedyCoverInit(obj, cands, target, cfg.maxSeeds(g), initial)
 	res.Evaluations += len(cands)
 	return res, err
-}
-
-// EvaluateSeeds estimates utilities and disparity of an arbitrary seed set
-// on fresh worlds drawn with cfg.Seed+1 (the same stream final reports
-// use), so solver results and external seed sets are comparable. With
-// cfg.ReportOnSample the estimate instead comes from the optimization
-// sample (cfg.Estimator if injected, else drawn with cfg.Seed) — still
-// unbiased here, since the seed set was not chosen on that sample, but on
-// a different random stream than the fresh-world path.
-//
-// Deprecated: use Evaluate with a ProblemSpec.
-func EvaluateSeeds(g *graph.Graph, seeds []graph.NodeID, cfg Config) (*Result, error) {
-	return Evaluate(g, seeds, ProblemSpec{Config: cfg})
 }
 
 func finishResult(problem string, g *graph.Graph, res submodular.Result, obj *objective, cfg Config) (*Result, error) {

@@ -41,17 +41,17 @@ func TestConfigValidation(t *testing.T) {
 		{Tau: 5, Samples: 10, Candidates: []graph.NodeID{9999}},
 	}
 	for i, cfg := range bad {
-		if _, err := SolveTCIMBudget(g, 2, cfg); err == nil {
+		if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 2, Config: cfg}); err == nil {
 			t.Fatalf("case %d: invalid config accepted", i)
 		}
 	}
-	if _, err := SolveTCIMBudget(g, 0, quickCfg(1)); err == nil {
+	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 0, Config: quickCfg(1)}); err == nil {
 		t.Fatal("zero budget accepted")
 	}
-	if _, err := SolveTCIMCover(g, 0, quickCfg(1)); err == nil {
+	if _, err := Solve(g, ProblemSpec{Problem: P2, Quota: 0, Config: quickCfg(1)}); err == nil {
 		t.Fatal("zero quota accepted")
 	}
-	if _, err := SolveTCIMCover(g, 1.5, quickCfg(1)); err == nil {
+	if _, err := Solve(g, ProblemSpec{Problem: P2, Quota: 1.5, Config: quickCfg(1)}); err == nil {
 		t.Fatal("quota > 1 accepted")
 	}
 }
@@ -59,10 +59,8 @@ func TestConfigValidation(t *testing.T) {
 func TestBudgetSolversBasic(t *testing.T) {
 	g := smallSBM(t, 2)
 	cfg := quickCfg(3)
-	for _, solve := range []func(*graph.Graph, int, Config) (*Result, error){
-		SolveTCIMBudget, SolveFairTCIMBudget,
-	} {
-		res, err := solve(g, 5, cfg)
+	for _, p := range []Problem{P1, P4} {
+		res, err := Solve(g, ProblemSpec{Problem: p, Budget: 5, Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,31 +95,36 @@ func TestFairnessReducesDisparity(t *testing.T) {
 	// The headline claim (Fig. 4a): P4-log has lower disparity than P1 on an
 	// imbalanced, homophilous graph, at a modest total-influence cost.
 	g := smallSBM(t, 4)
-	cfg := quickCfg(5)
-	p1, err := SolveTCIMBudget(g, 8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p4, err := SolveFairTCIMBudget(g, 8, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p4.Disparity >= p1.Disparity {
-		t.Fatalf("P4 disparity %v not lower than P1 %v", p4.Disparity, p1.Disparity)
-	}
-	if p4.Total > p1.Total*1.2 {
-		t.Logf("note: P4 total %v exceeds P1 %v (possible on some graphs; see §7.2)", p4.Total, p1.Total)
+	for _, engine := range []Engine{EngineForwardMC, EngineRIS} {
+		t.Run(engine.String(), func(t *testing.T) {
+			cfg := quickCfg(5)
+			cfg.Engine = engine
+			p1, err := Solve(g, ProblemSpec{Problem: P1, Budget: 8, Config: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p4, err := Solve(g, ProblemSpec{Problem: P4, Budget: 8, Config: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p4.Disparity >= p1.Disparity {
+				t.Fatalf("P4 disparity %v not lower than P1 %v", p4.Disparity, p1.Disparity)
+			}
+			if p4.Total > p1.Total*1.2 {
+				t.Logf("note: P4 total %v exceeds P1 %v (possible on some graphs; see §7.2)", p4.Total, p1.Total)
+			}
+		})
 	}
 }
 
 func TestDeterministicForSeed(t *testing.T) {
 	g := smallSBM(t, 6)
 	cfg := quickCfg(7)
-	a, err := SolveFairTCIMBudget(g, 4, cfg)
+	a, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveFairTCIMBudget(g, 4, cfg)
+	b, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +141,12 @@ func TestDeterministicForSeed(t *testing.T) {
 func TestPlainGreedyMatchesCELF(t *testing.T) {
 	g := smallSBM(t, 8)
 	cfg := quickCfg(9)
-	lazy, err := SolveFairTCIMBudget(g, 6, cfg)
+	lazy, err := Solve(g, ProblemSpec{Problem: P4, Budget: 6, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.PlainGreedy = true
-	plain, err := SolveFairTCIMBudget(g, 6, cfg)
+	plain, err := Solve(g, ProblemSpec{Problem: P4, Budget: 6, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,30 +162,35 @@ func TestPlainGreedyMatchesCELF(t *testing.T) {
 
 func TestCoverSolversReachQuota(t *testing.T) {
 	g := smallSBM(t, 10)
-	cfg := quickCfg(11)
 	const quota = 0.2
+	for _, engine := range []Engine{EngineForwardMC, EngineRIS} {
+		t.Run(engine.String(), func(t *testing.T) {
+			cfg := quickCfg(11)
+			cfg.Engine = engine
+			p2, err := Solve(g, ProblemSpec{Problem: P2, Quota: quota, Config: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p2.NormTotal < quota-0.05 {
+				t.Fatalf("P2 reached %v < quota %v", p2.NormTotal, quota)
+			}
 
-	p2, err := SolveTCIMCover(g, quota, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.NormTotal < quota-0.05 {
-		t.Fatalf("P2 reached %v < quota %v", p2.NormTotal, quota)
-	}
-
-	p6, err := SolveFairTCIMCover(g, quota, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// P6 must cover every group (tolerance for fresh-world noise).
-	for i, frac := range p6.NormPerGroup {
-		if frac < quota-0.06 {
-			t.Fatalf("P6 group %d fraction %v < quota %v", i, frac, quota)
-		}
-	}
-	// P6 needs at least as many seeds as P2 (it solves a harder constraint).
-	if len(p6.Seeds) < len(p2.Seeds) {
-		t.Fatalf("P6 used %d seeds, P2 used %d", len(p6.Seeds), len(p2.Seeds))
+			p6, err := Solve(g, ProblemSpec{Problem: P6, Quota: quota, Config: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// P6 must cover every group (tolerance for fresh-world noise).
+			for i, frac := range p6.NormPerGroup {
+				if frac < quota-0.06 {
+					t.Fatalf("P6 group %d fraction %v < quota %v", i, frac, quota)
+				}
+			}
+			// P6 needs at least as many seeds as P2 (it solves a harder
+			// constraint).
+			if len(p6.Seeds) < len(p2.Seeds) {
+				t.Fatalf("P6 used %d seeds, P2 used %d", len(p6.Seeds), len(p2.Seeds))
+			}
+		})
 	}
 }
 
@@ -194,7 +202,7 @@ func TestCoverInfeasibleQuota(t *testing.T) {
 	g := b.MustBuild()
 	cfg := quickCfg(12)
 	cfg.MaxSeeds = 1
-	if _, err := SolveFairTCIMCover(g, 1.0, cfg); err == nil {
+	if _, err := Solve(g, ProblemSpec{Problem: P6, Quota: 1.0, Config: cfg}); err == nil {
 		t.Fatal("infeasible cover did not error")
 	}
 }
@@ -206,7 +214,7 @@ func TestCoverIsolatedGraphFullQuota(t *testing.T) {
 	b.SetGroups([]int{0, 0, 1, 1})
 	g := b.MustBuild()
 	cfg := quickCfg(13)
-	res, err := SolveFairTCIMCover(g, 1.0, cfg)
+	res, err := Solve(g, ProblemSpec{Problem: P6, Quota: 1.0, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +230,7 @@ func TestTraceRecorded(t *testing.T) {
 	g := smallSBM(t, 14)
 	cfg := quickCfg(15)
 	cfg.Trace = true
-	res, err := SolveFairTCIMCover(g, 0.15, cfg)
+	res, err := Solve(g, ProblemSpec{Problem: P6, Quota: 0.15, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +247,7 @@ func TestTraceRecorded(t *testing.T) {
 	}
 	// No trace by default.
 	cfg.Trace = false
-	res2, err := SolveTCIMBudget(g, 3, cfg)
+	res2, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +260,7 @@ func TestCandidateRestriction(t *testing.T) {
 	g := smallSBM(t, 16)
 	cfg := quickCfg(17)
 	cfg.Candidates = []graph.NodeID{0, 1, 2, 3, 4}
-	res, err := SolveTCIMBudget(g, 3, cfg)
+	res, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,27 +269,36 @@ func TestCandidateRestriction(t *testing.T) {
 			t.Fatalf("seed %d outside candidate set", s)
 		}
 	}
+	// A budget beyond the candidate set stops once every candidate is
+	// seeded: each unseeded node still gains at least itself.
+	res, err = Solve(g, ProblemSpec{Problem: P1, Budget: 8, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Seeds) != len(cfg.Candidates) {
+		t.Fatalf("budget 8 over %d candidates picked %v", len(cfg.Candidates), res.Seeds)
+	}
 }
 
 func TestEvaluateSeeds(t *testing.T) {
 	g := smallSBM(t, 18)
 	cfg := quickCfg(19)
-	res, err := EvaluateSeeds(g, []graph.NodeID{0, 60}, cfg)
+	res, err := Evaluate(g, []graph.NodeID{0, 60}, ProblemSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Total < 2 {
 		t.Fatalf("total %v < seed count", res.Total)
 	}
-	if _, err := EvaluateSeeds(g, []graph.NodeID{-2}, cfg); err == nil {
+	if _, err := Evaluate(g, []graph.NodeID{-2}, ProblemSpec{Config: cfg}); err == nil {
 		t.Fatal("bad seed accepted")
 	}
-	// EvaluateSeeds on a solver's output reproduces the solver's report.
-	solved, err := SolveTCIMBudget(g, 3, cfg)
+	// Evaluate on a solver's output reproduces the solver's report.
+	solved, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := EvaluateSeeds(g, solved.Seeds, cfg)
+	re, err := Evaluate(g, solved.Seeds, ProblemSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +342,7 @@ func TestExactBeatsGreedyNever(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := SolveTCIMBudget(g, 2, cfg)
+	greedy, err := Solve(g, ProblemSpec{Problem: P1, Budget: 2, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +374,7 @@ func TestTheoremOneHoldsEmpirically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fair, err := SolveFairTCIMBudget(g, 2, cfg)
+	fair, err := Solve(g, ProblemSpec{Problem: P4, Budget: 2, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +388,7 @@ func TestLTModelSupported(t *testing.T) {
 	g := smallSBM(t, 23)
 	cfg := quickCfg(24)
 	cfg.Model = cascade.LT
-	res, err := SolveFairTCIMBudget(g, 4, cfg)
+	res, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

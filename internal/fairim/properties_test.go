@@ -16,7 +16,7 @@ func TestBudgetMonotonicity(t *testing.T) {
 	cfg := quickCfg(61)
 	prev := 0.0
 	for _, b := range []int{1, 3, 6, 10} {
-		res, err := SolveTCIMBudget(g, b, cfg)
+		res, err := Solve(g, ProblemSpec{Problem: P1, Budget: b, Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +33,7 @@ func TestQuotaMonotonicity(t *testing.T) {
 	cfg := quickCfg(63)
 	prev := 0
 	for _, q := range []float64{0.05, 0.1, 0.2, 0.3} {
-		res, err := SolveFairTCIMCover(g, q, cfg)
+		res, err := Solve(g, ProblemSpec{Problem: P6, Quota: q, Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestDeadlineMonotonicity(t *testing.T) {
 	for _, tau := range []int32{1, 3, 8, 20, cascade.NoDeadline} {
 		cfg := quickCfg(65)
 		cfg.Tau = tau
-		res, err := EvaluateSeeds(g, seeds, cfg)
+		res, err := Evaluate(g, seeds, ProblemSpec{Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,11 +67,11 @@ func TestGreedyPrefixNesting(t *testing.T) {
 	// The B=4 greedy solution is a prefix of the B=8 one (same eval stream).
 	g := smallSBM(t, 66)
 	cfg := quickCfg(67)
-	small, err := SolveFairTCIMBudget(g, 4, cfg)
+	small, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := SolveFairTCIMBudget(g, 8, cfg)
+	big, err := Solve(g, ProblemSpec{Problem: P4, Budget: 8, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestMoreSamplesLowerSpread(t *testing.T) {
 		for s := int64(0); s < 5; s++ {
 			cfg := quickCfg(100 + s)
 			cfg.EvalSamples = samples
-			res, err := EvaluateSeeds(g, seeds, cfg)
+			res, err := Evaluate(g, seeds, ProblemSpec{Config: cfg})
 			if err != nil {
 				t.Fatal(err)
 			}

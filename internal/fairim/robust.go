@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fairtcim/internal/graph"
+	"fairtcim/internal/influence"
 	"fairtcim/internal/xrand"
 )
 
@@ -69,7 +70,7 @@ func EvaluateSeedsRobust(g *graph.Graph, seeds []graph.NodeID, cfg Config, dropP
 			out.MeanPerGroup[i] += u
 			norm[i] = u / float64(g.GroupSize(i))
 		}
-		d := disparityOf(norm)
+		d := influence.Disparity(norm)
 		out.MeanDisp += d
 		if d > out.WorstDisp {
 			out.WorstDisp = d
@@ -81,20 +82,4 @@ func EvaluateSeedsRobust(g *graph.Graph, seeds []graph.NodeID, cfg Config, dropP
 		out.MeanPerGroup[i] /= float64(trials)
 	}
 	return out, nil
-}
-
-func disparityOf(norm []float64) float64 {
-	worst := 0.0
-	for i := 0; i < len(norm); i++ {
-		for j := i + 1; j < len(norm); j++ {
-			d := norm[i] - norm[j]
-			if d < 0 {
-				d = -d
-			}
-			if d > worst {
-				worst = d
-			}
-		}
-	}
-	return worst
 }

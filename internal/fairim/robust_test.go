@@ -28,7 +28,7 @@ func TestRobustZeroDropMatchesPlain(t *testing.T) {
 	g := smallSBM(t, 52)
 	cfg := quickCfg(53)
 	seeds := []graph.NodeID{0, 30, 90}
-	plain, err := EvaluateSeeds(g, seeds, cfg)
+	plain, err := Evaluate(g, seeds, ProblemSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRobustZeroDropMatchesPlain(t *testing.T) {
 func TestRobustDropReducesUtility(t *testing.T) {
 	g := smallSBM(t, 54)
 	cfg := quickCfg(55)
-	res, err := SolveTCIMBudget(g, 8, cfg)
+	res, err := Solve(g, ProblemSpec{Problem: P1, Budget: 8, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

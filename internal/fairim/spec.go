@@ -287,7 +287,7 @@ func (s ProblemSpec) resolve(g *graph.Graph, k int, mode resolveMode) (Config, e
 // Solve runs the spec's problem on g: it resolves the sampling budget
 // (deriving it from the accuracy target when one is set), builds or reuses
 // the estimator, and dispatches to the greedy machinery the problem kind
-// demands. It subsumes the four deprecated Solve* entry points.
+// demands.
 func Solve(g *graph.Graph, spec ProblemSpec) (*Result, error) {
 	switch spec.Problem {
 	case P1, P4:

@@ -55,38 +55,6 @@ func TestSolveRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-// TestSolveMatchesDeprecatedWrappers pins the wrappers as pure sugar: the
-// unified entry point must reproduce their results exactly.
-func TestSolveMatchesDeprecatedWrappers(t *testing.T) {
-	g := smallSBM(t, 2)
-	cfg := quickCfg(3)
-	p4, err := Solve(g, ProblemSpec{Problem: P4, Budget: 5, Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := SolveFairTCIMBudget(g, 5, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p4.Seeds, old.Seeds) || p4.Total != old.Total {
-		t.Errorf("Solve and wrapper disagree: %v/%v vs %v/%v", p4.Seeds, p4.Total, old.Seeds, old.Total)
-	}
-	p6, err := Solve(g, ProblemSpec{Problem: P6, Quota: 0.15, Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldCover, err := SolveFairTCIMCover(g, 0.15, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(p6.Seeds, oldCover.Seeds) {
-		t.Errorf("cover seeds differ: %v vs %v", p6.Seeds, oldCover.Seeds)
-	}
-	if p6.Problem != "P6" {
-		t.Errorf("problem name %q", p6.Problem)
-	}
-}
-
 // TestSolveSamplingBlockPrecedence: explicit Sampling budgets override the
 // embedded Config's, and the zero spec falls back to DefaultSamples.
 func TestSolveSamplingBlockPrecedence(t *testing.T) {

@@ -1,23 +1,51 @@
-package ris
+package ris_test
 
 import (
 	"testing"
 
 	"fairtcim/internal/cascade"
+	"fairtcim/internal/fairim"
+	"fairtcim/internal/generate"
+	"fairtcim/internal/graph"
 	"fairtcim/internal/influence"
+	"fairtcim/internal/ris"
 )
 
+// coverGraph is the internal tests' testGraph, rebuilt here because this
+// file lives in the external test package (it imports fairim, which
+// imports ris).
+func coverGraph(t *testing.T, seed int64) *graph.Graph {
+	t.Helper()
+	g, err := generate.TwoBlock(generate.TwoBlockConfig{
+		N: 150, G: 0.7, PHom: 0.06, PHet: 0.01, PActivate: 0.15, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// solveOnCollection runs a cover problem through fairim.Solve with the
+// optimization estimator layered over the pre-sampled RR-set collection.
+func solveOnCollection(t *testing.T, g *graph.Graph, col *ris.Collection, p fairim.Problem, quota float64) []graph.NodeID {
+	t.Helper()
+	res, err := fairim.Solve(g, fairim.ProblemSpec{Problem: p, Quota: quota, Config: fairim.Config{
+		Tau: col.Tau(), Estimator: ris.NewEstimator(col), ReportOnSample: true,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Seeds
+}
+
 func TestSolveCoverReachesQuota(t *testing.T) {
-	g := testGraph(t, 20)
-	c, err := Sample(g, 5, []int{1500, 1500}, 21, 0)
+	g := coverGraph(t, 20)
+	c, err := ris.Sample(g, 5, []int{1500, 1500}, 21, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const quota = 0.15
-	seeds, err := SolveCover(c, quota, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seeds := solveOnCollection(t, g, c, fairim.P2, quota)
 	if len(seeds) == 0 {
 		t.Fatal("no seeds")
 	}
@@ -33,20 +61,14 @@ func TestSolveCoverReachesQuota(t *testing.T) {
 }
 
 func TestSolveFairCoverCoversEveryGroup(t *testing.T) {
-	g := testGraph(t, 24)
-	c, err := Sample(g, 5, []int{1500, 1500}, 25, 0)
+	g := coverGraph(t, 24)
+	c, err := ris.Sample(g, 5, []int{1500, 1500}, 25, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const quota = 0.12
-	plain, err := SolveCover(c, quota, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fair, err := SolveFairCover(c, quota, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := solveOnCollection(t, g, c, fairim.P2, quota)
+	fair := solveOnCollection(t, g, c, fairim.P6, quota)
 	if len(fair) < len(plain) {
 		t.Fatalf("fair cover used %d seeds, plain %d", len(fair), len(plain))
 	}
@@ -58,19 +80,5 @@ func TestSolveFairCoverCoversEveryGroup(t *testing.T) {
 		if util[i]/float64(g.GroupSize(i)) < quota-0.06 {
 			t.Fatalf("group %d fraction %v below quota", i, util[i]/float64(g.GroupSize(i)))
 		}
-	}
-}
-
-func TestSolveCoverValidation(t *testing.T) {
-	g := testGraph(t, 28)
-	c, err := Sample(g, 3, []int{50, 50}, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SolveCover(c, 0, nil); err == nil {
-		t.Fatal("quota 0 accepted")
-	}
-	if _, err := SolveFairCover(c, 1.5, nil); err == nil {
-		t.Fatal("quota > 1 accepted")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"fairtcim/internal/cascade"
-	"fairtcim/internal/concave"
 	"fairtcim/internal/generate"
 	"fairtcim/internal/graph"
 	"fairtcim/internal/influence"
@@ -166,100 +165,6 @@ func TestEstimatorReset(t *testing.T) {
 	e.Add(0)
 	if g2 := e.Gain(10); math.Abs(g1-g2) > 1e-9 {
 		t.Fatalf("post-reset gain %v != %v", g2, g1)
-	}
-}
-
-func TestSolveBudget(t *testing.T) {
-	g := testGraph(t, 6)
-	c, err := Sample(g, 5, []int{500, 500}, 9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds, total, err := SolveBudget(c, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seeds) != 5 || total <= 0 {
-		t.Fatalf("seeds %v total %v", seeds, total)
-	}
-	if _, _, err := SolveBudget(c, 0, nil); err == nil {
-		t.Fatal("zero budget accepted")
-	}
-}
-
-func TestSolveFairBudgetReducesDisparity(t *testing.T) {
-	g := testGraph(t, 7)
-	c, err := Sample(g, 5, []int{800, 800}, 13, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, _, err := SolveBudget(c, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fair, _, err := SolveFairBudget(c, 8, nil, concave.Log{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Evaluate both with the forward estimator on fresh worlds.
-	eval := func(seeds []graph.NodeID) float64 {
-		util, err := influence.Estimate(g, seeds, 5, cascade.IC, 600, 77)
-		if err != nil {
-			t.Fatal(err)
-		}
-		norm := make([]float64, len(util))
-		for i := range util {
-			norm[i] = util[i] / float64(g.GroupSize(i))
-		}
-		return influence.Disparity(norm)
-	}
-	dPlain, dFair := eval(plain), eval(fair)
-	if dFair > dPlain+0.02 {
-		t.Fatalf("fair RIS disparity %v vs plain %v", dFair, dPlain)
-	}
-}
-
-func TestSolveAgreesWithForwardGreedy(t *testing.T) {
-	// With ample samples, RIS greedy and forward greedy should pick seed
-	// sets of similar quality (not necessarily identical).
-	g := testGraph(t, 8)
-	const tau = 4
-	c, err := Sample(g, tau, []int{1500, 1500}, 15, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	risSeeds, _, err := SolveBudget(c, 5, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fwdUtil, err := influence.Estimate(g, risSeeds, tau, cascade.IC, 800, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	risTotal := fwdUtil[0] + fwdUtil[1]
-
-	// Forward greedy reference.
-	worlds := cascade.SampleWorlds(g, cascade.IC, 300, 17, 0)
-	ev, err := influence.NewEvaluator(g, worlds, tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		best, bestGain := graph.NodeID(-1), -1.0
-		for v := 0; v < g.N(); v++ {
-			if gn := ev.Gain(graph.NodeID(v)); gn > bestGain {
-				best, bestGain = graph.NodeID(v), gn
-			}
-		}
-		ev.Add(best)
-	}
-	fwd2, err := influence.Estimate(g, ev.Seeds(), tau, cascade.IC, 800, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fwdTotal := fwd2[0] + fwd2[1]
-	if risTotal < 0.7*fwdTotal {
-		t.Fatalf("RIS greedy total %v far below forward greedy %v", risTotal, fwdTotal)
 	}
 }
 

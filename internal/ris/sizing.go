@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"fairtcim/internal/graph"
+	"fairtcim/internal/submodular"
 )
 
 // Accuracy-driven pool sizing (IMM/OPIM-style, adapted to per-group
@@ -129,19 +130,22 @@ func SampleForAccuracyCancel(g *graph.Graph, tau int32, k int, eps, delta float6
 	}
 }
 
+// coverage adapts an Estimator to submodular.Objective as the P1 (total
+// coverage) objective; Gain and Add are the Estimator's own. The sizer
+// cannot call fairim.Solve, which imports this package.
+type coverage struct{ *Estimator }
+
+func (c coverage) Value() float64 { return c.TotalUtility() }
+
 // requiredForPool runs a size-k greedy on col to lower-bound the coverage
 // a size-k solution achieves per group, then evaluates the stopping rule
 // for every group and returns the largest demanded pool size.
 func requiredForPool(col *Collection, k int, eps, delta float64) (int, error) {
-	seeds, _, err := SolveBudget(col, k, nil)
-	if err != nil {
+	g := col.Graph()
+	est := NewEstimator(col)
+	if _, err := submodular.LazyGreedyMax(coverage{est}, g.Nodes(), k); err != nil {
 		return 0, err
 	}
-	est := NewEstimator(col)
-	for _, v := range seeds {
-		est.Add(v)
-	}
-	g := col.Graph()
 	required := 0
 	for i, frac := range est.NormGroupUtilities() {
 		// Floor the lower bound at one node's worth of coverage: any

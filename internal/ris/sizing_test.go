@@ -1,9 +1,11 @@
 package ris
 
 import (
+	"reflect"
 	"testing"
 
 	"fairtcim/internal/generate"
+	"fairtcim/internal/graph"
 )
 
 func TestRequiredPoolSizeMonotone(t *testing.T) {
@@ -123,6 +125,40 @@ func TestSampleForAccuracyRejectsBadTargets(t *testing.T) {
 	} {
 		if _, err := SampleForAccuracy(g, 3, tc.k, tc.eps, tc.delta, 1, 0); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestSampleForAccuracyPinnedPools fixes the exact pools the doubling
+// sizer returns, so a change to the greedy inside requiredForPool cannot
+// silently move every accuracy-targeted answer.
+func TestSampleForAccuracyPinnedPools(t *testing.T) {
+	cfg := generate.DefaultTwoBlock(7)
+	cfg.N, cfg.PHom, cfg.PHet = 200, 0.06, 0.003
+	twoblock, err := generate.TwoBlock(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		g          *graph.Graph
+		tau        int32
+		k          int
+		eps, delta float64
+		seed       int64
+		want       []int
+	}{
+		{"twoblock k5 eps0.2", twoblock, 5, 5, 0.2, 0.05, 1, []int{107668, 107668}},
+		{"twoblock k5 eps0.1", twoblock, 5, 5, 0.1, 0.05, 1, []int{417213, 417213}},
+		{"twoblock k10 eps0.2", twoblock, 5, 10, 0.2, 0.1, 3, []int{190223, 190223}},
+		{"twostars", generate.TwoStars(), 3, 2, 0.3, 0.1, 42, []int{512, 512}},
+	} {
+		col, err := SampleForAccuracy(tc.g, tc.tau, tc.k, tc.eps, tc.delta, tc.seed, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := col.PoolSizes(); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: pools %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

@@ -27,6 +27,17 @@ func mustDisk(t *testing.T, dir string) *diskStore {
 	return d
 }
 
+// diskCache returns a cache whose disk tier lives in dir. Its write-behind
+// saves are drained at cleanup, which runs before the cleanup of the
+// earlier t.TempDir that made dir, so no save races the dir's removal.
+func diskCache(t *testing.T, dir string, capacity int) *Cache {
+	t.Helper()
+	c := NewCache(capacity)
+	c.disk = mustDisk(t, dir)
+	t.Cleanup(c.WaitFlushes)
+	return c
+}
+
 // sampleUtilities projects a sample onto comparable numbers: the group
 // utilities of a fixed two-seed set under its estimator.
 func sampleUtilities(t *testing.T, smp *sample, tau int32) []float64 {
@@ -52,8 +63,7 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 		{graph: "twostars", engine: fairim.EngineForwardMC, model: cascade.LT, budget: 40, seed: 2},
 	}
 
-	cold := NewCache(8)
-	cold.disk = mustDisk(t, dir)
+	cold := diskCache(t, dir, 8)
 	want := make([][]float64, len(keys))
 	for i, key := range keys {
 		smp, hit, _, err := cold.SampleFor(context.Background(), key, g, 1, nil)
@@ -72,8 +82,7 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 		t.Fatalf("flushes in flight after WaitFlushes: %+v", st)
 	}
 
-	warm := NewCache(8)
-	warm.disk = mustDisk(t, dir)
+	warm := diskCache(t, dir, 8)
 	for i, key := range keys {
 		smp, hit, _, err := warm.SampleFor(context.Background(), key, g, 1, nil)
 		if err != nil {
@@ -167,8 +176,7 @@ func TestCacheDiskRejectsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	key := sampleKey{graph: "twostars", engine: fairim.EngineRIS, model: cascade.IC, tau: 3, budget: 200, seed: 1}
 
-	c1 := NewCache(8)
-	c1.disk = mustDisk(t, dir)
+	c1 := diskCache(t, dir, 8)
 	smp, _, _, err := c1.SampleFor(context.Background(), key, g, 1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +194,7 @@ func TestCacheDiskRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2 := NewCache(8)
-	c2.disk = mustDisk(t, dir)
+	c2 := diskCache(t, dir, 8)
 	smp, hit, _, err := c2.SampleFor(context.Background(), key, g, 1, nil)
 	if err != nil {
 		t.Fatalf("corrupt file surfaced as an error: %v", err)
@@ -207,8 +214,7 @@ func TestCacheDiskRejectsCorrupt(t *testing.T) {
 	}
 	// The rebuild rewrote the file; a third cache loads it cleanly.
 	c2.WaitFlushes()
-	c3 := NewCache(8)
-	c3.disk = mustDisk(t, dir)
+	c3 := diskCache(t, dir, 8)
 	if _, hit, _, err := c3.SampleFor(context.Background(), key, g, 1, nil); err != nil || !hit {
 		t.Fatalf("rewritten file not loadable: hit=%v err=%v", hit, err)
 	}
@@ -221,8 +227,7 @@ func TestCacheDiskRejectsWrongGraph(t *testing.T) {
 	dir := t.TempDir()
 	key := sampleKey{graph: "g", engine: fairim.EngineRIS, model: cascade.IC, tau: 3, budget: 100, seed: 1}
 
-	c1 := NewCache(8)
-	c1.disk = mustDisk(t, dir)
+	c1 := diskCache(t, dir, 8)
 	if _, _, _, err := c1.SampleFor(context.Background(), key, generate.TwoStars(), 1, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +237,7 @@ func TestCacheDiskRejectsWrongGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewCache(8)
-	c2.disk = mustDisk(t, dir)
+	c2 := diskCache(t, dir, 8)
 	smp, hit, _, err := c2.SampleFor(context.Background(), key, other, 1, nil)
 	if err != nil || smp == nil {
 		t.Fatalf("mismatched file broke the request: %v", err)
@@ -270,14 +274,12 @@ func TestCacheDiskLoadsV1Frame(t *testing.T) {
 		e.I32s(targets)
 	}
 
-	d := mustDisk(t, t.TempDir())
+	c := diskCache(t, t.TempDir(), 8)
 	meta := persist.Meta{Kind: cascade.WorldCodecKind, Version: 1, Fingerprint: persist.GraphFingerprint(g)}
-	if err := persist.Save(d.fileName(key), meta, e.Bytes()); err != nil {
+	if err := persist.Save(c.disk.fileName(key), meta, e.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 
-	c := NewCache(8)
-	c.disk = d
 	smp, hit, _, err := c.SampleFor(context.Background(), key, g, 1, nil)
 	if err != nil || !hit {
 		t.Fatalf("v1 frame load: hit=%v err=%v", hit, err)
@@ -301,8 +303,7 @@ func TestCacheDiskRejectsWrongVersion(t *testing.T) {
 	dir := t.TempDir()
 	key := sampleKey{graph: "twostars", engine: fairim.EngineRIS, model: cascade.IC, tau: 3, budget: 100, seed: 1}
 
-	c1 := NewCache(8)
-	c1.disk = mustDisk(t, dir)
+	c1 := diskCache(t, dir, 8)
 	if _, _, _, err := c1.SampleFor(context.Background(), key, g, 1, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -319,8 +320,7 @@ func TestCacheDiskRejectsWrongVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2 := NewCache(8)
-	c2.disk = mustDisk(t, dir)
+	c2 := diskCache(t, dir, 8)
 	if _, hit, _, err := c2.SampleFor(context.Background(), key, g, 1, nil); err != nil || hit {
 		t.Fatalf("version-skewed file: hit=%v err=%v", hit, err)
 	}
@@ -335,10 +335,8 @@ func TestCacheDiskRejectsWrongVersion(t *testing.T) {
 func TestCacheDiskConcurrent(t *testing.T) {
 	g := generate.TwoStars()
 	dir := t.TempDir()
-	a := NewCache(16)
-	a.disk = mustDisk(t, dir)
-	b := NewCache(16)
-	b.disk = mustDisk(t, dir)
+	a := diskCache(t, dir, 16)
+	b := diskCache(t, dir, 16)
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -433,8 +431,7 @@ func TestDiskStoreGC(t *testing.T) {
 		{graph: "twostars", version: 1, engine: fairim.EngineRIS, model: cascade.IC, tau: 3, budget: 100, seed: 2},
 		{graph: "twostars", version: 1, engine: fairim.EngineRIS, model: cascade.IC, tau: 3, budget: 100, seed: 3},
 	}
-	c := NewCache(8)
-	c.disk = mustDisk(t, dir)
+	c := diskCache(t, dir, 8)
 	for _, key := range keys {
 		if _, _, _, err := c.SampleFor(context.Background(), key, g, 1, nil); err != nil {
 			t.Fatal(err)
@@ -507,6 +504,7 @@ func TestDiskStoreGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2.disk = d4
+	t.Cleanup(c2.WaitFlushes)
 	for _, key := range keys[:2] {
 		if _, _, _, err := c2.SampleFor(context.Background(), key, g, 1, nil); err != nil {
 			t.Fatal(err)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -256,11 +255,6 @@ type SolveRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// SelectRequest is the former name of SolveRequest.
-//
-// Deprecated: use SolveRequest.
-type SelectRequest = SolveRequest
-
 // EstimateRequest is the body of POST /v1/estimate: evaluate the spread
 // of a caller-supplied seed set. Eval defaults to "sample", reusing the
 // cached sketch (unbiased here — the seeds were not chosen on it).
@@ -336,11 +330,6 @@ type SolveResponse struct {
 	// affects speed only, never the answer.
 	EffectiveParallelism int `json:"effective_parallelism,omitempty"`
 }
-
-// SelectResponse is the former name of SolveResponse.
-//
-// Deprecated: use SolveResponse.
-type SelectResponse = SolveResponse
 
 // EstimateResponse is the body of a successful /v1/estimate.
 type EstimateResponse struct {
@@ -745,11 +734,12 @@ func (g serverGate) release()                         { g.s.release() }
 func (g serverGate) joinBound() time.Duration         { return g.s.queueTimeout }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
 	var req EstimateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: %v", err)
+	if !decodeStrict(w, body, &req) {
 		return
 	}
 	spec, err := decodeCommon(req.Graph, req.Engine, req.Model, req.Tau, req.Samples, req.RISPerGroup, req.Accuracy, req.Seed, req.Eval, "sample")
@@ -829,16 +819,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleGraphs is GET /v1/graphs: structured per-graph objects, or the
-// pre-versioning bare name list behind ?format=names (deprecated, kept
-// for one release).
+// handleGraphs is GET /v1/graphs: structured per-graph objects.
 func (s *Server) handleGraphs(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "names" {
-		writeJSON(w, http.StatusOK, struct {
-			Graphs []string `json:"graphs"`
-		}{Graphs: s.reg.Names()})
-		return
-	}
 	writeJSON(w, http.StatusOK, struct {
 		Graphs []GraphInfo `json:"graphs"`
 	}{Graphs: s.reg.Info()})

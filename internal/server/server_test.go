@@ -43,6 +43,11 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if cfg.StateDir != "" {
+		// Runs after ts.Close and before the state dir's TempDir cleanup,
+		// so no write-behind save races the dir's removal.
+		t.Cleanup(s.WaitFlushes)
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -69,7 +74,7 @@ func TestSelectTwoStars(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var out SelectResponse
+	var out SolveResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatalf("decoding %s: %v", body, err)
 	}
@@ -99,7 +104,7 @@ func TestSelectRepeatHitsCache(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm status %d: %s", resp.StatusCode, body)
 	}
-	var out SelectResponse
+	var out SolveResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +128,7 @@ func TestForwardMCSharesWorldsAcrossTau(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("tau=%d: status %d: %s", tau, resp.StatusCode, out)
 		}
-		var sel SelectResponse
+		var sel SolveResponse
 		if err := json.Unmarshal(out, &sel); err != nil {
 			t.Fatal(err)
 		}
@@ -208,6 +213,14 @@ func TestEstimate(t *testing.T) {
 	resp, _ = postJSON(t, ts.URL+"/v1/estimate", `{"graph":"twostars","seeds":[99]}`)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad seed id: status %d, want 400", resp.StatusCode)
+	}
+	// The body cap of every other POST applies: a valid object padded
+	// past maxBodyBytes is rejected, not decoded.
+	resp, body = postJSON(t, ts.URL+"/v1/estimate",
+		`{"graph":"twostars","seeds":[0,11],"tau":3,"engine":"ris","samples":50}`+strings.Repeat(" ", maxBodyBytes+1))
+	var e errorResponse
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || e.Error.Code != CodeBadRequest {
+		t.Fatalf("oversized body: status %d: %s", resp.StatusCode, body)
 	}
 }
 
@@ -352,7 +365,7 @@ func TestWarmRequestFaster(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cold status %d: %s", resp.StatusCode, body)
 	}
-	var coldOut SelectResponse
+	var coldOut SolveResponse
 	if err := json.Unmarshal(body, &coldOut); err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +379,7 @@ func TestWarmRequestFaster(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm status %d: %s", resp.StatusCode, body)
 	}
-	var warmOut SelectResponse
+	var warmOut SolveResponse
 	if err := json.Unmarshal(body, &warmOut); err != nil {
 		t.Fatal(err)
 	}

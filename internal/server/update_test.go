@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -353,25 +352,5 @@ func TestRefreshSkipsStaleHistory(t *testing.T) {
 	}
 	if len(heads) != 1 || heads[0] != 0 {
 		t.Fatalf("heads = %v, want [0]", heads)
-	}
-}
-
-// TestGraphsLegacyFormat pins the deprecated bare-name listing kept
-// behind ?format=names.
-func TestGraphsLegacyFormat(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/v1/graphs?format=names")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var legacy struct {
-		Graphs []string `json:"graphs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&legacy); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%v", legacy.Graphs) != "[twoblock twostars]" {
-		t.Fatalf("legacy listing = %v", legacy.Graphs)
 	}
 }
