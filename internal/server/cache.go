@@ -175,6 +175,7 @@ type Cache struct {
 	rrRefreshedN int64 // RR sets resampled across all refreshes
 	rrRetainedN  int64 // RR sets carried over verbatim across all refreshes
 	invalidated  int64 // entries dropped by graph updates (forward-MC world sets)
+	superseded   int64 // entries dropped because the same key was published at a newer version
 
 	// The seed-set prefix memo: solved greedy prefixes with their CELF
 	// heap snapshots, so a larger-budget repeat of a solved problem
@@ -230,7 +231,8 @@ func NewCache(capacity int) *Cache {
 // FlushesInFlight gauges write-behinds started but not yet on disk.
 // The Prefix* counters track the seed-set prefix memo: PrefixHits are
 // solves that warm-started from a memoized prefix, PrefixStores are
-// prefixes (re)captured into the memo.
+// prefixes (re)captured into the memo. Superseded counts ready entries
+// dropped because the same key was published at a newer graph version.
 type CacheStats struct {
 	Entries         int   `json:"entries"`
 	Hits            int64 `json:"hits"`
@@ -246,6 +248,7 @@ type CacheStats struct {
 	RRRefreshed     int64 `json:"rr_refreshed"`
 	RRRetained      int64 `json:"rr_retained"`
 	Invalidated     int64 `json:"invalidated"`
+	Superseded      int64 `json:"superseded"`
 	PrefixEntries   int   `json:"prefix_entries"`
 	PrefixHits      int64 `json:"prefix_hits"`
 	PrefixStores    int64 `json:"prefix_stores"`
@@ -275,6 +278,7 @@ func (c *Cache) Stats() CacheStats {
 		RRRefreshed:     c.rrRefreshedN,
 		RRRetained:      c.rrRetainedN,
 		Invalidated:     c.invalidated,
+		Superseded:      c.superseded,
 		PrefixEntries:   len(c.prefix),
 		PrefixHits:      c.prefixHits,
 		PrefixStores:    c.prefixStores,
@@ -443,11 +447,11 @@ func (c *Cache) SampleFor(ctx context.Context, key sampleKey, g *graph.Graph, pa
 		if e.err != nil {
 			// Drop failed builds so the next request can retry.
 			c.dropEntry(e)
-		}
-		close(e.ready)
-		if e.err != nil {
+			close(e.ready)
 			return nil, false, e.buildMS, e.err
 		}
+		close(e.ready)
+		c.supersede(key)
 		if !diskHit {
 			// Write-behind: the response never waits on the disk tier.
 			c.diskSaveAsync(key, e.sample)
@@ -566,15 +570,10 @@ func (c *Cache) refreshFrom(key sampleKey, g *graph.Graph, parallelism int, canc
 	}
 	// Newest ready, error-free entry whose key differs only by an earlier
 	// version.
-	want := key
 	c.mu.Lock()
 	var src *cacheEntry
 	for k, e := range c.entries {
-		if k.version == 0 || k.version >= key.version {
-			continue
-		}
-		want.version = k.version
-		if k != want {
+		if k.version == 0 || !olderVersionOf(k, key) {
 			continue
 		}
 		select {
@@ -625,8 +624,8 @@ func (c *Cache) refreshFrom(key sampleKey, g *graph.Graph, parallelism int, canc
 // invalidateGraph drops cached forward-MC world sets for the named graph
 // after an update. Live-edge worlds realize every edge coin, so none
 // survive a delta — unlike RR sketches, which stay resident as refresh
-// sources for the next version and age out through the LRU (their
-// version-keyed entries can never serve a post-update request anyway).
+// sources until the next version's sketch for the same key is published
+// and supersedes them (see supersede).
 // Returns how many entries were dropped and how many of their worlds
 // realized at least one touched arc, for the update response.
 func (c *Cache) invalidateGraph(name string, arcs []graph.Arc) (dropped, worldsTouched int) {
@@ -659,6 +658,46 @@ func (c *Cache) invalidateGraph(name string, arcs []graph.Arc) (dropped, worldsT
 		}
 	}
 	return dropped, worldsTouched
+}
+
+// supersede drops what publishing key leaves without a use: every ready
+// entry whose key differs from key only by an older graph version, and
+// every prefix memo keyed on such a sample. Each one pins its graph
+// snapshot, and refreshFrom only ever reads the newest older version,
+// which from now on is key itself. A request still pinned to an old
+// version gets a correct answer from the disk tier's file or a cold
+// build. In-flight entries stay: their joiners wait on them.
+func (c *Cache) supersede(key sampleKey) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k, e := range c.entries {
+		if !olderVersionOf(k, key) {
+			continue
+		}
+		select {
+		case <-e.ready:
+		default:
+			continue
+		}
+		delete(c.entries, k)
+		c.lru.Remove(e.elem)
+		c.superseded++
+	}
+	for pk, pe := range c.prefix {
+		if olderVersionOf(pk.sample, key) {
+			delete(c.prefix, pk)
+			c.prefixLRU.Remove(pe.elem)
+		}
+	}
+}
+
+// olderVersionOf reports whether k is key at an earlier graph version.
+func olderVersionOf(k, key sampleKey) bool {
+	if k.version >= key.version {
+		return false
+	}
+	k.version = key.version
+	return k == key
 }
 
 // dropEntry removes e from the index if it is still the current entry for

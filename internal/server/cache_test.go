@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"fairtcim/internal/fairim"
 	"fairtcim/internal/generate"
 	"fairtcim/internal/graph"
+	"fairtcim/internal/submodular"
 )
 
 func tinyKey(seed int64) sampleKey {
@@ -478,5 +480,152 @@ func TestSampleForBuilderCancelMidBuild(t *testing.T) {
 	}
 	if st := c.Stats(); st.Builds != 2 {
 		t.Fatalf("stats after mid-build cancel + retry: %+v", st)
+	}
+}
+
+// risKey is an explicitly budgeted RIS key on the two-star fixture at
+// graph version v.
+func risKey(v uint64) sampleKey {
+	return sampleKey{graph: "twostars", version: v, engine: fairim.EngineRIS, model: cascade.IC, tau: 3, budget: 40, seed: 1}
+}
+
+// TestCacheSupersedesOlderVersions: publishing a key at version v drops
+// exactly the ready entries whose key differs only by an older version —
+// keys that differ in seed, τ, budget, engine or accuracy stay — and
+// counts each dropped entry in superseded. A request pinned to a
+// superseded version rebuilds it without dropping the newer one.
+func TestCacheSupersedesOlderVersions(t *testing.T) {
+	g := generate.TwoStars()
+	c := NewCache(32)
+	get := func(k sampleKey) {
+		t.Helper()
+		if _, _, _, err := c.SampleFor(context.Background(), k, g, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := risKey(1)
+	seed, tau, budget, engine, accuracy := base, base, base, base, base
+	seed.seed = 2
+	tau.tau = 4
+	budget.budget = 50
+	engine.engine, engine.tau, engine.budget = fairim.EngineForwardMC, 0, 5
+	accuracy.budget = 0
+	accuracy.epsBits, accuracy.deltaBits, accuracy.sizingK = math.Float64bits(0.5), math.Float64bits(0.5), 2
+	untouched := []sampleKey{seed, tau, budget, engine, accuracy}
+	for _, k := range untouched {
+		get(k)
+	}
+	v2 := risKey(2)
+	get(v2)
+	get(base) // published after v2: older than nothing, drops nothing
+	if st := c.Stats(); st.Superseded != 0 || st.Entries != len(untouched)+2 {
+		t.Fatalf("before v3: %+v", st)
+	}
+
+	get(risKey(3))
+	if st := c.Stats(); st.Superseded != 2 || st.Entries != len(untouched)+1 {
+		t.Fatalf("publishing v3 should drop v1 and v2 only: %+v", st)
+	}
+	for _, k := range []sampleKey{base, v2} {
+		if c.peek(k) != nil {
+			t.Errorf("superseded entry at v%d still cached", k.version)
+		}
+	}
+	for _, k := range append(untouched, risKey(3)) {
+		if c.peek(k) == nil {
+			t.Errorf("entry %+v dropped by another key's publication", k)
+		}
+	}
+
+	// A select pinned to v2 after v3's publication misses, rebuilds and
+	// leaves v3 alone.
+	get(v2)
+	if st := c.Stats(); st.Superseded != 2 || c.peek(risKey(3)) == nil {
+		t.Fatalf("stale publish dropped a newer entry: %+v", st)
+	}
+}
+
+// holdGate blocks in acquire until released, then grants the slot — a
+// build held in flight for as long as a test needs.
+type holdGate struct {
+	entered chan struct{}
+	proceed chan struct{}
+}
+
+func (g *holdGate) acquire(context.Context) bool {
+	close(g.entered)
+	<-g.proceed
+	return true
+}
+func (g *holdGate) release() {}
+
+// TestCacheSupersedeKeepsInFlight: an older version's build still in
+// flight when a newer version publishes is left alone — its joiners are
+// waiting on it — and resolves normally.
+func TestCacheSupersedeKeepsInFlight(t *testing.T) {
+	g := generate.TwoStars()
+	c := NewCache(8)
+	gate := &holdGate{entered: make(chan struct{}), proceed: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		smp, _, _, err := c.SampleFor(context.Background(), risKey(1), g, 1, gate)
+		if err == nil && smp == nil {
+			err = errors.New("nil sample without error")
+		}
+		done <- err
+	}()
+	<-gate.entered
+	if _, _, _, err := c.SampleFor(context.Background(), risKey(2), g, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Superseded != 0 || st.Entries != 2 {
+		t.Fatalf("in-flight v1 entry was superseded: %+v", st)
+	}
+	close(gate.proceed)
+	if err := <-done; err != nil {
+		t.Fatalf("in-flight build after a newer publication: %v", err)
+	}
+	if c.peek(risKey(1)) == nil || c.peek(risKey(2)) == nil {
+		t.Fatal("both versions should be cached once the old build resolves")
+	}
+}
+
+// TestCacheSupersedeDropsOnlyOlderPrefixes: publishing a version drops
+// the prefix memos keyed on older versions of the same sample, whether or
+// not their sample entry is still cached, and only those. Memo drops are
+// not counted as superseded entries.
+func TestCacheSupersedeDropsOnlyOlderPrefixes(t *testing.T) {
+	g := generate.TwoStars()
+	c := NewCache(8)
+	warm := &fairim.WarmStart{Seeds: []graph.NodeID{0}, Snapshot: &submodular.LazySnapshot{}}
+	other := risKey(1)
+	other.seed = 2
+	older := []prefixKey{
+		{sample: risKey(1), problem: fairim.P1, tau: 3},
+		{sample: risKey(1), problem: fairim.P4, tau: 3, h: "log"},
+	}
+	kept := []prefixKey{
+		{sample: risKey(2), problem: fairim.P1, tau: 3},
+		{sample: risKey(3), problem: fairim.P1, tau: 3},
+		{sample: other, problem: fairim.P1, tau: 3},
+	}
+	for _, pk := range append(append([]prefixKey{}, older...), kept...) {
+		c.storeWarm(pk, warm)
+	}
+	if _, _, _, err := c.SampleFor(context.Background(), risKey(2), g, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, pk := range older {
+		if _, ok := c.prefix[pk]; ok {
+			t.Errorf("older-version prefix memo %+v survived", pk)
+		}
+	}
+	for _, pk := range kept {
+		if _, ok := c.prefix[pk]; !ok {
+			t.Errorf("prefix memo %+v dropped", pk)
+		}
+	}
+	if st := c.Stats(); st.PrefixEntries != len(kept) || st.Superseded != 0 {
+		t.Fatalf("stats after publication: %+v", st)
 	}
 }

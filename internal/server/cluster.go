@@ -113,35 +113,6 @@ func parseWireKey(s string) (sampleKey, error) {
 	return k, nil
 }
 
-// fpMemo memoizes persist.GraphFingerprint per graph snapshot — the hash
-// walks the full adjacency and one snapshot backs many keys. Same memo
-// policy as the diskStore's (bounded, flushed wholesale over fpMemoCap so
-// superseded dynamic-graph snapshots cannot pin memory through it).
-type fpMemo struct {
-	mu  sync.Mutex
-	fps map[*graph.Graph]uint64
-}
-
-func (m *fpMemo) fingerprint(g *graph.Graph) uint64 {
-	m.mu.Lock()
-	if m.fps == nil {
-		m.fps = map[*graph.Graph]uint64{}
-	}
-	fp, ok := m.fps[g]
-	m.mu.Unlock()
-	if ok {
-		return fp
-	}
-	fp = persist.GraphFingerprint(g)
-	m.mu.Lock()
-	if len(m.fps) >= fpMemoCap {
-		m.fps = map[*graph.Graph]uint64{}
-	}
-	m.fps[g] = fp
-	m.mu.Unlock()
-	return fp
-}
-
 // jobRouteCap bounds the proxied-job route memory; beyond it the oldest
 // routes are forgotten (their jobs are long finished or findable by
 // asking the owner directly).
@@ -197,7 +168,7 @@ func (cs *clusterState) jobRoute(id string) (string, bool) {
 // A transferred sketch can make a request faster, never wrong.
 func (cs *clusterState) fetchSample(ctx context.Context, key sampleKey, g *graph.Graph) *sample {
 	wire := key.wireKey()
-	want := frameMeta(key, cs.fp.fingerprint(g))
+	want := frameMeta(key, cs.fp.fingerprint(key, g))
 	for _, peer := range cs.c.FetchOrder(wire) {
 		if ctx.Err() != nil {
 			return nil
@@ -246,7 +217,7 @@ func (s *Server) handleSketchGet(w http.ResponseWriter, r *http.Request) {
 			payload = cascade.EncodeWorlds(smp.worlds)
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		_ = persist.EncodeTo(w, frameMeta(key, s.fpm.fingerprint(smp.g)), payload)
+		_ = persist.EncodeTo(w, frameMeta(key, s.fpm.fingerprint(key, smp.g)), payload)
 		return
 	}
 	if s.cache.disk != nil {

@@ -14,14 +14,17 @@
 //     defaulting scheme on top of the solver's;
 //   - a Cache keys warm optimization samples — τ-bounded RR-sketch
 //     Collections (internal/ris) or live-edge world sets
-//     (internal/cascade) — by (graph, engine, model, τ, sample budget,
-//     seed), holds them behind an LRU, and singleflights concurrent
-//     builds so an identical sketch is sampled exactly once no matter
-//     how many requests ask for it at the same time. Accuracy-targeted
-//     requests key by (ε, δ, sizing k) instead of a count: the
-//     stopping-rule-sized pool (ris.SampleForAccuracy for RIS,
-//     fairim.HoeffdingWorlds for forward MC) is derived once inside the
-//     singleflight and shared like any other sample;
+//     (internal/cascade) — by (graph, version, engine, model, τ, sample
+//     budget, seed), holds them behind an LRU, and singleflights
+//     concurrent builds so an identical sketch is sampled exactly once no
+//     matter how many requests ask for it at the same time. Publishing a
+//     sample at graph version v supersedes the same key's older versions:
+//     their entries and prefix memos are dropped, so an updated graph's
+//     old snapshots are not kept reachable. Accuracy-targeted requests
+//     key by (ε, δ, sizing k) instead of a count: the stopping-rule-sized
+//     pool (ris.SampleForAccuracy for RIS, fairim.HoeffdingWorlds for
+//     forward MC) is derived once inside the singleflight and shared like
+//     any other sample;
 //   - each request constructs its own cheap estimator.Estimator over the
 //     shared read-only sample and injects it into the fairim solvers via
 //     fairim.Config.Estimator, so solves never contend on estimator

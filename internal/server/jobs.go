@@ -70,6 +70,9 @@ type job struct {
 	// restoredPicks carries the pick count of a journal-restored job,
 	// whose trace buffer is gone.
 	restoredPicks int
+	// final is the terminal record settle decided, set before it is
+	// journaled and published; record reports it from then on.
+	final *jobRecord
 }
 
 // signalLocked wakes every waiter; callers hold mu.
@@ -102,23 +105,34 @@ func (j *job) setRunning() {
 	j.mu.Unlock()
 }
 
-// finish moves the job to its terminal state. A cancellation-shaped
-// error after a DELETE request lands in JobCanceled; any other error is a
-// genuine failure even if a cancel raced in behind it.
-func (j *job) finish(resp *SolveResponse, err error) {
+// settle decides the job's terminal record without publishing it. A
+// cancellation-shaped error after a DELETE request lands in JobCanceled;
+// any other error is a genuine failure even if a cancel raced in behind
+// it. From here on record returns the decided record, so a journal
+// compaction running before publish keeps the job.
+func (j *job) settle(resp *SolveResponse, err error) jobRecord {
 	j.mu.Lock()
-	j.finished = time.Now()
+	defer j.mu.Unlock()
+	rec := j.recordLocked()
+	rec.Finished = time.Now()
 	switch {
 	case err == nil:
-		j.state = JobDone
-		j.result = resp
+		rec.Status, rec.Result = JobDone, resp
 	case j.cancelReq && (errors.Is(err, fairim.ErrCanceled) || errors.Is(err, context.Canceled)):
-		j.state = JobCanceled
-		j.errMsg = "canceled"
+		rec.Status, rec.Error = JobCanceled, "canceled"
 	default:
-		j.state = JobFailed
-		j.errMsg = err.Error()
+		rec.Status, rec.Error = JobFailed, err.Error()
 	}
+	j.final = &rec
+	return rec
+}
+
+// publish moves the job to the terminal state settle decided and wakes
+// trace streams and pollers.
+func (j *job) publish() {
+	j.mu.Lock()
+	f := j.final
+	j.state, j.result, j.errMsg, j.finished = f.Status, f.Result, f.Error, f.Finished
 	j.signalLocked()
 	j.mu.Unlock()
 }
@@ -157,6 +171,13 @@ func (j *job) requestCancel() bool {
 func (j *job) record() jobRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.final != nil {
+		return *j.final
+	}
+	return j.recordLocked()
+}
+
+func (j *job) recordLocked() jobRecord {
 	picks := len(j.trace)
 	if picks == 0 {
 		picks = j.restoredPicks
@@ -320,7 +341,7 @@ func (st *jobStore) add(graphName, problem string) (*job, error) {
 }
 
 // evictLocked drops the oldest finished jobs beyond the retention bound.
-// It runs on both add and noteFinished, so history shrinks as soon as a
+// It runs on both add and finish, so history shrinks as soon as a
 // job finishes over the bound instead of lingering until the next submit.
 func (st *jobStore) evictLocked() {
 	if len(st.order) <= st.retention {
@@ -349,11 +370,19 @@ func (st *jobStore) get(id string) (*job, bool) {
 	return j, ok
 }
 
-// noteFinished records a job's terminal state: the active count drops,
-// the cumulative counter for its outcome bumps, the record is journaled,
-// and over-retention history is evicted immediately.
-func (st *jobStore) noteFinished(j *job) {
-	rec := j.record()
+// finish moves a job to its terminal state. The record is journaled
+// before the job becomes visible as finished, so a client that has seen
+// "done" can count on the job surviving a restart. Then the active count
+// drops, the cumulative counter for its outcome bumps, and
+// over-retention history is evicted immediately.
+func (st *jobStore) finish(j *job, resp *SolveResponse, err error) {
+	rec := j.settle(resp, err)
+	if st.journal != nil {
+		if err := st.journal.append(rec); err != nil {
+			st.journalErrors.Add(1)
+		}
+	}
+	j.publish()
 	st.mu.Lock()
 	st.active--
 	switch rec.Status {
@@ -365,15 +394,11 @@ func (st *jobStore) noteFinished(j *job) {
 		st.done++
 	}
 	st.evictLocked()
-	journal := st.journal
 	st.mu.Unlock()
-	if journal != nil {
-		if err := journal.append(rec); err != nil {
-			st.journalErrors.Add(1)
-		}
+	if st.journal != nil {
 		// Opportunistic compaction: once appends have grown the file past
 		// ~4× retention, rewrite it from the retained in-memory history.
-		if _, err := journal.maybeCompact(st.retainedRecords); err != nil {
+		if _, err := st.journal.maybeCompact(st.retainedRecords); err != nil {
 			st.journalErrors.Add(1)
 		}
 	}
@@ -470,8 +495,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j.arm(cancel)
+	// The 202 reports the job as accepted. Snapshot it before the job
+	// runs: a fully memoized solve can finish before the response is
+	// written.
+	accepted := j.status()
 	go s.runJob(ctx, j, g, req.Graph, version, spec)
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // startGate wraps a workerGate so the job flips from "queued" to
@@ -512,8 +541,7 @@ func (s *Server) runJob(ctx context.Context, j *job, g *graph.Graph, graphName s
 			resp.Trace = nil
 		}
 	}
-	j.finish(resp, err)
-	s.jobs.noteFinished(j)
+	s.jobs.finish(j, resp, err)
 }
 
 // handleJobCancel is DELETE /v1/jobs/{id}: ask a queued or running job to

@@ -441,8 +441,7 @@ func TestSolveCancelMidRun(t *testing.T) {
 func TestJobEvictionOnFinish(t *testing.T) {
 	st := newJobStore(2, 3, nil)
 	finish := func(j *job) {
-		j.finish(&SolveResponse{}, nil)
-		st.noteFinished(j)
+		st.finish(j, &SolveResponse{}, nil)
 	}
 	// The active cap binds...
 	j1, err := st.add("g", "P1")
@@ -466,7 +465,7 @@ func TestJobEvictionOnFinish(t *testing.T) {
 		}
 		finish(j)
 	}
-	// 5 finished jobs, retention 3: eviction happened on noteFinished.
+	// 5 finished jobs, retention 3: eviction happened on finish.
 	st.mu.Lock()
 	kept := len(st.order)
 	st.mu.Unlock()

@@ -119,8 +119,7 @@ func TestJobJournalOpportunisticCompaction(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				j.finish(&SolveResponse{}, nil)
-				st.noteFinished(j)
+				st.finish(j, &SolveResponse{}, nil)
 			}
 		}()
 	}

@@ -246,6 +246,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	promCounter(w, "fairtcim_cache_disk_errors_total", st.Cache.DiskErrors)
 	promCounter(w, "fairtcim_cache_refreshes_total", st.Cache.Refreshes)
 	promCounter(w, "fairtcim_cache_invalidated_total", st.Cache.Invalidated)
+	promCounter(w, "fairtcim_cache_superseded_total", st.Cache.Superseded)
 	promCounter(w, "fairtcim_cache_disk_gc_removals_total", st.Cache.DiskGCRemovals)
 	promGauge(w, "fairtcim_cache_disk_flushes_inflight", st.Cache.FlushesInFlight)
 	promCounter(w, "fairtcim_cache_rr_refreshed_total", st.Cache.RRRefreshed)

@@ -40,8 +40,9 @@ type diskStore struct {
 
 	gcRemovals atomic.Int64 // files deleted by the GC, surfaced in CacheStats
 
-	mu  sync.Mutex
-	fps map[*graph.Graph]uint64 // memoized GraphFingerprint per loaded graph
+	fp *fpMemo // the server's graph fingerprints, shared with the cluster
+
+	mu sync.Mutex
 	// GC manifest: every known state file by path, LRU-ordered (front =
 	// most recently used), with the running total size.
 	files      map[string]*list.Element // of *gcFile
@@ -56,16 +57,11 @@ type gcFile struct {
 	last time.Time
 }
 
-// fpMemoCap bounds the fingerprint memo. Static deployments hold one
-// graph pointer per registered graph forever; dynamic graphs mint a new
-// immutable snapshot per update, and without a bound every superseded
-// snapshot would stay reachable through the memo alone.
-const fpMemoCap = 64
-
 // newDiskStore roots a sample store at dir, creating it if needed, and
 // scans any files a previous run left behind into the GC manifest
-// (ordered by mtime) so the bounds apply across restarts.
-func newDiskStore(dir string, maxBytes int64, maxAge time.Duration) (*diskStore, error) {
+// (ordered by mtime) so the bounds apply across restarts. fp frames
+// saves and checks loads against each graph's fingerprint.
+func newDiskStore(dir string, maxBytes int64, maxAge time.Duration, fp *fpMemo) (*diskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: state dir: %w", err)
 	}
@@ -73,7 +69,7 @@ func newDiskStore(dir string, maxBytes int64, maxAge time.Duration) (*diskStore,
 		dir:      dir,
 		maxBytes: maxBytes,
 		maxAge:   maxAge,
-		fps:      map[*graph.Graph]uint64{},
+		fp:       fp,
 		files:    map[string]*list.Element{},
 		gcLRU:    list.New(),
 	}
@@ -176,25 +172,6 @@ func (d *diskStore) record(path string, size int64, now time.Time) {
 	d.mu.Unlock()
 }
 
-// fingerprint memoizes persist.GraphFingerprint — the hash walks the full
-// adjacency, and one graph backs many keys.
-func (d *diskStore) fingerprint(g *graph.Graph) uint64 {
-	d.mu.Lock()
-	fp, ok := d.fps[g]
-	d.mu.Unlock()
-	if ok {
-		return fp
-	}
-	fp = persist.GraphFingerprint(g)
-	d.mu.Lock()
-	if len(d.fps) >= fpMemoCap {
-		d.fps = map[*graph.Graph]uint64{}
-	}
-	d.fps[g] = fp
-	d.mu.Unlock()
-	return fp
-}
-
 // fileName derives the stable on-disk name for a key: a sanitized graph
 // name for debuggability plus a hash of every key field — including the
 // graph version, so a post-update request misses cleanly (fs.ErrNotExist,
@@ -215,6 +192,45 @@ func (d *diskStore) fileName(key sampleKey) string {
 		}
 	}
 	return filepath.Join(d.dir, fmt.Sprintf("%s-%016x.sample", safe, h.Sum64()))
+}
+
+// fpMemo memoizes persist.GraphFingerprint — the hash walks the full
+// adjacency, and one snapshot backs many keys. The disk tier and the
+// cluster share one memo per server. It holds one snapshot per graph
+// name, the newest version fingerprinted, so an update's new snapshot
+// replaces its predecessor instead of pinning it.
+type fpMemo struct {
+	mu  sync.Mutex
+	fps map[string]fpEntry // by graph name
+}
+
+type fpEntry struct {
+	g       *graph.Graph
+	version uint64
+	fp      uint64
+}
+
+// fingerprint returns the fingerprint of g, the snapshot of key.graph at
+// key.version. A snapshot older than the one memoized is hashed but not
+// stored: a request pinned to a superseded version must not evict the
+// current snapshot's fingerprint or pin its own snapshot again.
+func (m *fpMemo) fingerprint(key sampleKey, g *graph.Graph) uint64 {
+	m.mu.Lock()
+	e, ok := m.fps[key.graph]
+	m.mu.Unlock()
+	if ok && e.g == g {
+		return e.fp
+	}
+	fp := persist.GraphFingerprint(g)
+	m.mu.Lock()
+	if m.fps == nil {
+		m.fps = map[string]fpEntry{}
+	}
+	if cur, ok := m.fps[key.graph]; !ok || key.version >= cur.version {
+		m.fps[key.graph] = fpEntry{g: g, version: key.version, fp: fp}
+	}
+	m.mu.Unlock()
+	return fp
 }
 
 // frameMeta frames a key's payload: the codec kind/version follow the
@@ -245,7 +261,7 @@ func minCodecVersion(key sampleKey) uint32 {
 
 // meta frames a key's payload for this store's graph.
 func (d *diskStore) meta(key sampleKey, g *graph.Graph) persist.Meta {
-	return frameMeta(key, d.fingerprint(g))
+	return frameMeta(key, d.fp.fingerprint(key, g))
 }
 
 // load reads the persisted sample for key, if any. It returns (nil, nil)

@@ -20,7 +20,7 @@ import (
 
 func mustDisk(t *testing.T, dir string) *diskStore {
 	t.Helper()
-	d, err := newDiskStore(dir, 0, 0)
+	d, err := newDiskStore(dir, 0, 0, &fpMemo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,16 +395,44 @@ func TestDiskFileNames(t *testing.T) {
 	}
 }
 
-// graphFingerprintStability: the memoized fingerprint matches the
-// package-level one.
+// TestDiskFingerprintMemo: the memoized fingerprint matches the
+// package-level one, and a second snapshot under the same name replaces
+// the first instead of pinning both. A lookup for the older version is
+// still answered correctly but does not displace the newer snapshot.
 func TestDiskFingerprintMemo(t *testing.T) {
 	d := mustDisk(t, t.TempDir())
-	g := generate.TwoStars()
-	if d.fingerprint(g) != persist.GraphFingerprint(g) {
+	g1 := generate.TwoStars()
+	g2, _, err := g1.ApplyDelta(graph.Delta{Edges: []graph.EdgeDelta{{From: 1, To: 0, P: 0.05}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1 := sampleKey{graph: "twostars", version: 1}
+	k2 := k1
+	k2.version = 2
+	if d.fp.fingerprint(k1, g1) != persist.GraphFingerprint(g1) {
 		t.Error("memoized fingerprint differs")
 	}
-	if d.fingerprint(g) != d.fingerprint(g) {
+	if d.fp.fingerprint(k1, g1) != d.fp.fingerprint(k1, g1) {
 		t.Error("fingerprint unstable")
+	}
+	if d.fp.fingerprint(k2, g2) != persist.GraphFingerprint(g2) {
+		t.Error("memoized fingerprint of the second snapshot differs")
+	}
+	held := func() []*graph.Graph {
+		var out []*graph.Graph
+		for _, e := range d.fp.fps {
+			out = append(out, e.g)
+		}
+		return out
+	}
+	if h := held(); len(h) != 1 || h[0] != g2 {
+		t.Fatalf("memo holds %d snapshots after an update, want only the new one", len(h))
+	}
+	if d.fp.fingerprint(k1, g1) != persist.GraphFingerprint(g1) {
+		t.Error("stale-version fingerprint differs")
+	}
+	if h := held(); len(h) != 1 || h[0] != g2 {
+		t.Error("a stale-version lookup displaced the current snapshot")
 	}
 }
 
@@ -464,7 +492,7 @@ func TestDiskStoreGC(t *testing.T) {
 
 	// Reopening under a tighter bound prunes the least recently used
 	// (oldest mtime) files at startup.
-	d2, err := newDiskStore(dir, total-1, 0)
+	d2, err := newDiskStore(dir, total-1, 0, &fpMemo{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +513,7 @@ func TestDiskStoreGC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := newDiskStore(dir, 0, time.Hour); err != nil {
+	if _, err := newDiskStore(dir, 0, time.Hour, &fpMemo{}); err != nil {
 		t.Fatal(err)
 	}
 	left, err := os.ReadDir(dir)
@@ -499,7 +527,7 @@ func TestDiskStoreGC(t *testing.T) {
 	// Save-path GC: with room for roughly one file, writing a second
 	// evicts the first but never the file just written.
 	c2 := NewCache(8)
-	d4, err := newDiskStore(dir, total/3+16, 0)
+	d4, err := newDiskStore(dir, total/3+16, 0, &fpMemo{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,9 @@ type Loader func() (*graph.Graph, error)
 // incrementally instead of rebuilding.
 type regEntry struct {
 	source string
-	loader Loader
 
 	mu      sync.Mutex
+	loader  Loader        // nil once a load has succeeded
 	loading chan struct{} // non-nil while a load is in flight
 	g       *graph.Graph  // non-nil once successfully loaded
 	version uint64        // 1 after first load, +1 per applied batch
@@ -130,12 +130,16 @@ func (r *Registry) Get(name string) (*graph.Graph, error) {
 			// Become the loader; run it without holding mu.
 			ch := make(chan struct{})
 			e.loading = ch
+			load := e.loader
 			e.mu.Unlock()
-			g, err := e.loader()
+			g, err := load()
 			e.mu.Lock()
 			if err == nil {
 				e.g = g
 				e.version = 1
+				// Never called again: dropping it releases whatever the
+				// closure captured (RegisterGraph's version-1 snapshot).
+				e.loader = nil
 			}
 			e.loading = nil
 			e.mu.Unlock()

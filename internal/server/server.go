@@ -101,7 +101,7 @@ type Server struct {
 	stateDir     string        // empty = in-memory only
 	coalesce     *coalescer    // nil unless Config.CoalesceWindow > 0
 	cluster      *clusterState // nil unless Config.Peers is set
-	fpm          *fpMemo       // graph fingerprints for sketch framing
+	fpm          *fpMemo       // graph fingerprints for sketch framing (disk tier and cluster)
 	metrics      *httpMetrics  // per-route latency/request tallies + access log
 
 	queued atomic.Int64 // requests currently waiting for a worker slot
@@ -133,6 +133,9 @@ func New(cfg Config) (*Server, error) {
 	if retention <= 0 {
 		retention = defaultJobRetention
 	}
+	// One fingerprint memo frames sketches for the disk tier and the
+	// cluster alike.
+	fpm := &fpMemo{}
 	// Warm-restart persistence: attach the sketch disk tier and replay
 	// the finished-job journal. A missing state dir is created; anything
 	// unusable inside it degrades per artifact (rejected files are
@@ -142,7 +145,7 @@ func New(cfg Config) (*Server, error) {
 	var restored []jobRecord
 	if cfg.StateDir != "" {
 		var err error
-		if disk, err = newDiskStore(filepath.Join(cfg.StateDir, "sketches"), cfg.StateMaxBytes, cfg.StateMaxAge); err != nil {
+		if disk, err = newDiskStore(filepath.Join(cfg.StateDir, "sketches"), cfg.StateMaxBytes, cfg.StateMaxAge, fpm); err != nil {
 			return nil, err
 		}
 		if journal, restored, err = openJobJournal(filepath.Join(cfg.StateDir, "jobs.jsonl"), retention); err != nil {
@@ -158,7 +161,7 @@ func New(cfg Config) (*Server, error) {
 		mux:          http.NewServeMux(),
 		jobs:         newJobStore(cfg.MaxJobs, retention, journal),
 		stateDir:     cfg.StateDir,
-		fpm:          &fpMemo{},
+		fpm:          fpm,
 		metrics:      newHTTPMetrics(cfg.RequestLog),
 	}
 	s.cache.disk = disk

@@ -1,11 +1,17 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
+	"fairtcim/internal/generate"
 	"fairtcim/internal/graph"
 )
 
@@ -352,5 +358,104 @@ func TestRefreshSkipsStaleHistory(t *testing.T) {
 	}
 	if len(heads) != 1 || heads[0] != 0 {
 		t.Fatalf("heads = %v, want [0]", heads)
+	}
+}
+
+// TestSupersededSnapshotsCollectable: once a newer version's sketch is
+// published, nothing the server keeps pins an older graph snapshot — not
+// the sketch cache, the prefix memo, the fingerprint memo the state dir
+// brings, nor the registry's loader, which captured version 1.
+func TestSupersededSnapshotsCollectable(t *testing.T) {
+	reg := NewRegistry()
+	if err := reg.RegisterGraph("twostars", "synthetic:twostars", generate.TwoStars()); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{Registry: reg, StateDir: t.TempDir()})
+	req := `{"graph":"twostars","problem":"p4","budget":2,"tau":3,"engine":"ris","ris_per_group":40,"seed":7,"eval":"sample"}`
+	selectOnce := func() {
+		t.Helper()
+		if resp, body := postJSON(t, ts.URL+"/v1/select", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("select: %s", body)
+		}
+	}
+	const versions = 6
+	snaps := make([]weak.Pointer[graph.Graph], 0, versions)
+	for v := 1; v <= versions; v++ {
+		g, gv, err := reg.GetVersioned("twostars")
+		if err != nil || gv != uint64(v) {
+			t.Fatalf("GetVersioned = v%d, %v; want v%d", gv, err, v)
+		}
+		snaps = append(snaps, weak.Make(g))
+		selectOnce()
+		delta := fmt.Sprintf(`{"edges":[{"from":1,"to":0,"p":%.2f}]}`, 0.05*float64(v))
+		if resp, _, raw := postUpdate(t, ts.URL, "twostars", delta); resp.StatusCode != http.StatusOK {
+			t.Fatalf("update to v%d: %s", v+1, raw)
+		}
+	}
+	// Publishing the newest version's sketch supersedes the last one.
+	selectOnce()
+	s.WaitFlushes()
+	if st := s.CacheStats(); st.Superseded != versions {
+		t.Fatalf("superseded = %d, want %d", st.Superseded, versions)
+	}
+	runtime.GC()
+	for i, p := range snaps {
+		if p.Value() != nil {
+			t.Errorf("superseded snapshot v%d is still reachable", i+1)
+		}
+	}
+}
+
+// TestPinnedSelectAfterSupersession: a select that read version 1 from
+// the registry just before an update, and asks after version 2's sketch
+// superseded version 1's, still answers bit-identically — from the disk
+// tier's file with a state dir, from a cold rebuild without one.
+func TestPinnedSelectAfterSupersession(t *testing.T) {
+	req := SolveRequest{Graph: "twostars", Problem: "p4", Budget: 2, Engine: "ris", RISPerGroup: 40, Seed: 7, Eval: "sample"}
+	tau := int32(3)
+	req.Tau = &tau
+	spec, err := req.toSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stateDir := range []bool{false, true} {
+		t.Run(fmt.Sprintf("state_dir=%v", stateDir), func(t *testing.T) {
+			cfg := Config{}
+			if stateDir {
+				cfg.StateDir = t.TempDir()
+			}
+			s, _ := newTestServer(t, cfg)
+			ctx := context.Background()
+			g1, v1, err := s.reg.GetVersioned("twostars")
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := s.solve(ctx, serverGate{s}, "twostars", v1, g1, spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.WaitFlushes()
+			g2, v2, _, err := s.reg.ApplyUpdate("twostars", v1, graph.Delta{Edges: []graph.EdgeDelta{{From: 1, To: 0, P: 0.05}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.solve(ctx, serverGate{s}, "twostars", v2, g2, spec, nil); err != nil {
+				t.Fatal(err)
+			}
+			if st := s.CacheStats(); st.Superseded != 1 {
+				t.Fatalf("superseded = %d after publishing v2, want 1", st.Superseded)
+			}
+			pinned, err := s.solve(ctx, serverGate{s}, "twostars", v1, g1, spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(pinned.UtilityReport, before.UtilityReport) || pinned.GraphVersion != v1 {
+				t.Fatalf("pinned v1 answer %+v differs from the pre-update %+v", pinned.UtilityReport, before.UtilityReport)
+			}
+			// The disk tier reloads v1's file; without one it is rebuilt.
+			if pinned.CacheHit != stateDir {
+				t.Errorf("pinned select cache_hit = %v, want %v", pinned.CacheHit, stateDir)
+			}
+		})
 	}
 }
