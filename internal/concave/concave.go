@@ -63,9 +63,9 @@ func (p Power) Eval(z float64) float64 { return math.Pow(z, p.Alpha) }
 // Name returns "pow<Alpha>".
 func (p Power) Name() string { return fmt.Sprintf("pow%.2f", p.Alpha) }
 
-// Validate reports whether p.Alpha is in (0, 1].
+// Validate reports whether p.Alpha is in (0, 1]; NaN is not.
 func (p Power) Validate() error {
-	if p.Alpha <= 0 || p.Alpha > 1 {
+	if !(p.Alpha > 0 && p.Alpha <= 1) {
 		return fmt.Errorf("concave: Power alpha %v outside (0,1]", p.Alpha)
 	}
 	return nil

@@ -97,7 +97,7 @@ func TestPowerValidate(t *testing.T) {
 	if (Power{Alpha: 0.5}).Validate() != nil {
 		t.Fatal("valid alpha rejected")
 	}
-	for _, a := range []float64{0, -1, 1.5} {
+	for _, a := range []float64{0, -1, 1.5, math.NaN()} {
 		if (Power{Alpha: a}).Validate() == nil {
 			t.Fatalf("alpha %v accepted", a)
 		}
@@ -117,7 +117,7 @@ func TestByName(t *testing.T) {
 			t.Fatalf("ByName(%q).Name() = %q", name, h.Name())
 		}
 	}
-	for _, name := range []string{"", "cube", "pow0", "pow2"} {
+	for _, name := range []string{"", "cube", "pow0", "pow2", "powNaN"} {
 		if _, err := ByName(name); err == nil {
 			t.Fatalf("ByName(%q) accepted", name)
 		}

@@ -13,22 +13,25 @@ import (
 
 // BatchOptions carries the serving layer's hooks into a batched solve.
 // All fields are optional; the zero value batches with cold sampling.
+// Each hook is asked once per execution unit — a coalesced group or a
+// spec running alone — with the unit's representative spec as planned:
+// the member with the largest budget, which carries everything needed to
+// key a sample cache. A spec's own Config.Estimator or Config.Warm wins
+// over the matching hook.
 type BatchOptions struct {
-	// Estimator, if non-nil, is asked once per coalesced group for a warm
-	// optimization estimator (built from a cached sample). rep is the
-	// group's representative spec — the member with the largest budget —
-	// which carries everything needed to key a sample cache. Returning a
-	// nil estimator (with nil error) means "no cached sample, sample
-	// cold"; an error fails every member of the group.
+	// Estimator, if non-nil, supplies a warm optimization estimator
+	// (built from a cached sample). Returning a nil estimator (with nil
+	// error) means "no cached sample, sample cold"; an error fails every
+	// member of the unit.
 	Estimator func(gid int, rep ProblemSpec) (estimator.Estimator, error)
-	// Warm, if non-nil, is asked once per budget-problem group for a
-	// memoized greedy prefix to replay (see Config.Warm). The same
-	// equivalence contract applies: the warm state must have been captured
-	// on the same graph, sample, and objective the key guarantees.
+	// Warm, if non-nil, supplies a budget-problem unit's memoized greedy
+	// prefix to replay (see Config.Warm). The same equivalence contract
+	// applies: the warm state must have been captured on the same graph,
+	// sample, and objective the key guarantees.
 	Warm func(gid int, rep ProblemSpec) *WarmStart
-	// OnWarm, if non-nil, receives the group's final CELF state after a
-	// budget-problem group run, for memoization. The WarmStart is
-	// immutable and covers the group's longest member.
+	// OnWarm, if non-nil, receives a budget-problem unit's final CELF
+	// state after its run, for memoization. The WarmStart is immutable
+	// and covers the unit's longest member.
 	OnWarm func(gid int, rep ProblemSpec, w *WarmStart)
 }
 
@@ -88,7 +91,7 @@ type shareKey struct {
 // cannot reproduce member-by-member (candidate restrictions, group
 // weights, delayed/discounted diffusion, plain-greedy ablation,
 // streaming callbacks, injected estimators or warm state, or sampling
-// fields a solo resolve would reject) run as singletons via Solve.
+// fields a solo resolve would reject) run alone.
 func (s ProblemSpec) shareable(g *graph.Graph) (shareKey, bool) {
 	c := &s.Config
 	if c.PlainGreedy || c.Candidates != nil || c.GroupWeights != nil ||
@@ -149,32 +152,6 @@ func (s ProblemSpec) shareable(g *graph.Graph) (shareKey, bool) {
 	return k, true
 }
 
-// validateConstraint mirrors Solve's up-front problem/constraint check.
-func (s ProblemSpec) validateConstraint() error {
-	switch s.Problem {
-	case P1, P4:
-		if s.Budget <= 0 {
-			return fmt.Errorf("fairim: budget must be positive, got %d", s.Budget)
-		}
-	case P2, P6:
-		if s.Quota <= 0 || s.Quota > 1 {
-			return fmt.Errorf("fairim: quota %v outside (0,1]", s.Quota)
-		}
-	default:
-		return fmt.Errorf("fairim: ProblemSpec.Problem must be P1, P2, P4 or P6, got %v", s.Problem)
-	}
-	return nil
-}
-
-// batchUnit is one execution unit of a batch: either a coalesced group
-// (shared estimator + single lazy-greedy run, answers peeled per
-// member) or a singleton delegated to Solve.
-type batchUnit struct {
-	members []int // spec indices, in arrival order
-	key     shareKey
-	shared  bool // keyed group; false = plain Solve singleton
-}
-
 // SolveBatch solves a batch of specs against one graph, coalescing
 // compatible specs onto shared work: one optimization sample and one
 // CELF lazy-greedy run per group of specs that provably walk the same
@@ -183,9 +160,9 @@ type batchUnit struct {
 // run). Every outcome is bit-identical to what the sequential
 // Solve(g, spec) would return — seeds, utilities, disparity, trace, and
 // the Evaluations count that spec's own run would have spent (via
-// submodular.Result.EvalsAt). Specs the planner cannot share run as
-// singletons through Solve; invalid specs fail individually without
-// touching the rest of the batch.
+// submodular.Result.EvalsAt). A spec the planner cannot share runs alone
+// on the same runner, hooks included; invalid specs fail individually
+// without touching the rest of the batch.
 func SolveBatch(g *graph.Graph, specs []ProblemSpec, opts *BatchOptions) ([]BatchOutcome, BatchReport) {
 	if opts == nil {
 		opts = &BatchOptions{}
@@ -193,62 +170,54 @@ func SolveBatch(g *graph.Graph, specs []ProblemSpec, opts *BatchOptions) ([]Batc
 	outcomes := make([]BatchOutcome, len(specs))
 	report := BatchReport{GroupOf: make([]int, len(specs))}
 
-	// Plan: group shareable specs by key in first-occurrence order;
-	// everything else becomes a singleton unit.
-	var units []*batchUnit
-	byKey := make(map[shareKey]*batchUnit)
+	// Plan execution units — each a list of spec indices in arrival
+	// order — numbered by first occurrence: shareable specs group by key,
+	// every other spec is a unit of its own.
+	var units [][]int
+	byKey := make(map[shareKey]int)
 	for i, spec := range specs {
 		if err := spec.validateConstraint(); err != nil {
 			outcomes[i] = BatchOutcome{Err: err}
 			report.GroupOf[i] = -1
 			continue
 		}
+		gid := len(units)
 		if key, ok := spec.shareable(g); ok {
-			u := byKey[key]
-			if u == nil {
-				u = &batchUnit{key: key, shared: true}
-				byKey[key] = u
-				units = append(units, u)
+			if id, seen := byKey[key]; seen {
+				gid = id
+			} else {
+				byKey[key] = gid
 			}
-			u.members = append(u.members, i)
-			continue
 		}
-		units = append(units, &batchUnit{members: []int{i}})
+		if gid == len(units) {
+			units = append(units, nil)
+		}
+		units[gid] = append(units[gid], i)
+		report.GroupOf[i] = gid
 	}
-	// Unit ids are final only after planning (a group's id is fixed by
-	// its first member, later members just join).
-	for gid, u := range units {
-		for _, i := range u.members {
-			report.GroupOf[i] = gid
-		}
-		if len(u.members) >= 2 {
+	for _, members := range units {
+		if len(members) >= 2 {
 			report.Groups++
-			report.Coalesced += len(u.members)
+			report.Coalesced += len(members)
 		} else {
 			report.Singletons++
 		}
 	}
 
-	for gid, u := range units {
-		if !u.shared {
-			i := u.members[0]
-			res, err := Solve(g, specs[i])
-			outcomes[i] = BatchOutcome{Result: res, Err: err}
-			continue
-		}
-		runGroup(g, gid, u, specs, opts, outcomes)
+	for gid, members := range units {
+		runUnit(g, gid, members, specs, opts, outcomes)
 	}
 	return outcomes, report
 }
 
-// representative returns the group member every shared resource is
+// representative returns the unit member every shared resource is
 // built for: the largest budget for budget problems (its run covers
 // every smaller member as a prefix), the first member otherwise (cover
 // members are exact duplicates of the solver-relevant fields).
-func representative(u *batchUnit, specs []ProblemSpec) int {
-	rep := u.members[0]
+func representative(members []int, specs []ProblemSpec) int {
+	rep := members[0]
 	if specs[rep].Problem.IsBudget() {
-		for _, i := range u.members[1:] {
+		for _, i := range members[1:] {
 			if specs[i].Budget > specs[rep].Budget {
 				rep = i
 			}
@@ -257,189 +226,118 @@ func representative(u *batchUnit, specs []ProblemSpec) int {
 	return rep
 }
 
-// failGroup records err for every member of the unit.
-func failGroup(u *batchUnit, outcomes []BatchOutcome, err error) {
-	for _, i := range u.members {
+// failUnit records err for every member of the unit.
+func failUnit(members []int, outcomes []BatchOutcome, err error) {
+	for _, i := range members {
 		outcomes[i] = BatchOutcome{Err: err}
 	}
 }
 
-// runGroup executes one coalesced group: resolve the representative
-// spec, build the one estimator and objective, run a single greedy pass
-// at the largest constraint, and peel each member's Result out of it.
-func runGroup(g *graph.Graph, gid int, u *batchUnit, specs []ProblemSpec, opts *BatchOptions, outcomes []BatchOutcome) {
-	repIdx := representative(u, specs)
-	rep := specs[repIdx]
+// runUnit executes one execution unit — a coalesced group or a spec
+// running alone — on Solve's objective constructor and greedy driver:
+// resolve the representative, build the unit's one estimator and
+// objective, run one greedy pass at the largest constraint, and peel each
+// member's Result out of it.
+func runUnit(g *graph.Graph, gid int, members []int, specs []ProblemSpec, opts *BatchOptions, outcomes []BatchOutcome) {
+	rep := specs[representative(members, specs)]
 	// Hooks always see the representative as planned — before the
 	// estimator/warm injections below, which would otherwise trip
-	// eligibility checks keyed on the wire-decoded spec.
-	orig := rep
-	if opts.Estimator != nil {
-		est, err := opts.Estimator(gid, orig)
+	// eligibility checks keyed on the wire-decoded spec. A spec's own
+	// estimator or warm state wins over the hooks'.
+	planned := rep
+	if opts.Estimator != nil && rep.Estimator == nil {
+		est, err := opts.Estimator(gid, planned)
 		if err != nil {
-			failGroup(u, outcomes, err)
+			failUnit(members, outcomes, err)
 			return
 		}
 		// Injecting before resolve keeps accuracy specs from sizing (and
 		// building) a second sample the estimator already embodies.
-		rep.Config.Estimator = est
+		rep.Estimator = est
 	}
-	if opts.Warm != nil && rep.Problem.IsBudget() {
-		rep.Config.Warm = opts.Warm(gid, orig)
+	if opts.Warm != nil && rep.Problem.IsBudget() && rep.Warm == nil {
+		rep.Warm = opts.Warm(gid, planned)
 	}
 	cfg, err := rep.resolve(g, rep.SizingSeeds(g), resolveSolve)
 	if err != nil {
-		failGroup(u, outcomes, err)
+		failUnit(members, outcomes, err)
 		return
 	}
-	// Per-member reporting knobs are widened to the union: the shared run
-	// records whatever any member wants, peeling narrows it back.
-	cfg.Trace = false
-	reportOnSample := false
-	for _, i := range u.members {
-		cfg.Trace = cfg.Trace || specs[i].Config.Trace
-		reportOnSample = reportOnSample || specs[i].Config.ReportOnSample
+	// The shared run traces when any member wants a trace; peeling narrows
+	// it back. Per-pick utility snapshots are kept only for an on-sample
+	// member that stops short of the representative's budget — a member
+	// ending at the run's last pick reads the objective's final state.
+	recordUtil := false
+	for _, i := range members {
+		m := specs[i]
+		cfg.Trace = cfg.Trace || m.Trace
+		recordUtil = recordUtil || m.ReportOnSample && m.Problem.IsBudget() && m.Budget < rep.Budget
 	}
 
 	eval, err := cfg.newEstimator(g)
 	if err != nil {
-		failGroup(u, outcomes, err)
+		failUnit(members, outcomes, err)
 		return
 	}
-	var obj *objective
-	var target float64
-	switch rep.Problem {
-	case P1:
-		obj = newObjective(eval, totalValue{}, cfg)
-	case P4:
-		obj = newObjective(eval, concaveValue{h: cfg.h()}, cfg)
-	case P2:
-		obj = newObjective(eval, totalQuotaValue{quota: rep.Quota}, cfg)
-		target = rep.Quota - coverSlack
-	default: // P6
-		obj = newObjective(eval, groupQuotaValue{quota: rep.Quota}, cfg)
-		target = rep.Quota*float64(g.NumGroups()) - coverSlack
+	obj := rep.objectiveFor(eval, cfg)
+	obj.recordUtil = recordUtil
+	res, snap, err := rep.greedy(obj, cfg, g)
+	if err != nil {
+		failUnit(members, outcomes, err)
+		return
 	}
-	obj.recordUtil = reportOnSample
-	baseUtil := append([]float64(nil), obj.cur...)
-
-	cands := cfg.candidates(g)
-	var res submodular.Result
-	var snap *submodular.LazySnapshot
-	initialCount, warmLen := 0, 0
-	if rep.Problem.IsBudget() {
-		maxBudget := rep.Budget
-		if w := cfg.Warm; w != nil && w.Snapshot != nil && len(w.Seeds) > 0 {
-			// Replay the memoized prefix through the objective so traces
-			// and on-sample snapshots come out as in a cold run; replayed
-			// picks cost zero evaluations (EvalsAt entry 0), exactly what
-			// a sequential warm run at any covered budget reports.
-			replay := w.Seeds
-			if len(replay) > maxBudget {
-				replay = replay[:maxBudget]
-			}
-			for _, v := range replay {
-				obj.Add(v)
-				res.Seeds = append(res.Seeds, v)
-				res.Values = append(res.Values, obj.Value())
-				res.EvalsAt = append(res.EvalsAt, 0)
-				if err := obj.Stopped(); err != nil {
-					failGroup(u, outcomes, err)
-					return
-				}
-			}
-			warmLen = len(res.Seeds)
-			if warmLen < maxBudget {
-				ext, s2, err := submodular.LazyGreedyMaxResume(obj, w.Snapshot, maxBudget-warmLen)
-				res.Seeds = append(res.Seeds, ext.Seeds...)
-				res.Values = append(res.Values, ext.Values...)
-				res.EvalsAt = append(res.EvalsAt, ext.EvalsAt...)
-				res.Evaluations = ext.Evaluations
-				if err != nil {
-					failGroup(u, outcomes, err)
-					return
-				}
-				snap = s2
-			}
-		} else {
-			initial := obj.initialGains(cands, cfg.Parallelism)
-			res, snap, err = submodular.LazyGreedyMaxCapture(obj, cands, maxBudget, initial)
-			initialCount = len(cands)
-			if err != nil {
-				failGroup(u, outcomes, err)
-				return
-			}
-		}
-		if opts.OnWarm != nil && snap != nil && len(res.Seeds) > 0 {
-			opts.OnWarm(gid, orig, &WarmStart{
-				Seeds:    append([]graph.NodeID(nil), res.Seeds...),
-				Snapshot: snap,
-			})
-		}
-	} else {
-		initial := obj.initialGains(cands, cfg.Parallelism)
-		res, err = submodular.GreedyCoverInit(obj, cands, target, cfg.maxSeeds(g), initial)
-		initialCount = len(cands)
-		if err != nil {
-			failGroup(u, outcomes, err)
-			return
+	if opts.OnWarm != nil {
+		if w := captureWarm(res, snap); w != nil {
+			opts.OnWarm(gid, planned, w)
 		}
 	}
-
-	for _, i := range u.members {
-		outcomes[i] = peelMember(g, specs[i], cfg, obj, res, snap, baseUtil, initialCount, warmLen)
+	for _, i := range members {
+		outcomes[i] = peelMember(g, specs[i], cfg, obj, res, snap)
 	}
 }
 
-// peelMember extracts one member's Result from the group run,
+// peelMember extracts one member's Result from the unit's run,
 // reproducing exactly what Solve(g, member) would have returned.
 func peelMember(g *graph.Graph, member ProblemSpec, cfg Config, obj *objective,
-	res submodular.Result, snap *submodular.LazySnapshot, baseUtil []float64,
-	initialCount, warmLen int) BatchOutcome {
+	res submodular.Result, snap *submodular.LazySnapshot) BatchOutcome {
 
 	// The member's share of the pick sequence: its budget prefix for
 	// P1/P4 (CELF at budget k picks exactly the first k seeds of the
 	// shared run), the whole run for covers (exact duplicates).
 	k := len(res.Seeds)
-	if member.Problem.IsBudget() && member.Budget < k {
+	stopsInside := member.Problem.IsBudget() && member.Budget <= k
+	if stopsInside {
 		k = member.Budget
 	}
 	out := &Result{
 		Problem: member.Problem.String(),
 		Seeds:   append([]graph.NodeID(nil), res.Seeds[:k]...),
 	}
-	// Evaluations the member's own run would have spent. A run that
-	// stops inside the shared sequence spends the cumulative count at
-	// its last pick (EvalsAt); a run the shared sequence saturates
-	// (k ≥ picks) also pays the trailing no-gain pops; a run fully
-	// covered by the warm prefix is a pure replay and spends nothing.
-	switch {
-	case member.Problem.IsBudget() && member.Budget <= warmLen:
-		out.Evaluations = 0
-	case !member.Problem.IsBudget() || member.Budget >= len(res.Seeds):
-		out.Evaluations = initialCount + res.Evaluations
-	default:
-		out.Evaluations = initialCount + res.EvalsAt[k-1]
+	// Evaluations the member's own run would have spent: a run that stops
+	// at its budget inside the shared sequence spends the cumulative count
+	// at its last pick; a cover, or a run the shared sequence saturates,
+	// spends the whole run's count, trailing no-gain pops included.
+	if stopsInside {
+		out.Evaluations = res.EvalsAt[k-1]
+	} else {
+		out.Evaluations = res.Evaluations
 	}
-	if member.Config.Trace {
+	if member.Trace {
 		out.Trace = append([]IterationStat(nil), obj.trace[:k]...)
 	}
 
-	var perGroup []float64
-	if member.Config.ReportOnSample {
-		if k == 0 {
-			perGroup = append([]float64(nil), baseUtil...)
-		} else {
-			perGroup = append([]float64(nil), obj.utilAt[k-1]...)
+	if member.ReportOnSample {
+		util := obj.cur
+		if k < len(res.Seeds) {
+			util = obj.utilAt[k-1]
 		}
+		out.PerGroup = append([]float64(nil), util...)
 	} else {
 		var err error
-		perGroup, err = cfg.estimate(g, out.Seeds)
-		if err != nil {
+		if out.PerGroup, err = cfg.estimate(g, out.Seeds); err != nil {
 			return BatchOutcome{Err: err}
 		}
 	}
-	out.PerGroup = perGroup
 	if rs, ok := obj.eval.(*ris.Estimator); ok {
 		out.RISPerGroup = rs.SampleSize()
 	} else {
@@ -447,13 +345,12 @@ func peelMember(g *graph.Graph, member ProblemSpec, cfg Config, obj *objective,
 	}
 	fillDerived(out, g)
 
-	if member.Config.CaptureWarm && member.Problem.IsBudget() &&
-		snap != nil && k > 0 && k >= len(res.Seeds) {
-		// Only the member the shared run terminated at owns the final
-		// heap snapshot; shorter members' intermediate heaps were not
-		// captured (their sequential runs would have one, but Warm is an
-		// in-process extension seam, not part of the wire result).
-		out.Warm = &WarmStart{Seeds: append([]graph.NodeID(nil), res.Seeds...), Snapshot: snap}
+	// Only a member the run ended at owns its final heap snapshot; shorter
+	// members' intermediate heaps were not captured (their sequential runs
+	// would have one, but Warm is an in-process extension seam, not part
+	// of the wire result).
+	if member.CaptureWarm && k == len(res.Seeds) {
+		out.Warm = captureWarm(res, snap)
 	}
-	return BatchOutcome{Result: out, Err: nil}
+	return BatchOutcome{Result: out}
 }

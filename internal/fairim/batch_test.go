@@ -1,9 +1,13 @@
 package fairim
 
 import (
+	"fmt"
 	"testing"
 
+	"fairtcim/internal/cascade"
+	"fairtcim/internal/estimator"
 	"fairtcim/internal/graph"
+	"fairtcim/internal/ris"
 )
 
 // requireSameResult asserts two Results are bit-identical in every
@@ -180,8 +184,9 @@ func TestSolveBatchWarmPrefix(t *testing.T) {
 
 // TestSolveBatchGrouping pins the planner's compatibility rules: mixed
 // engines never share, accuracy targets share only at equal sizing
-// budgets, non-shareable specs fall back to sequential Solve with
-// identical output, and invalid specs fail alone.
+// budgets, non-shareable specs run alone with output identical to the
+// sequential Solve — their OnIteration stream included — and invalid
+// specs fail alone.
 func TestSolveBatchGrouping(t *testing.T) {
 	g := smallSBM(t, 4)
 	fw := quickCfg(2)
@@ -192,25 +197,46 @@ func TestSolveBatchGrouping(t *testing.T) {
 	plain.PlainGreedy = true
 	restricted := fw
 	restricted.Candidates = []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7}
+	weighted := fw
+	weighted.GroupWeights = NormalizedGroupWeights(g)
+	discounted := fw
+	discounted.Discount = 0.8
+	delayed := fw
+	delayed.Delay = cascade.GeometricDelay{M: 0.5}
+	reported := fw
+	reported.ReportOnSample = true
+	reported.Trace = true
 
 	acc := &Accuracy{Epsilon: 0.4, Delta: 0.2}
 	specs := []ProblemSpec{
 		{Problem: P1, Budget: 3, Config: fw},                                    // 0: singleton (no partner)
 		{Problem: P1, Budget: 3, Config: rs},                                    // 1: other engine, own unit
-		{Problem: P1, Budget: 2, Config: plain},                                 // 2: plain greedy → Solve fallback
-		{Problem: P1, Budget: 2, Config: restricted},                            // 3: candidate-restricted → fallback
+		{Problem: P1, Budget: 2, Config: plain},                                 // 2: plain greedy, alone
+		{Problem: P1, Budget: 2, Config: restricted},                            // 3: candidate-restricted, alone
 		{Problem: P4, Budget: 3, Sampling: Sampling{Accuracy: acc}, Config: fw}, // 4: accuracy pair...
 		{Problem: P4, Budget: 3, Sampling: Sampling{Accuracy: acc}, Config: fw}, // 5: ...same sizing budget, shares
 		{Problem: P4, Budget: 5, Sampling: Sampling{Accuracy: acc}, Config: fw}, // 6: other sizing budget, alone
 		{Problem: P1, Budget: 0, Config: fw},                                    // 7: invalid budget
 		{Problem: 0, Budget: 3, Config: fw},                                     // 8: invalid problem
+		// Lone specs streaming their picks (OnIteration is set below).
+		{Problem: P4, Budget: 3, Config: weighted},   // 9: group weights
+		{Problem: P1, Budget: 3, Config: discounted}, // 10: discounted diffusion
+		{Problem: P1, Budget: 3, Config: delayed},    // 11: delayed diffusion
+		{Problem: P2, Quota: 0.3, Config: plain},     // 12: plain-greedy cover
+		{Problem: P6, Quota: 0.25, Config: plain},    // 13: plain-greedy fair cover
+		{Problem: P4, Budget: 4, Config: reported},   // 14: on-sample report with trace
+	}
+	const streamed = 9
+	streams := make([][]IterationStat, len(specs))
+	for i := streamed; i < len(specs); i++ {
+		specs[i].OnIteration = func(st IterationStat) { streams[i] = append(streams[i], st) }
 	}
 	outcomes, report := SolveBatch(g, specs, nil)
 	if report.Groups != 1 || report.Coalesced != 2 {
 		t.Fatalf("report %+v, want exactly the accuracy pair coalesced", report)
 	}
-	if report.Singletons != 5 {
-		t.Fatalf("report %+v, want 5 singletons", report)
+	if report.Singletons != 11 {
+		t.Fatalf("report %+v, want 11 singletons", report)
 	}
 	if report.GroupOf[4] != report.GroupOf[5] || report.GroupOf[4] == report.GroupOf[6] {
 		t.Fatalf("accuracy grouping wrong: %v", report.GroupOf)
@@ -221,15 +247,138 @@ func TestSolveBatchGrouping(t *testing.T) {
 	if outcomes[7].Err == nil || outcomes[8].Err == nil {
 		t.Fatal("invalid specs did not fail")
 	}
-	for i := 0; i <= 6; i++ {
+	for i, spec := range specs {
+		if i == 7 || i == 8 {
+			continue
+		}
 		if outcomes[i].Err != nil {
 			t.Fatalf("spec %d: %v", i, outcomes[i].Err)
 		}
-		want, err := Solve(g, specs[i])
+		var solo []IterationStat
+		if spec.OnIteration != nil {
+			spec.OnIteration = func(st IterationStat) { solo = append(solo, st) }
+		}
+		want, err := Solve(g, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireSameResult(t, "grouping", outcomes[i].Result, want)
+		if i >= streamed {
+			requireSameStream(t, fmt.Sprintf("spec %d", i), streams[i], solo, len(want.Seeds))
+		}
+	}
+}
+
+// requireSameStream asserts two OnIteration streams are bit-identical and
+// carry one snapshot per pick.
+func requireSameStream(t *testing.T, label string, got, want []IterationStat, picks int) {
+	t.Helper()
+	if len(got) != picks || len(want) != picks {
+		t.Fatalf("%s: streamed %d picks, Solve %d, want %d", label, len(got), len(want), picks)
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Seed != w.Seed || g.Objective != w.Objective || g.Total != w.Total {
+			t.Fatalf("%s: stream entry %d differs: %+v vs %+v", label, i, g, w)
+		}
+		for j := range w.NormGroup {
+			if g.NormGroup[j] != w.NormGroup[j] {
+				t.Fatalf("%s: stream entry %d group %d differs", label, i, j)
+			}
+		}
+	}
+}
+
+// TestSolveBatchSingletonHooks: a spec that cannot share a run (it
+// streams its picks) still runs on the hooks — a warm estimator, a
+// memoized 3-seed prefix it resumes from, and the capture of its final
+// state — exactly as Solve would with the same estimator and warm start
+// injected.
+func TestSolveBatchSingletonHooks(t *testing.T) {
+	g := warmTestGraph(t)
+	cfg := DefaultConfig(5)
+	cfg.Tau = 5
+	cfg.Engine = EngineRIS
+	cfg.RISPerGroup = 300
+	cfg.ReportOnSample = true
+	col, err := ris.Sample(g, cfg.Tau, []int{300, 300}, cfg.Seed, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	capture := cfg
+	capture.Estimator = ris.NewEstimator(col)
+	capture.CaptureWarm = true
+	prefix, err := Solve(g, ProblemSpec{Problem: P4, Budget: 3, Config: capture})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prefix.Warm == nil || len(prefix.Warm.Seeds) != 3 {
+		t.Fatalf("no 3-seed warm state captured: %+v", prefix.Warm)
+	}
+
+	var picks []IterationStat
+	spec := ProblemSpec{Problem: P4, Budget: 5, Config: cfg}
+	spec.OnIteration = func(st IterationStat) { picks = append(picks, st) }
+	estimatorCalls := 0
+	var captured *WarmStart
+	outcomes, report := SolveBatch(g, []ProblemSpec{spec}, &BatchOptions{
+		Estimator: func(gid int, rep ProblemSpec) (estimator.Estimator, error) {
+			estimatorCalls++
+			return ris.NewEstimator(col), nil
+		},
+		Warm:   func(gid int, rep ProblemSpec) *WarmStart { return prefix.Warm },
+		OnWarm: func(gid int, rep ProblemSpec, w *WarmStart) { captured = w },
+	})
+	if report.Singletons != 1 || outcomes[0].Err != nil {
+		t.Fatalf("report %+v, err %v", report, outcomes[0].Err)
+	}
+	if estimatorCalls != 1 {
+		t.Fatalf("estimator hook ran %d times, want 1", estimatorCalls)
+	}
+	if captured == nil || len(captured.Seeds) != 5 {
+		t.Fatalf("OnWarm captured %+v, want the 5-seed state", captured)
+	}
+
+	var solo []IterationStat
+	ref := spec
+	ref.Estimator = ris.NewEstimator(col)
+	ref.Warm = prefix.Warm
+	ref.OnIteration = func(st IterationStat) { solo = append(solo, st) }
+	want, err := Solve(g, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "singleton hooks", outcomes[0].Result, want)
+	requireSameStream(t, "singleton hooks", picks, solo, 5)
+}
+
+// TestSolveBatchSaturatedMember: when the objective saturates before the
+// representative's budget, a member whose budget equals the pick count
+// stops at its last pick — it must not be charged the representative's
+// trailing no-gain evaluations.
+func TestSolveBatchSaturatedMember(t *testing.T) {
+	// A hub that reaches every leaf with certainty: once it is picked no
+	// other node adds anything.
+	b := graph.NewBuilder(5)
+	for v := 1; v < 5; v++ {
+		b.AddEdge(0, graph.NodeID(v), 1)
+	}
+	b.SetGroups([]int{0, 0, 0, 1, 1})
+	g := b.MustBuild()
+	specs := []ProblemSpec{
+		{Problem: P1, Budget: 1, Config: quickCfg(1)},
+		{Problem: P1, Budget: 3, Config: quickCfg(1)},
+	}
+	outcomes, report := SolveBatch(g, specs, nil)
+	if report.Groups != 1 || report.Coalesced != 2 {
+		t.Fatalf("report %+v, want both budgets coalesced", report)
+	}
+	for i, spec := range specs {
+		want, err := Solve(g, spec)
+		if err != nil || outcomes[i].Err != nil {
+			t.Fatalf("spec %d: %v / %v", i, err, outcomes[i].Err)
+		}
+		requireSameResult(t, fmt.Sprintf("budget %d", spec.Budget), outcomes[i].Result, want)
 	}
 }
 

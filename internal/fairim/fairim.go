@@ -383,9 +383,11 @@ const coverSlack = 1e-9
 
 // maximize dispatches to plain or lazy greedy with a parallel first pass.
 // Under CELF it honors Config.Warm (replay the memoized prefix, resume the
-// heap) and Config.CaptureWarm (return the final CELF state); both
-// produce/extend exactly what a cold run at the same budget would pick.
-func maximize(obj *objective, cfg Config, g *graph.Graph, budget int) (submodular.Result, *WarmStart, error) {
+// heap) and returns the final CELF state, nil when the run left none to
+// extend; both produce/extend exactly what a cold run at the same budget
+// would pick. res.EvalsAt[i] is what a run stopping after pick i+1 spends:
+// 0 for a replayed pick, the parallel first pass included for a cold one.
+func maximize(obj *objective, cfg Config, g *graph.Graph, budget int) (submodular.Result, *submodular.LazySnapshot, error) {
 	cands := cfg.candidates(g)
 	if cfg.PlainGreedy {
 		res, err := submodular.GreedyMax(obj, cands, budget)
@@ -394,8 +396,15 @@ func maximize(obj *objective, cfg Config, g *graph.Graph, budget int) (submodula
 	if w := cfg.Warm; w != nil && w.Snapshot != nil && len(w.Seeds) > 0 {
 		// Replay through obj.Add rather than splicing results: the trace,
 		// OnIteration stream, Values, and cancellation seam all behave as
-		// in a cold run — only the Gain evaluations are saved.
-		var res submodular.Result
+		// in a cold run — only the Gain evaluations are saved. The
+		// candidate count caps the preallocation: a caller's budget may be
+		// arbitrarily large.
+		n := min(budget, len(cands))
+		res := submodular.Result{
+			Seeds:   make([]graph.NodeID, 0, n),
+			Values:  make([]float64, 0, n),
+			EvalsAt: make([]int, 0, n),
+		}
 		replay := w.Seeds
 		if len(replay) > budget {
 			replay = replay[:budget]
@@ -404,6 +413,7 @@ func maximize(obj *objective, cfg Config, g *graph.Graph, budget int) (submodula
 			obj.Add(v)
 			res.Seeds = append(res.Seeds, v)
 			res.Values = append(res.Values, obj.Value())
+			res.EvalsAt = append(res.EvalsAt, 0)
 			if err := obj.Stopped(); err != nil {
 				return res, nil, err
 			}
@@ -416,24 +426,23 @@ func maximize(obj *objective, cfg Config, g *graph.Graph, budget int) (submodula
 		ext, snap, err := submodular.LazyGreedyMaxResume(obj, w.Snapshot, budget-len(res.Seeds))
 		res.Seeds = append(res.Seeds, ext.Seeds...)
 		res.Values = append(res.Values, ext.Values...)
-		res.Evaluations += ext.Evaluations
-		if err != nil {
-			return res, nil, err
-		}
-		return res, captureWarm(cfg, res, snap), nil
+		res.EvalsAt = append(res.EvalsAt, ext.EvalsAt...)
+		res.Evaluations = ext.Evaluations
+		return res, snap, err
 	}
 	initial := obj.initialGains(cands, cfg.Parallelism)
 	res, snap, err := submodular.LazyGreedyMaxCapture(obj, cands, budget, initial)
 	res.Evaluations += len(cands) // the parallel first pass
-	if err != nil {
-		return res, nil, err
+	for i := range res.EvalsAt {
+		res.EvalsAt[i] += len(cands)
 	}
-	return res, captureWarm(cfg, res, snap), nil
+	return res, snap, err
 }
 
-// captureWarm packages the final CELF state when the caller asked for it.
-func captureWarm(cfg Config, res submodular.Result, snap *submodular.LazySnapshot) *WarmStart {
-	if !cfg.CaptureWarm || snap == nil || len(res.Seeds) == 0 {
+// captureWarm packages a run's final CELF state as a WarmStart; nil when
+// the run left no heap state worth extending.
+func captureWarm(res submodular.Result, snap *submodular.LazySnapshot) *WarmStart {
+	if snap == nil || len(res.Seeds) == 0 {
 		return nil
 	}
 	return &WarmStart{Seeds: append([]graph.NodeID(nil), res.Seeds...), Snapshot: snap}

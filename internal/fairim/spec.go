@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"fairtcim/internal/estimator"
 	"fairtcim/internal/graph"
 	"fairtcim/internal/ris"
 	"fairtcim/internal/submodular"
@@ -284,22 +285,66 @@ func (s ProblemSpec) resolve(g *graph.Graph, k int, mode resolveMode) (Config, e
 	return cfg, nil
 }
 
+// validateConstraint checks the problem kind and its constraint value.
+func (s ProblemSpec) validateConstraint() error {
+	switch s.Problem {
+	case P1, P4:
+		if s.Budget <= 0 {
+			return fmt.Errorf("fairim: budget must be positive, got %d", s.Budget)
+		}
+	case P2, P6:
+		if s.Quota <= 0 || s.Quota > 1 {
+			return fmt.Errorf("fairim: quota %v outside (0,1]", s.Quota)
+		}
+	default:
+		return fmt.Errorf("fairim: ProblemSpec.Problem must be P1, P2, P4 or P6, got %v", s.Problem)
+	}
+	return nil
+}
+
+// objectiveFor is the one P1/P2/P4/P6 objective constructor, shared by
+// Solve and SolveBatch; P4 carries the optional group weights.
+func (s ProblemSpec) objectiveFor(eval estimator.Estimator, cfg Config) *objective {
+	var vf valueFn
+	switch s.Problem {
+	case P1:
+		vf = totalValue{}
+	case P4:
+		vf = concaveValue{h: cfg.h(), weights: cfg.GroupWeights}
+	case P2:
+		vf = totalQuotaValue{quota: s.Quota}
+	default: // P6
+		vf = groupQuotaValue{quota: s.Quota}
+	}
+	return newObjective(eval, vf, cfg)
+}
+
+// greedy is the greedy driver Solve and SolveBatch share: CELF (or the
+// plain-greedy ablation) up to the budget for P1/P4, lazy greedy cover of
+// the quota for P2/P6. The snapshot is a budget run's final CELF state;
+// nil for covers and for runs that left none to extend.
+func (s ProblemSpec) greedy(obj *objective, cfg Config, g *graph.Graph) (submodular.Result, *submodular.LazySnapshot, error) {
+	var target float64
+	switch s.Problem {
+	case P1, P4:
+		return maximize(obj, cfg, g, s.Budget)
+	case P2:
+		target = s.Quota - coverSlack
+	default: // P6
+		target = s.Quota*float64(g.NumGroups()) - coverSlack
+	}
+	res, err := cover(obj, cfg, g, target)
+	return res, nil, err
+}
+
 // Solve runs the spec's problem on g: it resolves the sampling budget
 // (deriving it from the accuracy target when one is set), builds or reuses
 // the estimator, and dispatches to the greedy machinery the problem kind
-// demands.
+// demands. It is the sequential reference every SolveBatch outcome is
+// pinned against.
 func Solve(g *graph.Graph, spec ProblemSpec) (*Result, error) {
-	switch spec.Problem {
-	case P1, P4:
-		if spec.Budget <= 0 {
-			return nil, fmt.Errorf("fairim: budget must be positive, got %d", spec.Budget)
-		}
-	case P2, P6:
-		if spec.Quota <= 0 || spec.Quota > 1 {
-			return nil, fmt.Errorf("fairim: quota %v outside (0,1]", spec.Quota)
-		}
-	default:
-		return nil, fmt.Errorf("fairim: ProblemSpec.Problem must be P1, P2, P4 or P6, got %v", spec.Problem)
+	if err := spec.validateConstraint(); err != nil {
+		return nil, err
 	}
 	cfg, err := spec.resolve(g, spec.SizingSeeds(g), resolveSolve)
 	if err != nil {
@@ -309,24 +354,8 @@ func Solve(g *graph.Graph, spec ProblemSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	var obj *objective
-	var res submodular.Result
-	var warm *WarmStart
-	switch spec.Problem {
-	case P1:
-		obj = newObjective(eval, totalValue{}, cfg)
-		res, warm, err = maximize(obj, cfg, g, spec.Budget)
-	case P4:
-		obj = newObjective(eval, concaveValue{h: cfg.h(), weights: cfg.GroupWeights}, cfg)
-		res, warm, err = maximize(obj, cfg, g, spec.Budget)
-	case P2:
-		obj = newObjective(eval, totalQuotaValue{quota: spec.Quota}, cfg)
-		res, err = cover(obj, cfg, g, spec.Quota-coverSlack)
-	default: // P6
-		obj = newObjective(eval, groupQuotaValue{quota: spec.Quota}, cfg)
-		res, err = cover(obj, cfg, g, spec.Quota*float64(g.NumGroups())-coverSlack)
-	}
+	obj := spec.objectiveFor(eval, cfg)
+	res, snap, err := spec.greedy(obj, cfg, g)
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +363,9 @@ func Solve(g *graph.Graph, spec ProblemSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.Warm = warm
+	if cfg.CaptureWarm {
+		out.Warm = captureWarm(res, snap)
+	}
 	return out, nil
 }
 

@@ -2,6 +2,7 @@ package fairim
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"fairtcim/internal/generate"
@@ -124,6 +125,30 @@ func TestWarmShorterBudgetIsPureReplay(t *testing.T) {
 	}
 	if short.Warm != nil {
 		t.Fatal("shorter-budget replay must not claim a longer warm state")
+	}
+}
+
+// TestWarmUnboundedBudget: a warm solve sizes its result buffers by the
+// candidate count, never by the budget, which callers may pass unbounded.
+func TestWarmUnboundedBudget(t *testing.T) {
+	g := warmTestGraph(t)
+	cfg := DefaultConfig(5)
+	cfg.Tau = 5
+	cfg.Engine = EngineRIS
+	cfg.RISPerGroup = 50
+	cfg.ReportOnSample = true
+	cfg.CaptureWarm = true
+	prefix, err := Solve(g, ProblemSpec{Problem: P1, Budget: 2, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Warm = prefix.Warm
+	res, err := Solve(g, ProblemSpec{Problem: P1, Budget: math.MaxInt, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Seeds) < 2 || len(res.Seeds) > g.N() {
+		t.Fatalf("%d seeds on %d nodes", len(res.Seeds), g.N())
 	}
 }
 

@@ -25,10 +25,13 @@
 //     pool (ris.SampleForAccuracy for RIS, fairim.HoeffdingWorlds for
 //     forward MC) is derived once inside the singleflight and shared like
 //     any other sample;
-//   - each request constructs its own cheap estimator.Estimator over the
-//     shared read-only sample and injects it into the fairim solvers via
-//     fairim.Config.Estimator, so solves never contend on estimator
-//     state;
+//   - every solve — a /v1/select, a job, a /v1/select/batch and a
+//     coalescing window alike — runs one pipeline (planner.go): a single
+//     select or job is a batch of one. It fetches each distinct sample,
+//     takes one worker slot, and runs one fairim.SolveBatch, whose hooks
+//     build a cheap per-unit estimator.Estimator over the shared
+//     read-only sample (so solves never contend on estimator state) and
+//     read and feed the seed-prefix memo;
 //   - a worker-pool semaphore bounds concurrent solves; excess
 //     synchronous requests queue up to a timeout and are then shed with
 //     503, degrading gracefully under load instead of thrashing.

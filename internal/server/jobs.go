@@ -533,14 +533,8 @@ func (s *Server) runJob(ctx context.Context, j *job, g *graph.Graph, graphName s
 	defer j.cancel() // release the context once the job is decided
 	gate := startGate{workerGate: blockingGate{s}, once: &sync.Once{}, started: j.setRunning}
 	spec.Cancel = ctx.Done()
-	resp, err := s.solve(ctx, gate, graphName, version, g, spec, j.appendPick)
-	if resp != nil {
-		// The job trace is streamed separately; keep the stored result to
-		// the synchronous shape (trace only when the request asked).
-		if !spec.Trace {
-			resp.Trace = nil
-		}
-	}
+	spec.OnIteration = j.appendPick
+	resp, err := s.solveOne(ctx, gate, graphName, version, g, spec)
 	s.jobs.finish(j, resp, err)
 }
 

@@ -143,14 +143,11 @@ func TestJobAccuracyTarget(t *testing.T) {
 	}
 }
 
-// TestJobTraceStreams consumes the SSE endpoint and checks one "pick"
-// event arrives per greedy iteration, terminated by a "done" event.
-func TestJobTraceStreams(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	st := submitJob(t, ts.URL,
-		`{"graph":"twostars","problem":"p1","budget":2,"tau":3,"engine":"ris","samples":50,"seed":7}`)
-
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/trace")
+// readTrace streams GET /v1/jobs/{id}/trace up to its "done" event and
+// returns the "pick" events.
+func readTrace(t *testing.T, base, id string) []TraceEvent {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +188,17 @@ func TestJobTraceStreams(t *testing.T) {
 	if !done {
 		t.Fatal("stream ended without a done event")
 	}
+	return picks
+}
+
+// TestJobTraceStreams consumes the SSE endpoint and checks one "pick"
+// event arrives per greedy iteration, terminated by a "done" event.
+func TestJobTraceStreams(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	st := submitJob(t, ts.URL,
+		`{"graph":"twostars","problem":"p1","budget":2,"tau":3,"engine":"ris","samples":50,"seed":7}`)
+
+	picks := readTrace(t, ts.URL, st.ID)
 	if len(picks) != 2 {
 		t.Fatalf("streamed %d picks, want 2 (one per greedy iteration)", len(picks))
 	}
@@ -212,6 +220,36 @@ func TestJobTraceStreams(t *testing.T) {
 	final := pollJob(t, ts.URL, st.ID, 10*time.Second)
 	if final.Status != JobDone || final.Picks != 2 {
 		t.Fatalf("final job state: %+v", final)
+	}
+}
+
+// TestJobReplaysSelectPrefix: a job is a batch of one on the select
+// pipeline, so a job for a spec a select already solved reuses the
+// sample and replays the memoized prefix — zero evaluations, every seed
+// warm — while its trace still streams one pick per seed. Neither the
+// selects nor the job count as planner batches.
+func TestJobReplaysSelectPrefix(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	body := `{"graph":"twostars","problem":"p4","budget":2,"tau":3,"engine":"ris","samples":50}`
+	for i := 0; i < 2; i++ {
+		if resp, raw := postJSON(t, ts.URL+"/v1/select", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("select %d: status %d: %s", i, resp.StatusCode, raw)
+		}
+	}
+	st := submitJob(t, ts.URL, body)
+	if picks := readTrace(t, ts.URL, st.ID); len(picks) != 2 {
+		t.Fatalf("streamed %d picks, want one per seed", len(picks))
+	}
+	final := pollJob(t, ts.URL, st.ID, 30*time.Second)
+	if final.Status != JobDone || final.Result == nil {
+		t.Fatalf("job did not finish cleanly: %+v", final)
+	}
+	if res := final.Result; !res.CacheHit || res.WarmSeeds != 2 || res.Evaluations != 0 {
+		t.Fatalf("job cache_hit=%v warm_seeds=%d evaluations=%d, want true/2/0",
+			res.CacheHit, res.WarmSeeds, res.Evaluations)
+	}
+	if p := s.Stats().Planner; p != (PlannerStats{}) {
+		t.Fatalf("planner counters %+v after selects and a job, want none", p)
 	}
 }
 
@@ -417,12 +455,13 @@ func TestSolveCancelMidRun(t *testing.T) {
 	defer cancel()
 	spec.Cancel = ctx.Done()
 	picks := 0
-	_, err = s.solve(ctx, blockingGate{s}, "twostars", 1, g, spec, func(fairim.IterationStat) {
+	spec.OnIteration = func(fairim.IterationStat) {
 		picks++
 		if picks == 1 {
 			cancel()
 		}
-	})
+	}
+	_, err = s.solveOne(ctx, blockingGate{s}, "twostars", 1, g, spec)
 	if !errors.Is(err, fairim.ErrCanceled) {
 		t.Fatalf("err = %v, want fairim.ErrCanceled", err)
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -19,9 +18,10 @@ import (
 // estimator and one CELF run, peeling each query's answer at its own
 // budget boundary with bit-identical output (the parity matrix in
 // internal/fairim pins that guarantee). This file is the serving-side
-// harness: the POST /v1/select/batch endpoint, the optional coalescing
-// window that batches concurrent /v1/select traffic transparently, and
-// the planner counters in /v1/stats.
+// harness: the one solve pipeline every select and job runs, the POST
+// /v1/select/batch endpoint, the optional coalescing window that batches
+// concurrent /v1/select traffic transparently, and the planner counters
+// in /v1/stats.
 
 // maxBatchRequests bounds one POST /v1/select/batch body; larger
 // batches should be split by the client (each sub-batch still coalesces
@@ -72,15 +72,20 @@ type batchItemResult struct {
 	err  error
 }
 
-// solveBatch runs decoded specs against one graph snapshot, sharing
-// work across them: every distinct sample key is fetched (or built)
-// once up front, then a single worker slot hosts one fairim.SolveBatch
-// over all specs. Samples are prefetched before the slot is taken —
+// solveBatch is the one solve pipeline: a plain select, an async job
+// (both via solveOne), a /v1/select/batch partition and a coalescing
+// window all run decoded specs against one graph snapshot here, sharing
+// work across them: every distinct sample key is fetched (or built) once
+// up front, then a single worker slot hosts one fairim.SolveBatch over
+// all specs. Samples are prefetched before the slot is taken —
 // SampleFor acquires and releases the gate itself, and holding the
 // batch's slot across those builds would deadlock a MaxConcurrent=1
-// server against its own prefetch. Per-spec failures (bad spec, failed
-// sample build) land in that item only; the returned error is
-// batch-fatal (capacity, caller gone) and means no item ran.
+// server against its own prefetch. When no fetch succeeded, every item
+// fails with its own fetch error and no slot is taken, so a request the
+// fetch already shed is not queued (and shed) a second time; the report
+// is then zero. Per-spec failures (bad spec, failed sample build) land
+// in that item only; the returned error is batch-fatal (capacity, caller
+// gone) and means no item ran.
 func (s *Server) solveBatch(ctx context.Context, gate workerGate, graphName string, version uint64, g *graph.Graph, specs []fairim.ProblemSpec) ([]batchItemResult, fairim.BatchReport, error) {
 	type fetched struct {
 		smp     *sample
@@ -90,19 +95,32 @@ func (s *Server) solveBatch(ctx context.Context, gate workerGate, graphName stri
 	}
 	samples := make(map[sampleKey]*fetched)
 	keys := make([]sampleKey, len(specs))
+	usable := false
 	for i := range specs {
 		specs[i].Parallelism = s.parallelism
 		key := sampleKeyFor(graphName, version, g, specs[i], false)
 		keys[i] = key
-		if samples[key] == nil {
-			f := &fetched{}
+		f := samples[key]
+		if f == nil {
+			f = &fetched{}
 			f.smp, f.hit, f.buildMS, f.err = s.cache.SampleFor(ctx, key, g, s.parallelism, gate)
 			samples[key] = f
 		}
+		usable = usable || f.err == nil
+	}
+	items := make([]batchItemResult, len(specs))
+	if !usable {
+		for i, key := range keys {
+			items[i].err = samples[key].err
+		}
+		return items, fairim.BatchReport{}, nil
 	}
 
 	// One worker slot hosts the whole batch solve; that single slot is
 	// the point of the planner — N queries, one unit of pool pressure.
+	// A failed acquire is only a capacity refusal when the request is
+	// still alive — a cancelled request reports its own cancellation,
+	// never a spurious 503.
 	if !gate.acquire(ctx) {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, fairim.BatchReport{}, cerr
@@ -118,23 +136,21 @@ func (s *Server) solveBatch(ctx context.Context, gate workerGate, graphName stri
 		specs[i].Parallelism = effPar
 	}
 
-	// warmLens records, per group id, how many memoized seeds primed the
-	// shared run; members report min(that, own budget) as warm_seeds.
-	// SolveBatch runs groups sequentially on this goroutine, so plain
+	// warmLens records, per unit id, how many memoized seeds primed the
+	// unit's run; members report min(that, own budget) as warm_seeds.
+	// SolveBatch runs units sequentially on this goroutine, so plain
 	// maps are safe.
 	warmLens := make(map[int]int)
 	opts := &fairim.BatchOptions{
 		Estimator: func(gid int, rep fairim.ProblemSpec) (estimator.Estimator, error) {
+			// rep is one of specs, so its sample was fetched above.
 			f := samples[sampleKeyFor(graphName, version, g, rep, false)]
-			if f == nil || f.err != nil {
-				// A failed prefetch fails the group — every member shares
+			if f.err != nil {
+				// A failed prefetch fails the unit — every member shares
 				// the sample key, so the error lands exactly on the items
 				// that needed it (nil, nil would silently rebuild inside
 				// the batch's slot instead).
-				if f != nil {
-					return nil, f.err
-				}
-				return nil, fmt.Errorf("server: no prefetched sample for batch group %d", gid)
+				return nil, f.err
 			}
 			return f.smp.newEstimator(rep.Tau)
 		},
@@ -160,7 +176,6 @@ func (s *Server) solveBatch(ctx context.Context, gate workerGate, graphName stri
 	outcomes, report := fairim.SolveBatch(g, specs, opts)
 	solveMS := float64(time.Since(start).Microseconds()) / 1000
 
-	items := make([]batchItemResult, len(specs))
 	for i, out := range outcomes {
 		if out.Err != nil {
 			items[i] = batchItemResult{err: out.Err}
@@ -193,11 +208,31 @@ func (s *Server) solveBatch(ctx context.Context, gate workerGate, graphName stri
 			EffectiveParallelism: effPar,
 		}}
 	}
+	return items, report, nil
+}
+
+// solveOne is solveBatch on a one-element batch: the pipeline a plain
+// /v1/select and an async job run. It counts toward no planner tally.
+func (s *Server) solveOne(ctx context.Context, gate workerGate, graphName string, version uint64, g *graph.Graph, spec fairim.ProblemSpec) (*SolveResponse, error) {
+	items, _, err := s.solveBatch(ctx, gate, graphName, version, g, []fairim.ProblemSpec{spec})
+	if err != nil {
+		return nil, err
+	}
+	return items[0].resp, items[0].err
+}
+
+// countBatch adds one batch solve — an explicit /v1/select/batch
+// partition or a coalescing-window batch — to the planner counters. A
+// zero report means no solve ran (every sample fetch failed) and counts
+// nothing.
+func (s *Server) countBatch(report fairim.BatchReport) {
+	if len(report.GroupOf) == 0 {
+		return
+	}
 	s.plannerBatches.Add(1)
 	s.plannerGroups.Add(int64(report.Groups))
 	s.plannerSingletons.Add(int64(report.Singletons))
 	s.plannerCoalesced.Add(int64(report.Coalesced))
-	return items, report, nil
 }
 
 // errItem wraps a pipeline error as a wire item, mirroring
@@ -292,6 +327,7 @@ func (s *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 				resp.Items[i] = BatchItem{Response: items[j].resp}
 			}
 		}
+		s.countBatch(report)
 		resp.PlannerGroups += report.Groups
 		resp.PlannerSingletons += report.Singletons
 		resp.Coalesced += report.Coalesced
@@ -379,11 +415,12 @@ func (c *coalescer) flush(b *pendingBatch) {
 	// The window's batch is background work once waiters detach, so it
 	// runs under its own context; individual waiters' disconnects must
 	// not cancel their batchmates.
-	results, _, err := c.s.solveBatch(context.Background(), serverGate{c.s}, b.graph, version, g, specs)
+	results, report, err := c.s.solveBatch(context.Background(), serverGate{c.s}, b.graph, version, g, specs)
 	if err != nil {
 		fail(err)
 		return
 	}
+	c.s.countBatch(report)
 	for i, it := range items {
 		it.done <- results[i]
 	}

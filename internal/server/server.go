@@ -65,8 +65,9 @@ type Config struct {
 	// CoalesceWindow, when positive, batches concurrent POST /v1/select
 	// traffic: the first request for a graph waits this long for
 	// compatible companions, then all of them share one sketch pass and
-	// one CELF run (see planner.go). Zero keeps the immediate per-request
-	// path. POST /v1/select/batch coalesces regardless of this setting.
+	// one CELF run (see planner.go). Zero solves each request at once, as
+	// a batch of one. POST /v1/select/batch coalesces regardless of this
+	// setting.
 	CoalesceWindow time.Duration
 	// Peers lists the other replicas' base URLs; non-empty enables
 	// peer-aware sharded serving (consistent-hash routing, proxying,
@@ -319,7 +320,10 @@ type SolveResponse struct {
 	// repeats and extensions of a solved problem skip that much work.
 	WarmSeeds int     `json:"warm_seeds,omitempty"`
 	SampleMS  float64 `json:"sample_ms"` // sketch build cost (paid once per key)
-	SolveMS   float64 `json:"solve_ms"`  // greedy/CELF + final report
+	// SolveMS is the solve pass inside the worker slot: estimator
+	// construction, greedy/CELF and the final report. A batch item reports
+	// its whole batch's pass.
+	SolveMS float64 `json:"solve_ms"`
 	// Resolved sampling budgets the solve actually used — how large the
 	// accuracy-derived pool came out when the request carried an (ε,δ)
 	// target instead of explicit counts.
@@ -581,88 +585,6 @@ func (s *Server) getGraph(w http.ResponseWriter, name string) (*graph.Graph, uin
 	return g, version, true
 }
 
-// solve runs the full pipeline for a decoded spec: warm sample from the
-// cache (built at most once per key), a per-request estimator inside a
-// worker slot, then fairim.Solve — warm-started from the memoized seed
-// prefix when an earlier solve of the same problem left one behind.
-// onIter, if non-nil, observes every greedy pick (the job-trace stream;
-// replayed prefix picks fire it too, so traces stay complete). The gate
-// decides the queueing policy — timeout-bounded for synchronous
-// requests, unbounded for jobs.
-func (s *Server) solve(ctx context.Context, gate workerGate, graphName string, version uint64, g *graph.Graph, spec fairim.ProblemSpec, onIter func(fairim.IterationStat)) (*SolveResponse, error) {
-	key := sampleKeyFor(graphName, version, g, spec, false)
-	smp, hit, buildMS, err := s.cache.SampleFor(ctx, key, g, s.parallelism, gate)
-	if err != nil {
-		return nil, err
-	}
-
-	// The prefix memo is consulted before the estimator exists, so the
-	// eligibility check sees the spec as decoded from the wire.
-	pk, memo := prefixKeyFor(key, spec)
-	warmSeeds := 0
-	if memo {
-		spec.CaptureWarm = true
-		if w := s.cache.warmFor(pk); w != nil {
-			spec.Warm = w
-			if warmSeeds = len(w.Seeds); warmSeeds > spec.Budget {
-				warmSeeds = spec.Budget
-			}
-		}
-	}
-
-	// The solve occupies a worker slot of its own; the build above held
-	// one only while sampling, and joiners waited slot-free. Estimator
-	// construction allocates proportional to the sample, so it happens
-	// inside the slot too. A failed acquire is only a capacity refusal
-	// when the request is still alive — a cancelled request reports its
-	// own cancellation, never a spurious 503.
-	if !gate.acquire(ctx) {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, ErrCapacity
-	}
-	defer gate.release()
-	est, err := smp.newEstimator(spec.Tau)
-	if err != nil {
-		return nil, err
-	}
-	spec.Estimator = est
-	effPar := s.effectiveParallelism()
-	spec.Parallelism = effPar
-	if onIter != nil {
-		spec.OnIteration = onIter
-	}
-
-	start := time.Now()
-	res, err := fairim.Solve(g, spec)
-	if err != nil {
-		return nil, err
-	}
-	if memo {
-		s.cache.storeWarm(pk, res.Warm)
-	}
-	resp := &SolveResponse{
-		Problem:              res.Problem,
-		Graph:                graphName,
-		Engine:               spec.Engine.String(),
-		UtilityReport:        reportOf(res),
-		Evaluations:          res.Evaluations,
-		CacheHit:             hit,
-		GraphVersion:         version,
-		RRRefreshed:          smp.rrRefreshed,
-		RRRetained:           smp.rrRetained,
-		WarmSeeds:            warmSeeds,
-		SampleMS:             buildMS,
-		SolveMS:              float64(time.Since(start).Microseconds()) / 1000,
-		ResolvedSamples:      res.Samples,
-		ResolvedRISPerGroup:  res.RISPerGroup,
-		Trace:                traceEvents(res.Trace),
-		EffectiveParallelism: effPar,
-	}
-	return resp, nil
-}
-
 func traceEvents(trace []fairim.IterationStat) []TraceEvent {
 	if trace == nil {
 		return nil
@@ -702,22 +624,18 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	var resp *SolveResponse
 	if s.coalesce != nil {
 		// The coalescer resolves the graph itself when the window closes,
 		// so every request in the window sees one consistent snapshot.
-		resp, err := s.coalesce.submit(r.Context(), req.Graph, spec)
-		if err != nil {
-			writeSolveError(w, err)
+		resp, err = s.coalesce.submit(r.Context(), req.Graph, spec)
+	} else {
+		g, version, ok := s.getGraph(w, req.Graph)
+		if !ok {
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
-		return
+		resp, err = s.solveOne(r.Context(), serverGate{s}, req.Graph, version, g, spec)
 	}
-	g, version, ok := s.getGraph(w, req.Graph)
-	if !ok {
-		return
-	}
-	resp, err := s.solve(r.Context(), serverGate{s}, req.Graph, version, g, spec, nil)
 	if err != nil {
 		writeSolveError(w, err)
 		return

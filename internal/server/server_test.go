@@ -173,6 +173,7 @@ func TestSelectErrorPaths(t *testing.T) {
 		{"negative max seeds", `{"graph":"twostars","max_seeds":-1}`, http.StatusBadRequest},
 		{"negative budget", `{"graph":"twostars","problem":"p1","budget":-3}`, http.StatusBadRequest},
 		{"bad quota", `{"graph":"twostars","problem":"p6","quota":1.5}`, http.StatusBadRequest},
+		{"nan pow wrapper", `{"graph":"twostars","problem":"p4","budget":2,"tau":3,"samples":30,"h":"powNaN","eval":"sample"}`, http.StatusBadRequest},
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/select", tc.body)
 		if resp.StatusCode != tc.status {
@@ -429,5 +430,44 @@ func TestOverloadSheds(t *testing.T) {
 	<-done
 	if !sawShed {
 		t.Fatal("never observed a 503 while the single worker slot was held")
+	}
+}
+
+// TestColdRequestShedOnce: with the only worker slot held, a cold spec's
+// sample build is shed after one queue timeout. Both the select and a
+// one-item batch then answer capacity at once — the solve must not queue
+// for (and be shed from) the slot a second time.
+func TestColdRequestShedOnce(t *testing.T) {
+	const spec = `{"graph":"twostars","problem":"p1","budget":2,"tau":3,"engine":"ris","samples":50}`
+	for _, tc := range []struct{ name, path, body string }{
+		{"select", "/v1/select", spec},
+		{"batch", "/v1/select/batch", `{"requests":[` + spec + `]}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{MaxConcurrent: 1, QueueTimeout: 50 * time.Millisecond})
+			s.sem <- struct{}{}
+			defer s.release()
+			resp, body := postJSON(t, ts.URL+tc.path, tc.body)
+			code := ""
+			if tc.path == "/v1/select" {
+				var e errorResponse
+				if resp.StatusCode != http.StatusServiceUnavailable || json.Unmarshal(body, &e) != nil {
+					t.Fatalf("status %d: %s", resp.StatusCode, body)
+				}
+				code = e.Error.Code
+			} else {
+				var out BatchSolveResponse
+				if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &out) != nil || len(out.Items) != 1 || out.Items[0].Error == nil {
+					t.Fatalf("status %d: %s", resp.StatusCode, body)
+				}
+				code = out.Items[0].Error.Code
+			}
+			if code != CodeCapacity {
+				t.Fatalf("error code %q, want %q: %s", code, CodeCapacity, body)
+			}
+			if shed := s.Stats().Workers.Shed; shed != 1 {
+				t.Fatalf("shed = %d, want 1: a request is shed once", shed)
+			}
+		})
 	}
 }

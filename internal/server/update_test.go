@@ -430,7 +430,7 @@ func TestPinnedSelectAfterSupersession(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before, err := s.solve(ctx, serverGate{s}, "twostars", v1, g1, spec, nil)
+			before, err := s.solveOne(ctx, serverGate{s}, "twostars", v1, g1, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -439,13 +439,13 @@ func TestPinnedSelectAfterSupersession(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.solve(ctx, serverGate{s}, "twostars", v2, g2, spec, nil); err != nil {
+			if _, err := s.solveOne(ctx, serverGate{s}, "twostars", v2, g2, spec); err != nil {
 				t.Fatal(err)
 			}
 			if st := s.CacheStats(); st.Superseded != 1 {
 				t.Fatalf("superseded = %d after publishing v2, want 1", st.Superseded)
 			}
-			pinned, err := s.solve(ctx, serverGate{s}, "twostars", v1, g1, spec, nil)
+			pinned, err := s.solveOne(ctx, serverGate{s}, "twostars", v1, g1, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
