@@ -8,16 +8,15 @@ import (
 )
 
 // WorldCodecKind and WorldCodecVersion identify a live-edge world-set
-// payload inside a persist frame. WorldCodecVersion is what EncodeWorlds
-// writes; decode accepts everything down to WorldCodecMinVersion, so
-// bumping the version does not strand state files from earlier releases.
+// payload inside a persist frame. The codec reads and writes exactly this
+// version: a frame stamped with any other one is rejected by
+// persist.Decode as a mismatch, which a cache treats as a cold miss.
 const (
-	WorldCodecKind       = "wrld"
-	WorldCodecVersion    = 2
-	WorldCodecMinVersion = 1
+	WorldCodecKind    = "wrld"
+	WorldCodecVersion = 2
 )
 
-// EncodeWorlds flattens a world set into the version-2 payload: the world
+// EncodeWorlds flattens a world set into the codec's payload: the world
 // count, then per world each node's surviving out-degree as a varint
 // followed by its targets as a zigzag delta stream. Out-lists inherit the
 // source ordering (CSR order for IC, ascending fill order for LT), so
@@ -46,34 +45,11 @@ func EncodeWorlds(worlds []*World) []byte {
 }
 
 // DecodeWorlds reconstructs a world set over an n-node graph from a
-// payload written by the current codec version. For frames that may carry
-// an older version, use DecodeWorldsVersion with the version reported by
-// persist.DecodeRange.
+// payload written by EncodeWorlds, re-validating every CSR invariant so a
+// forged payload cannot produce out-of-range traversals or silently wrong
+// estimates. Offsets are rebuilt from the degree stream, so monotonicity
+// holds by construction; the degree and target ranges are checked.
 func DecodeWorlds(payload []byte, n int) ([]*World, error) {
-	return DecodeWorldsVersion(WorldCodecVersion, payload, n)
-}
-
-// DecodeWorldsVersion reconstructs a world set from a payload of the given
-// codec version (WorldCodecMinVersion..WorldCodecVersion), re-validating
-// every CSR invariant (offset monotonicity, edge-count consistency, target
-// range) so a forged or stale payload cannot produce out-of-range
-// traversals or silently wrong estimates.
-func DecodeWorldsVersion(version uint32, payload []byte, n int) ([]*World, error) {
-	switch version {
-	case 1:
-		return decodeWorldsV1(payload, n)
-	case 2:
-		return decodeWorldsV2(payload, n)
-	default:
-		return nil, fmt.Errorf("%w: world codec version %d, support %d..%d",
-			persist.ErrMismatch, version, WorldCodecMinVersion, WorldCodecVersion)
-	}
-}
-
-// decodeWorldsV2 reads the degree+delta layout. Offsets are rebuilt from
-// the degree stream, so monotonicity holds by construction; only the
-// target range needs checking.
-func decodeWorldsV2(payload []byte, n int) ([]*World, error) {
 	d := persist.NewDec(payload)
 	r := d.UvarintLen()
 	if err := d.Err(); err != nil {
@@ -121,46 +97,6 @@ func decodeWorldsV2(payload []byte, n int) ([]*World, error) {
 				at++
 				prev = t
 			}
-		}
-		worlds[i] = &World{offsets: offsets, targets: targets}
-	}
-	if err := d.Close(); err != nil {
-		return nil, err
-	}
-	return worlds, nil
-}
-
-// decodeWorldsV1 reads the original verbatim-CSR layout.
-func decodeWorldsV1(payload []byte, n int) ([]*World, error) {
-	d := persist.NewDec(payload)
-	r := d.Len(1)
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	worlds := make([]*World, r)
-	for i := range worlds {
-		offsets := d.I32s()
-		rawTargets := d.I32s()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		if len(offsets) != n+1 {
-			return nil, fmt.Errorf("cascade: decoded world %d has %d offsets for %d nodes", i, len(offsets), n)
-		}
-		if offsets[0] != 0 || int(offsets[n]) != len(rawTargets) {
-			return nil, fmt.Errorf("cascade: decoded world %d offsets cover %d..%d, targets %d", i, offsets[0], offsets[n], len(rawTargets))
-		}
-		for v := 0; v < n; v++ {
-			if offsets[v+1] < offsets[v] {
-				return nil, fmt.Errorf("cascade: decoded world %d offsets not monotone at node %d", i, v)
-			}
-		}
-		targets := make([]graph.NodeID, len(rawTargets))
-		for j, t := range rawTargets {
-			if t < 0 || int(t) >= n {
-				return nil, fmt.Errorf("cascade: decoded world %d target %d out of range [0,%d)", i, t, n)
-			}
-			targets[j] = graph.NodeID(t)
 		}
 		worlds[i] = &World{offsets: offsets, targets: targets}
 	}

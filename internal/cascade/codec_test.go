@@ -9,18 +9,6 @@ import (
 	"fairtcim/internal/persist"
 )
 
-// encodeWorldsV1 re-emits the original version-1 payload layout (verbatim
-// CSR arrays) so tests can verify pre-bump frames still decode.
-func encodeWorldsV1(worlds []*World) []byte {
-	var e persist.Enc
-	e.U64(uint64(len(worlds)))
-	for _, w := range worlds {
-		e.I32s(w.offsets)
-		e.I32s(w.targets)
-	}
-	return e.Bytes()
-}
-
 // worldsEqual fails the test unless both world sets are structurally
 // identical — every node's surviving out-neighborhood matches in every
 // world — which makes forward-MC estimates over them byte-identical.
@@ -62,49 +50,6 @@ func TestWorldCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWorldCodecCrossVersion: version-1 world payloads (verbatim CSR) must
-// keep decoding under the current codec, payload- and frame-level, and the
-// version-2 stream must actually be at least twice as small.
-func TestWorldCodecCrossVersion(t *testing.T) {
-	g, err := generate.TwoBlock(generate.DefaultTwoBlock(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	worlds := SampleWorlds(g, IC, 30, 13, 2)
-	v1 := encodeWorldsV1(worlds)
-	v2 := EncodeWorlds(worlds)
-
-	back, err := DecodeWorldsVersion(1, v1, g.N())
-	if err != nil {
-		t.Fatalf("v1 payload rejected: %v", err)
-	}
-	worldsEqual(t, "v1", worlds, back, g.N())
-
-	if len(v2)*2 > len(v1) {
-		t.Fatalf("v2 payload %d bytes, not ≥2x smaller than v1's %d", len(v2), len(v1))
-	}
-
-	fp := persist.GraphFingerprint(g)
-	framed, err := persist.Encode(persist.Meta{Kind: WorldCodecKind, Version: 1, Fingerprint: fp}, v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := persist.Meta{Kind: WorldCodecKind, Version: WorldCodecVersion, Fingerprint: fp}
-	payload, version, err := persist.DecodeRange(framed, want, WorldCodecMinVersion)
-	if err != nil {
-		t.Fatalf("v1 frame rejected: %v", err)
-	}
-	back, err = DecodeWorldsVersion(version, payload, g.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	worldsEqual(t, "v1-frame", worlds, back, g.N())
-
-	if _, err := DecodeWorldsVersion(WorldCodecVersion+1, v2, g.N()); err == nil {
-		t.Error("future codec version accepted")
-	}
-}
-
 func TestWorldCodecRejectsMalformedPayloads(t *testing.T) {
 	g := generate.TwoStars()
 	worlds := SampleWorlds(g, IC, 5, 1, 1)
@@ -120,7 +65,7 @@ func TestWorldCodecRejectsMalformedPayloads(t *testing.T) {
 		t.Error("wrong node count accepted")
 	}
 
-	// v2: a delta stream decoding to a target outside [0,n).
+	// A delta stream decoding to a target outside [0,n).
 	var oob persist.Enc
 	oob.Uvarint(1)  // one world
 	oob.Uvarint(3)  // 3 nodes
@@ -129,61 +74,35 @@ func TestWorldCodecRejectsMalformedPayloads(t *testing.T) {
 	oob.Uvarint(0)  // node 2: none
 	oob.Svarint(99) // ...to a node that does not exist
 	if _, err := DecodeWorlds(oob.Bytes(), 3); !errors.Is(err, persist.ErrCorrupt) {
-		t.Errorf("out-of-range v2 target: got %v, want ErrCorrupt", err)
+		t.Errorf("out-of-range target: got %v, want ErrCorrupt", err)
 	}
 
-	// v2: a degree claiming more edges than the payload can hold.
+	// A degree claiming more edges than the payload can hold.
 	var huge persist.Enc
 	huge.Uvarint(1)
 	huge.Uvarint(3)
 	huge.Uvarint(1 << 40)
 	if _, err := DecodeWorlds(huge.Bytes(), 3); !errors.Is(err, persist.ErrCorrupt) {
-		t.Errorf("oversized v2 degree: got %v, want ErrCorrupt", err)
-	}
-
-	// v1 layout violations still caught by the v1 decoder.
-	var e persist.Enc
-	e.U64(1)
-	e.I32s([]int32{0, 1, 1, 1}) // 3 nodes, one edge from node 0
-	e.I32s([]int32{99})         // ...to a node that does not exist
-	if _, err := DecodeWorldsVersion(1, e.Bytes(), 3); err == nil {
-		t.Error("out-of-range v1 target accepted")
-	}
-
-	var m persist.Enc
-	m.U64(1)
-	m.I32s([]int32{0, 2, 1, 2})
-	m.I32s([]int32{0, 1})
-	if _, err := DecodeWorldsVersion(1, m.Bytes(), 3); err == nil {
-		t.Error("non-monotone v1 offsets accepted")
-	}
-
-	var d persist.Enc
-	d.U64(1)
-	d.I32s([]int32{0, 1, 1, 2})
-	d.I32s([]int32{0})
-	if _, err := DecodeWorldsVersion(1, d.Bytes(), 3); err == nil {
-		t.Error("v1 offset/target length mismatch accepted")
+		t.Errorf("oversized degree: got %v, want ErrCorrupt", err)
 	}
 }
 
-// FuzzDecodeWorlds throws arbitrary bytes at both decoder generations:
-// either a clean error comes back or a world set whose every edge is in
-// range — never a panic, never a traversal hazard.
+// FuzzDecodeWorlds throws arbitrary bytes at the payload decoder: either
+// a clean error comes back or a world set whose every edge is in range —
+// never a panic, never a traversal hazard.
 func FuzzDecodeWorlds(f *testing.F) {
 	g := generate.TwoStars()
 	worlds := SampleWorlds(g, IC, 3, 2, 1)
-	v2 := EncodeWorlds(worlds)
-	v1 := encodeWorldsV1(worlds)
-	f.Add(uint32(2), v2)
-	f.Add(uint32(1), v1)
-	f.Add(uint32(2), v2[:len(v2)/2])
-	flipped := append([]byte(nil), v2...)
+	good := EncodeWorlds(worlds)
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(append(append([]byte(nil), good...), 0))
+	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/3] ^= 0xff
-	f.Add(uint32(2), flipped)
-	f.Add(uint32(1), []byte{})
-	f.Fuzz(func(t *testing.T, version uint32, payload []byte) {
-		back, err := DecodeWorldsVersion(version%3, payload, g.N())
+	f.Add(flipped)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		back, err := DecodeWorlds(payload, g.N())
 		if err != nil {
 			return
 		}

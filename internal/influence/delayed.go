@@ -22,10 +22,9 @@ type DelayedEvaluator struct {
 	worlds []*cascade.WeightedWorld
 	tau    int32
 
-	dist   [][]int32
-	counts [][]int32
-	sums   []float64
-	seeds  []graph.NodeID
+	dist  [][]int32
+	sums  []float64
+	seeds []graph.NodeID
 
 	scratch *delayedScratch
 }
@@ -74,14 +73,12 @@ func NewDelayedEvaluator(g *graph.Graph, worlds []*cascade.WeightedWorld, tau in
 	}
 	e := &DelayedEvaluator{g: g, worlds: worlds, tau: tau}
 	e.dist = make([][]int32, len(worlds))
-	e.counts = make([][]int32, len(worlds))
 	for w := range worlds {
 		d := make([]int32, g.N())
 		for v := range d {
 			d[v] = unreached
 		}
 		e.dist[w] = d
-		e.counts[w] = make([]int32, g.NumGroups())
 	}
 	e.sums = make([]float64, g.NumGroups())
 	e.scratch = e.newScratch()
@@ -206,7 +203,6 @@ func (e *DelayedEvaluator) dijkstra(s *delayedScratch, w int, v graph.NodeID, co
 		if dist[u] > tau { // previously outside the deadline: newly counted
 			s.delta[e.g.Group(u)]++
 			if commit {
-				e.counts[w][e.g.Group(u)]++
 				e.sums[e.g.Group(u)]++
 			}
 		}
@@ -240,10 +236,6 @@ func (e *DelayedEvaluator) Reset() {
 		d := e.dist[w]
 		for v := range d {
 			d[v] = unreached
-		}
-		c := e.counts[w]
-		for i := range c {
-			c[i] = 0
 		}
 	}
 	for i := range e.sums {

@@ -3,12 +3,13 @@
 //
 // The estimator averages over R live-edge worlds (see package cascade).
 // An Evaluator keeps, for every world, the current activation time of
-// every node under the growing seed set, plus per-group counts of nodes
-// activated within the deadline. A marginal-gain query for candidate v
-// runs a τ-bounded BFS from v in each world, pruned at nodes whose current
-// activation time is already no worse — so the query costs only the part
-// of the world the candidate actually improves. On a fixed world set the
-// resulting set function is exactly monotone and submodular.
+// every node under the growing seed set, plus per-group totals, over all
+// worlds, of nodes activated within the deadline. A marginal-gain query
+// for candidate v runs a τ-bounded BFS from v in each world, pruned at
+// nodes whose current activation time is already no worse — so the query
+// costs only the part of the world the candidate actually improves. On a
+// fixed world set the resulting set function is exactly monotone and
+// submodular.
 package influence
 
 import (
@@ -37,10 +38,9 @@ type Evaluator struct {
 	worlds []*cascade.World
 	tau    int32
 
-	dist   [][]int32 // dist[w][v]: activation time of v in world w, or unreached
-	counts [][]int32 // counts[w][i]: group-i nodes with dist <= tau in world w
-	sums   []float64 // Σ_w counts[w][i], kept in sync
-	seeds  []graph.NodeID
+	dist  [][]int32 // dist[w][v]: activation time of v in world w, or unreached
+	sums  []float64 // sums[i]: group-i nodes with dist <= tau, summed over worlds
+	seeds []graph.NodeID
 
 	scratch *Scratch // default scratch for the non-concurrent API
 }
@@ -72,14 +72,12 @@ func NewEvaluator(g *graph.Graph, worlds []*cascade.World, tau int32) (*Evaluato
 	}
 	e := &Evaluator{g: g, worlds: worlds, tau: tau}
 	e.dist = make([][]int32, len(worlds))
-	e.counts = make([][]int32, len(worlds))
 	for w := range worlds {
 		d := make([]int32, g.N())
 		for v := range d {
 			d[v] = unreached
 		}
 		e.dist[w] = d
-		e.counts[w] = make([]int32, g.NumGroups())
 	}
 	e.sums = make([]float64, g.NumGroups())
 	e.scratch = e.NewScratch()
@@ -190,8 +188,8 @@ func (e *Evaluator) Add(v graph.NodeID) {
 
 // bfs runs the τ-bounded improvement BFS from v in world w. When commit is
 // false it only accumulates the per-group newly-within-deadline counts into
-// s.delta; when true it also writes the improved activation times and
-// updates counts and sums.
+// s.delta; when true it also writes the improved activation times and adds
+// the newly counted nodes to sums.
 func (e *Evaluator) bfs(s *Scratch, w int, v graph.NodeID, commit bool) {
 	dist := e.dist[w]
 	if dist[v] == 0 {
@@ -209,7 +207,6 @@ func (e *Evaluator) bfs(s *Scratch, w int, v graph.NodeID, commit bool) {
 		if dist[u] > tau { // not previously counted within the deadline
 			s.delta[e.g.Group(u)]++
 			if commit {
-				e.counts[w][e.g.Group(u)]++
 				e.sums[e.g.Group(u)]++
 			}
 		}
@@ -244,10 +241,6 @@ func (e *Evaluator) Reset() {
 		d := e.dist[w]
 		for v := range d {
 			d[v] = unreached
-		}
-		c := e.counts[w]
-		for i := range c {
-			c[i] = 0
 		}
 	}
 	for i := range e.sums {

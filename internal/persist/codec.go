@@ -3,7 +3,6 @@ package persist
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 )
 
 // Enc appends little-endian primitives to a growing buffer. The zero
@@ -27,14 +26,6 @@ func (e *Enc) I32(v int32) { e.U32(uint32(v)) }
 // I64 appends one int64.
 func (e *Enc) I64(v int64) { e.U64(uint64(v)) }
 
-// I32s appends a length-prefixed []int32.
-func (e *Enc) I32s(s []int32) {
-	e.U64(uint64(len(s)))
-	for _, v := range s {
-		e.I32(v)
-	}
-}
-
 // Ints appends a length-prefixed []int as int64 values.
 func (e *Enc) Ints(s []int) {
 	e.U64(uint64(len(s)))
@@ -44,8 +35,8 @@ func (e *Enc) Ints(s []int) {
 }
 
 // Uvarint appends one unsigned LEB128 varint (1 byte for values < 128,
-// growing 7 bits per byte). The compact integers of the version-2 payload
-// codecs are built from it.
+// growing 7 bits per byte). The compact integers of the payload codecs
+// are built from it.
 func (e *Enc) Uvarint(v uint64) {
 	e.buf = binary.AppendUvarint(e.buf, v)
 }
@@ -58,8 +49,8 @@ func (e *Enc) Svarint(v int64) {
 }
 
 // DeltaU32s appends a strictly-increasing []int32 as a Uvarint count, the
-// first value, then the gaps — the delta+varint stream layout shared by
-// the version-2 sketch codecs. Callers must pass a strictly increasing,
+// first value, then the gaps — the delta+varint stream layout of the RR
+// sketch codec. Callers must pass a strictly increasing,
 // non-negative sequence; Dec.DeltaU32s re-validates on the way back in.
 func (e *Enc) DeltaU32s(s []int32) {
 	e.Uvarint(uint64(len(s)))
@@ -136,19 +127,6 @@ func (d *Dec) Len(elemBytes int) int {
 		return 0
 	}
 	return int(n)
-}
-
-// I32s reads a length-prefixed []int32.
-func (d *Dec) I32s() []int32 {
-	n := d.Len(4)
-	if d.err != nil {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = d.I32()
-	}
-	return out
 }
 
 // Ints reads a length-prefixed []int encoded as int64 values.
@@ -245,10 +223,6 @@ func (d *Dec) DeltaU32s(out []int32, max int32) []int32 {
 	}
 	return out
 }
-
-// UvarintMaxLen bounds the encoded size of one Uvarint — handy for
-// capacity estimates in payload encoders.
-func UvarintMaxLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Err returns the first decoding error, if any.
 func (d *Dec) Err() error { return d.err }

@@ -1,14 +1,17 @@
-// Package persist implements the on-disk format for warm-restart state:
-// a versioned, self-describing frame around an opaque payload, plus the
-// little-endian encode/decode helpers the payload codecs (internal/ris,
-// internal/cascade, internal/server) are built from.
+// Package persist implements the on-disk and on-wire format for sample
+// sketches: a versioned, self-describing frame around an opaque payload,
+// plus the little-endian encode/decode helpers the payload codecs
+// (internal/ris, internal/cascade) are built from.
 //
-// Every file starts with an 8-byte magic, the payload's codec version, a
+// Every frame starts with an 8-byte magic, the payload's codec version, a
 // 4-byte kind tag, the fingerprint of the graph the payload was built
-// from, the payload length and a CRC-64 checksum of the payload. A reader
-// therefore rejects — loudly, never silently — anything that is not a
-// state file (ErrCorrupt), was truncated or bit-rotted (ErrCorrupt), or
-// was written by a different codec version or for a different graph
+// from, the payload length and a CRC-64 checksum of the payload. EncodeTo
+// is the one writer: Save streams a state file through it, and a replica
+// serving a sketch to a peer streams the same bytes. Decode is the one
+// reader, and it accepts exactly the codec version the caller expects. It
+// rejects — loudly, never silently — anything that is not a frame
+// (ErrCorrupt), was truncated or bit-rotted (ErrCorrupt), or was written
+// under another codec version, for another kind or for another graph
 // (ErrMismatch). Callers treat either error as "no warm state" and fall
 // back to a cold build; a state file can make a restart faster, never
 // wrong.
@@ -61,39 +64,17 @@ type Meta struct {
 	Fingerprint uint64 // GraphFingerprint of the graph the payload binds to
 }
 
-// Encode frames a payload: header, checksum, then the payload verbatim.
-func Encode(meta Meta, payload []byte) ([]byte, error) {
-	if len(meta.Kind) != 4 {
-		return nil, fmt.Errorf("persist: kind %q must be exactly 4 bytes", meta.Kind)
-	}
-	out := make([]byte, 0, headerSize+len(payload))
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint32(out, meta.Version)
-	out = append(out, meta.Kind...)
-	out = binary.LittleEndian.AppendUint64(out, meta.Fingerprint)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = binary.LittleEndian.AppendUint64(out, crc64.Checksum(payload, crcTable))
-	return append(out, payload...), nil
-}
-
 // Decode verifies a frame against the expected Meta and returns the
-// payload. The returned slice aliases data.
+// payload, which aliases data. Integrity checks (length, magic, checksum)
+// come before identity checks (kind, version, fingerprint), so a truncated
+// frame is reported as corrupt, never as a version skew. The codec version
+// must equal want.Version: each codec reads exactly the version it writes.
 func Decode(data []byte, want Meta) ([]byte, error) {
-	payload, _, err := DecodeRange(data, want, want.Version)
-	return payload, err
-}
-
-// DecodeRange verifies a frame like Decode but accepts any codec version
-// in [minVersion, want.Version], returning the payload together with the
-// version it was actually written under. This is how a codec that bumped
-// its payload layout keeps reading frames from earlier releases: pass the
-// oldest version it still decodes, then dispatch on the returned version.
-func DecodeRange(data []byte, want Meta, minVersion uint32) ([]byte, uint32, error) {
 	if len(data) < headerSize {
-		return nil, 0, fmt.Errorf("%w: %d bytes, shorter than the %d-byte header", ErrCorrupt, len(data), headerSize)
+		return nil, fmt.Errorf("%w: %d bytes, shorter than the %d-byte header", ErrCorrupt, len(data), headerSize)
 	}
 	if string(data[:len(magic)]) != magic {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	off := len(magic)
 	version := binary.LittleEndian.Uint32(data[off:])
@@ -107,31 +88,28 @@ func DecodeRange(data []byte, want Meta, minVersion uint32) ([]byte, uint32, err
 	sum := binary.LittleEndian.Uint64(data[off:])
 	off += 8
 	if payloadLen != uint64(len(data)-off) {
-		return nil, 0, fmt.Errorf("%w: header claims %d payload bytes, file has %d", ErrCorrupt, payloadLen, len(data)-off)
+		return nil, fmt.Errorf("%w: header claims %d payload bytes, frame has %d", ErrCorrupt, payloadLen, len(data)-off)
 	}
 	payload := data[off:]
 	if crc64.Checksum(payload, crcTable) != sum {
-		return nil, 0, fmt.Errorf("%w: checksum failure", ErrCorrupt)
+		return nil, fmt.Errorf("%w: checksum failure", ErrCorrupt)
 	}
-	// Identity checks come after integrity checks so a truncated file is
-	// reported as corrupt, not as a version skew.
 	if kind != want.Kind {
-		return nil, 0, fmt.Errorf("%w: kind %q, want %q", ErrMismatch, kind, want.Kind)
+		return nil, fmt.Errorf("%w: kind %q, want %q", ErrMismatch, kind, want.Kind)
 	}
-	if version < minVersion || version > want.Version {
-		return nil, 0, fmt.Errorf("%w: codec version %d, want %d..%d", ErrMismatch, version, minVersion, want.Version)
+	if version != want.Version {
+		return nil, fmt.Errorf("%w: codec version %d, want %d", ErrMismatch, version, want.Version)
 	}
 	if fingerprint != want.Fingerprint {
-		return nil, 0, fmt.Errorf("%w: graph fingerprint %016x, want %016x", ErrMismatch, fingerprint, want.Fingerprint)
+		return nil, fmt.Errorf("%w: graph fingerprint %016x, want %016x", ErrMismatch, fingerprint, want.Fingerprint)
 	}
-	return payload, version, nil
+	return payload, nil
 }
 
-// EncodeTo streams a framed payload to w — the same bytes Encode
-// produces, without materializing header+payload in one allocation. This
-// is the transfer-endpoint writer: a replica streaming a warm sketch to a
-// peer frames it exactly as Save would frame it to disk, so the wire
-// format and the state-file format can never diverge.
+// EncodeTo streams a framed payload to w: the header, then the payload
+// verbatim, without copying the two into one buffer. It is the only frame
+// writer. Save uses it for state files and the sketch transfer endpoint
+// for peers, so the wire format and the state-file format cannot diverge.
 func EncodeTo(w io.Writer, meta Meta, payload []byte) error {
 	if len(meta.Kind) != 4 {
 		return fmt.Errorf("persist: kind %q must be exactly 4 bytes", meta.Kind)
@@ -150,53 +128,18 @@ func EncodeTo(w io.Writer, meta Meta, payload []byte) error {
 	return err
 }
 
-// DecodeFrom reads one frame from r and verifies it like DecodeRange:
-// header first, then exactly the payload length the header claims, capped
-// at maxPayload (<= 0 means no cap). A short read anywhere is ErrCorrupt —
-// a truncated network stream must be indistinguishable from a truncated
-// file, and both fall back to a cold build. Returns the payload and the
-// codec version it was written under.
-func DecodeFrom(r io.Reader, want Meta, minVersion uint32, maxPayload int64) ([]byte, uint32, error) {
-	header := make([]byte, headerSize)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, 0, fmt.Errorf("%w: short header read: %v", ErrCorrupt, err)
-	}
-	if string(header[:len(magic)]) != magic {
-		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	payloadLen := binary.LittleEndian.Uint64(header[len(magic)+4+4+8:])
-	if maxPayload > 0 && payloadLen > uint64(maxPayload) {
-		return nil, 0, fmt.Errorf("%w: header claims %d payload bytes, cap is %d", ErrCorrupt, payloadLen, maxPayload)
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, 0, fmt.Errorf("%w: short payload read: %v", ErrCorrupt, err)
-	}
-	// One trailing byte distinguishes "stream over" from "stream carries
-	// trailing garbage"; DecodeRange would reject the latter for a byte
-	// slice and the stream reader must be no laxer.
-	var extra [1]byte
-	if n, _ := r.Read(extra[:]); n != 0 {
-		return nil, 0, fmt.Errorf("%w: trailing bytes after the framed payload", ErrCorrupt)
-	}
-	return DecodeRange(append(header, payload...), want, minVersion)
-}
-
-// Save atomically writes a framed payload: the frame goes to a temp file
-// in the same directory, is synced, then renamed over path — a crash
-// leaves either the old state or the new, never a torn file.
+// Save atomically writes a framed payload: the frame streams through
+// EncodeTo into a temp file in the same directory, is synced, then renamed
+// over path — a crash leaves either the old state or the new, never a torn
+// file.
 func Save(path string, meta Meta, payload []byte) error {
-	framed, err := Encode(meta, payload)
-	if err != nil {
-		return err
-	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(framed); err != nil {
+	if err := EncodeTo(tmp, meta, payload); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -219,17 +162,6 @@ func Load(path string, want Meta) ([]byte, error) {
 		return nil, err
 	}
 	return Decode(data, want)
-}
-
-// LoadRange is Load for codecs that still decode earlier payload versions:
-// any version in [minVersion, want.Version] is accepted and returned
-// alongside the payload. See DecodeRange.
-func LoadRange(path string, want Meta, minVersion uint32) ([]byte, uint32, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	return DecodeRange(data, want, minVersion)
 }
 
 // GraphFingerprint hashes everything a sampling distribution depends on —

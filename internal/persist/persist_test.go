@@ -68,6 +68,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	check("truncated header", good[:10], ErrCorrupt)
 	check("truncated payload", good[:len(good)-5], ErrCorrupt)
 	check("empty file", nil, ErrCorrupt)
+	check("trailing garbage", append(append([]byte(nil), good...), 'x'), ErrCorrupt)
 
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)-3] ^= 0x40 // payload bit rot
@@ -77,12 +78,15 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	badMagic[0] ^= 0xff
 	check("bad magic", badMagic, ErrCorrupt)
 
-	// Valid frames for the wrong thing are a mismatch, not corruption.
+	// Valid frames for the wrong thing are a mismatch, not corruption. A
+	// codec reads exactly the version it writes, so a frame one version
+	// older than the reader is rejected like one a version newer.
 	if err := os.WriteFile(path, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]Meta{
-		"wrong version":     {Kind: "test", Version: 4, Fingerprint: 0xfeedface},
+		"older frame":       {Kind: "test", Version: 4, Fingerprint: 0xfeedface},
+		"newer frame":       {Kind: "test", Version: 2, Fingerprint: 0xfeedface},
 		"wrong kind":        {Kind: "diff", Version: 3, Fingerprint: 0xfeedface},
 		"wrong fingerprint": {Kind: "test", Version: 3, Fingerprint: 1},
 	} {
@@ -92,9 +96,19 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestEncodeRejectsBadKind: a kind that is not exactly 4 bytes cannot be
+// framed, and Save fails before anything lands on disk — neither the
+// target nor a stray temp file.
 func TestEncodeRejectsBadKind(t *testing.T) {
-	if _, err := Encode(Meta{Kind: "toolong"}, nil); err == nil {
+	if err := EncodeTo(&bytes.Buffer{}, Meta{Kind: "toolong"}, nil); err == nil {
 		t.Fatal("5-byte kind accepted")
+	}
+	dir := t.TempDir()
+	if err := Save(filepath.Join(dir, "a.sample"), Meta{Kind: "toolong"}, []byte("payload")); err == nil {
+		t.Fatal("Save accepted a 5-byte kind")
+	}
+	if left, err := os.ReadDir(dir); err != nil || len(left) != 0 {
+		t.Fatalf("failed Save left %v behind (err %v)", left, err)
 	}
 }
 
@@ -179,7 +193,6 @@ func TestDecHelpers(t *testing.T) {
 	var e Enc
 	e.I32(-7)
 	e.U64(42)
-	e.I32s([]int32{1, 2, 3})
 	e.Ints([]int{9, -9})
 	d := NewDec(e.Bytes())
 	if v := d.I32(); v != -7 {
@@ -187,9 +200,6 @@ func TestDecHelpers(t *testing.T) {
 	}
 	if v := d.U64(); v != 42 {
 		t.Fatalf("U64 = %d", v)
-	}
-	if got := d.I32s(); len(got) != 3 || got[2] != 3 {
-		t.Fatalf("I32s = %v", got)
 	}
 	if got := d.Ints(); len(got) != 2 || got[1] != -9 {
 		t.Fatalf("Ints = %v", got)
@@ -203,7 +213,7 @@ func TestDecHelpers(t *testing.T) {
 	var bad Enc
 	bad.U64(1 << 60)
 	d = NewDec(bad.Bytes())
-	if d.I32s(); !errors.Is(d.Err(), ErrCorrupt) {
+	if d.Ints(); !errors.Is(d.Err(), ErrCorrupt) {
 		t.Fatalf("oversized length: err = %v", d.Err())
 	}
 
@@ -214,55 +224,59 @@ func TestDecHelpers(t *testing.T) {
 	}
 }
 
-func TestEncodeToMatchesEncode(t *testing.T) {
-	payload := []byte("streamed payload bytes")
-	want, err := Encode(testMeta(), payload)
-	if err != nil {
-		t.Fatal(err)
-	}
+// frame returns the bytes EncodeTo writes for payload under testMeta.
+func frame(t testing.TB, payload []byte) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := EncodeTo(&buf, testMeta(), payload); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatal("EncodeTo bytes differ from Encode — wire and disk formats diverged")
-	}
-	if err := EncodeTo(&bytes.Buffer{}, Meta{Kind: "toolong!"}, payload); err == nil {
-		t.Fatal("EncodeTo accepted a non-4-byte kind")
-	}
+	return buf.Bytes()
 }
 
-func TestDecodeFromRoundTripAndRejection(t *testing.T) {
-	payload := []byte("a payload long enough to truncate meaningfully")
-	framed, err := Encode(testMeta(), payload)
+// TestEncodeToMatchesEncode pins the wire format to the disk format: the
+// bytes EncodeTo streams are exactly the file Save writes.
+func TestEncodeToMatchesEncode(t *testing.T) {
+	payload := []byte("streamed payload bytes")
+	path := filepath.Join(t.TempDir(), "a.sample")
+	if err := Save(path, testMeta(), payload); err != nil {
+		t.Fatal(err)
+	}
+	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	got, version, err := DecodeFrom(bytes.NewReader(framed), testMeta(), testMeta().Version, 0)
-	if err != nil || version != testMeta().Version || !bytes.Equal(got, payload) {
-		t.Fatalf("round trip: %q v%d %v", got, version, err)
+	if !bytes.Equal(frame(t, payload), file) {
+		t.Fatal("EncodeTo bytes differ from the Save file — wire and disk formats diverged")
 	}
+}
 
-	check := func(name string, data []byte, maxPayload int64, want error) {
-		t.Helper()
-		if _, _, err := DecodeFrom(bytes.NewReader(data), testMeta(), testMeta().Version, maxPayload); !errors.Is(err, want) {
-			t.Errorf("%s: err = %v, want %v", name, err, want)
+// FuzzDecode throws arbitrary bytes at the frame reader, against an
+// arbitrary expected version and fingerprint: it must never panic, and a
+// frame it accepts must be exactly what EncodeTo writes for the returned
+// payload — Decode admits no second spelling of a frame.
+func FuzzDecode(f *testing.F) {
+	framed := frame(f, []byte("fuzz payload"))
+	m := testMeta()
+	f.Add(framed, m.Version, m.Fingerprint)
+	f.Add(frame(f, nil), m.Version, m.Fingerprint)
+	f.Add(framed, m.Version+1, m.Fingerprint)
+	f.Add(framed[:headerSize], m.Version, m.Fingerprint)
+	f.Add(framed[:len(framed)-1], m.Version, m.Fingerprint)
+	f.Add(append(append([]byte(nil), framed...), 0), m.Version, m.Fingerprint)
+	f.Add([]byte{}, uint32(0), uint64(0))
+	f.Fuzz(func(t *testing.T, data []byte, version uint32, fingerprint uint64) {
+		want := Meta{Kind: m.Kind, Version: version, Fingerprint: fingerprint}
+		payload, err := Decode(data, want)
+		if err != nil {
+			return
 		}
-	}
-	check("truncated header", framed[:10], 0, ErrCorrupt)
-	check("truncated payload", framed[:len(framed)-7], 0, ErrCorrupt)
-	check("empty stream", nil, 0, ErrCorrupt)
-	check("trailing garbage", append(append([]byte(nil), framed...), 'x'), 0, ErrCorrupt)
-	check("payload over cap", framed, int64(len(payload)-1), ErrCorrupt)
-
-	flipped := append([]byte(nil), framed...)
-	flipped[len(flipped)-2] ^= 0x01
-	check("bit rot", flipped, 0, ErrCorrupt)
-
-	wrong := testMeta()
-	wrong.Fingerprint++
-	if _, _, err := DecodeFrom(bytes.NewReader(framed), wrong, wrong.Version, 0); !errors.Is(err, ErrMismatch) {
-		t.Fatalf("fingerprint skew: err = %v, want ErrMismatch", err)
-	}
+		var buf bytes.Buffer
+		if err := EncodeTo(&buf, want, payload); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("accepted frame %x re-encodes to %x", data, buf.Bytes())
+		}
+	})
 }

@@ -2,32 +2,28 @@ package ris
 
 import (
 	"fmt"
-	"sort"
 
 	"fairtcim/internal/graph"
 	"fairtcim/internal/persist"
 )
 
 // CodecKind and CodecVersion identify the Collection payload inside a
-// persist frame. CodecVersion is what EncodePayload writes; decode accepts
-// everything down to CodecMinVersion, so bumping the version does not
-// strand state files from earlier releases — they load through their own
-// layout until the floor is raised.
+// persist frame. The codec reads and writes exactly this version: a frame
+// stamped with any other one is rejected by persist.Decode as a mismatch,
+// which a cache treats as a cold miss.
 const (
-	CodecKind       = "risc"
-	CodecVersion    = 2
-	CodecMinVersion = 1
+	CodecKind    = "risc"
+	CodecVersion = 2
 )
 
-// EncodePayload flattens the Collection into the version-2 payload: τ,
-// the per-group pool sizes, the node count, then each node's inverted
-// index entry as a delta+varint stream of flat RR-set ids. Flat ids are
-// dense and strictly increasing per node, so gaps are small and most
-// encode in one byte — several times smaller than the version-1
-// (group,index) pair layout. The graph itself is not serialized —
-// persistence binds the payload to it through the frame's graph
-// fingerprint — so a decoded Collection is the exact index that was
-// saved, over the caller-supplied graph.
+// EncodePayload flattens the Collection into the codec's payload: τ, the
+// per-group pool sizes, the node count, then each node's inverted index
+// entry as a delta+varint stream of flat RR-set ids. Flat ids are dense
+// and strictly increasing per node, so gaps are small and most encode in
+// one byte. The graph itself is not serialized — persistence binds the
+// payload to it through the frame's graph fingerprint — so a decoded
+// Collection is the exact index that was saved, over the caller-supplied
+// graph.
 func (c *Collection) EncodePayload() []byte {
 	var e persist.Enc
 	e.I32(c.tau)
@@ -41,67 +37,31 @@ func (c *Collection) EncodePayload() []byte {
 }
 
 // DecodePayload reconstructs a Collection over g from a payload written by
-// the current codec version. For frames that may carry an older version,
-// use DecodePayloadVersion with the version reported by
-// persist.DecodeRange.
+// EncodePayload. Every structural invariant is re-validated — group count,
+// positive pool sizes, node count, and each set reference's bounds — so a
+// forged payload that slipped past the frame checks still cannot produce
+// out-of-range indexing or silently wrong estimates. persist.Dec.DeltaU32s
+// enforces that each node's refs are strictly increasing and bounded by
+// the total set count, which is exactly the Collection invariant.
 func DecodePayload(payload []byte, g *graph.Graph) (*Collection, error) {
-	return DecodePayloadVersion(CodecVersion, payload, g)
-}
-
-// DecodePayloadVersion reconstructs a Collection over g from a payload of
-// the given codec version (CodecMinVersion..CodecVersion). Every
-// structural invariant is re-validated — group count, positive pool
-// sizes, node count, and each set reference's bounds — so a forged or
-// stale payload that slipped past the frame checks still cannot produce
-// out-of-range indexing or silently wrong estimates.
-func DecodePayloadVersion(version uint32, payload []byte, g *graph.Graph) (*Collection, error) {
-	switch version {
-	case 1:
-		return decodePayloadV1(payload, g)
-	case 2:
-		return decodePayloadV2(payload, g)
-	default:
-		return nil, fmt.Errorf("%w: ris codec version %d, support %d..%d",
-			persist.ErrMismatch, version, CodecMinVersion, CodecVersion)
-	}
-}
-
-// decodeHeader reads and validates the fields shared by both payload
-// versions: τ, pool sizes, and the derived group flat-id bases.
-func decodeHeader(d *persist.Dec, g *graph.Graph) (tau int32, poolSize []int, base []int32, err error) {
-	tau = d.I32()
-	poolSize = d.Ints()
-	if err = d.Err(); err != nil {
-		return
+	d := persist.NewDec(payload)
+	tau := d.I32()
+	poolSize := d.Ints()
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	if tau < 0 {
-		err = fmt.Errorf("ris: decoded negative deadline %d", tau)
-		return
+		return nil, fmt.Errorf("ris: decoded negative deadline %d", tau)
 	}
 	if len(poolSize) != g.NumGroups() {
-		err = fmt.Errorf("ris: decoded %d pool sizes for %d groups", len(poolSize), g.NumGroups())
-		return
+		return nil, fmt.Errorf("ris: decoded %d pool sizes for %d groups", len(poolSize), g.NumGroups())
 	}
 	for i, s := range poolSize {
 		if s <= 0 {
-			err = fmt.Errorf("ris: decoded pool size %d for group %d", s, i)
-			return
+			return nil, fmt.Errorf("ris: decoded pool size %d for group %d", s, i)
 		}
 	}
-	base = groupBases(poolSize)
-	return
-}
-
-// decodePayloadV2 reads the delta+varint layout. persist.Dec.DeltaU32s
-// already enforces that each node's refs are strictly increasing and
-// bounded by the total set count, which is exactly the Collection
-// invariant.
-func decodePayloadV2(payload []byte, g *graph.Graph) (*Collection, error) {
-	d := persist.NewDec(payload)
-	tau, poolSize, base, err := decodeHeader(d, g)
-	if err != nil {
-		return nil, err
-	}
+	base := groupBases(poolSize)
 	n := int(d.Uvarint())
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -118,58 +78,6 @@ func decodePayloadV2(payload []byte, g *graph.Graph) (*Collection, error) {
 			return nil, err
 		}
 		refs = append(refs, scratch...)
-		off[v+1] = int32(len(refs))
-	}
-	if err := d.Close(); err != nil {
-		return nil, err
-	}
-	return &Collection{g: g, tau: tau, poolSize: poolSize, base: base, off: off, refs: refs}, nil
-}
-
-// decodePayloadV1 reads the original (group,index) pair layout, converting
-// each reference to its flat id. Version-1 writers emitted refs in
-// ascending flat order, but decode sorts defensively rather than reject —
-// an unsorted-but-valid file is old, not corrupt.
-func decodePayloadV1(payload []byte, g *graph.Graph) (*Collection, error) {
-	d := persist.NewDec(payload)
-	tau, poolSize, base, err := decodeHeader(d, g)
-	if err != nil {
-		return nil, err
-	}
-	n := int(d.U64())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	if n != g.N() {
-		return nil, fmt.Errorf("ris: decoded index over %d nodes, graph has %d", n, g.N())
-	}
-	off := make([]int32, n+1)
-	var refs []int32
-	for v := 0; v < n; v++ {
-		m := d.Len(8)
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		start := len(refs)
-		for i := 0; i < m; i++ {
-			grp, idx := d.I32(), d.I32()
-			if d.Err() != nil {
-				return nil, d.Err()
-			}
-			if grp < 0 || int(grp) >= len(poolSize) || idx < 0 || int(idx) >= poolSize[grp] {
-				return nil, fmt.Errorf("ris: decoded set ref (%d,%d) out of range", grp, idx)
-			}
-			refs = append(refs, base[grp]+idx)
-		}
-		node := refs[start:]
-		if !sort.SliceIsSorted(node, func(i, j int) bool { return node[i] < node[j] }) {
-			sort.Slice(node, func(i, j int) bool { return node[i] < node[j] })
-		}
-		for i := 1; i < len(node); i++ {
-			if node[i] == node[i-1] {
-				return nil, fmt.Errorf("%w: duplicate set ref %d for node %d", persist.ErrCorrupt, node[i], v)
-			}
-		}
 		off[v+1] = int32(len(refs))
 	}
 	if err := d.Close(); err != nil {

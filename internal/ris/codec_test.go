@@ -10,28 +10,6 @@ import (
 	"fairtcim/internal/persist"
 )
 
-// encodePayloadV1 re-emits the original version-1 payload layout —
-// (group,index) pairs, no compression — so tests can verify that frames
-// written before the codec bump still decode. It is the writer the v1
-// decoder is tested against now that EncodePayload writes version 2.
-func encodePayloadV1(c *Collection) []byte {
-	var e persist.Enc
-	e.I32(c.tau)
-	e.Ints(c.poolSize)
-	n := len(c.off) - 1
-	e.U64(uint64(n))
-	for v := 0; v < n; v++ {
-		refs := c.refs[c.off[v]:c.off[v+1]]
-		e.U64(uint64(len(refs)))
-		for _, id := range refs {
-			grp := groupOfFlat(c.base, id)
-			e.I32(int32(grp))
-			e.I32(id - c.base[grp])
-		}
-	}
-	return e.Bytes()
-}
-
 // estimatesEqual walks a fixed greedy-ish path on both collections and
 // fails the test on the first differing estimate.
 func estimatesEqual(t *testing.T, col, back *Collection, probe []graph.NodeID) {
@@ -79,69 +57,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	estimatesEqual(t, col, back, []graph.NodeID{0, 7, 42, 199})
 }
 
-// TestCodecCrossVersion is the compatibility matrix: a version-1 payload
-// (the pre-bump pair layout) must decode under the current codec — both at
-// the payload level and through a full persist frame stamped Version 1 —
-// and yield bit-identical estimates. A warm-state dir written by an older
-// build keeps working after upgrade.
-func TestCodecCrossVersion(t *testing.T) {
-	g, err := generate.TwoBlock(generate.DefaultTwoBlock(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := Sample(g, 4, []int{250, 350}, 19, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := encodePayloadV1(col)
-	v2 := col.EncodePayload()
-
-	back1, err := DecodePayloadVersion(1, v1, g)
-	if err != nil {
-		t.Fatalf("v1 payload rejected: %v", err)
-	}
-	estimatesEqual(t, col, back1, []graph.NodeID{3, 17, 101, 222})
-
-	// The compression claim, pinned: the v2 stream must be well under half
-	// the v1 pair layout on a realistic sketch.
-	if len(v2)*2 > len(v1) {
-		t.Fatalf("v2 payload %d bytes, not ≥2x smaller than v1's %d", len(v2), len(v1))
-	}
-
-	// Frame level: a file stamped Version 1 passes DecodeRange with the
-	// codec's floor and dispatches to the v1 layout.
-	meta := persist.Meta{Kind: CodecKind, Version: 1, Fingerprint: persist.GraphFingerprint(g)}
-	framed, err := persist.Encode(meta, v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := persist.Meta{Kind: CodecKind, Version: CodecVersion, Fingerprint: persist.GraphFingerprint(g)}
-	payload, version, err := persist.DecodeRange(framed, want, CodecMinVersion)
-	if err != nil {
-		t.Fatalf("v1 frame rejected: %v", err)
-	}
-	if version != 1 {
-		t.Fatalf("frame version = %d, want 1", version)
-	}
-	back, err := DecodePayloadVersion(version, payload, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	estimatesEqual(t, col, back, []graph.NodeID{3, 17, 101, 222})
-
-	// Versions outside the supported window stay rejected.
-	if _, err := DecodePayloadVersion(CodecVersion+1, v2, g); err == nil {
-		t.Error("future codec version accepted")
-	}
-	if _, _, err := persist.DecodeRange(framed, want, 2); !errors.Is(err, persist.ErrMismatch) {
-		t.Errorf("v1 frame below the floor: got %v, want ErrMismatch", err)
-	}
-}
-
 // TestCodecRejectsMalformedPayloads: a payload that passed the frame
 // checks but violates the Collection's structural invariants must be
-// rejected, never loaded into an index that could answer wrongly. Both
-// decoder generations are exercised against their own layouts.
+// rejected, never loaded into an index that could answer wrongly.
 func TestCodecRejectsMalformedPayloads(t *testing.T) {
 	g := generate.TwoStars()
 	col, err := Sample(g, 3, []int{50, 50}, 1, 1)
@@ -167,7 +85,7 @@ func TestCodecRejectsMalformedPayloads(t *testing.T) {
 		t.Error("payload decoded against a different graph")
 	}
 
-	// v2 header with hand-corrupted delta streams.
+	// A valid header with hand-corrupted delta streams.
 	header := func() *persist.Enc {
 		var e persist.Enc
 		e.I32(3)
@@ -200,14 +118,13 @@ func TestCodecRejectsMalformedPayloads(t *testing.T) {
 	}
 
 	// A huge per-node ref count must fail on bounds, not allocate.
-	hugeV2 := header()
-	hugeV2.Uvarint(math.MaxUint32)
-	if _, err := DecodePayload(hugeV2.Bytes(), g); !errors.Is(err, persist.ErrCorrupt) {
-		t.Errorf("oversized v2 ref count: got %v, want ErrCorrupt", err)
+	huge := header()
+	huge.Uvarint(math.MaxUint32)
+	if _, err := DecodePayload(huge.Bytes(), g); !errors.Is(err, persist.ErrCorrupt) {
+		t.Errorf("oversized ref count: got %v, want ErrCorrupt", err)
 	}
 
-	// Negative deadline and non-positive pool sizes (header validation,
-	// shared by both versions).
+	// Negative deadline and non-positive pool sizes (header validation).
 	var neg persist.Enc
 	neg.I32(-1)
 	neg.Ints([]int{2, 2})
@@ -228,70 +145,29 @@ func TestCodecRejectsMalformedPayloads(t *testing.T) {
 	if _, err := DecodePayload(zero.Bytes(), g); err == nil {
 		t.Error("zero pool size accepted")
 	}
-
-	// v1 layout violations still caught by the v1 decoder.
-	var v1oob persist.Enc
-	v1oob.I32(3)
-	v1oob.Ints([]int{2, 2})
-	v1oob.U64(uint64(g.N()))
-	v1oob.U64(1) // node 0 appears in one set...
-	v1oob.I32(0)
-	v1oob.I32(5) // ...whose index 5 is outside pool size 2
-	for v := 1; v < g.N(); v++ {
-		v1oob.U64(0)
-	}
-	if _, err := DecodePayloadVersion(1, v1oob.Bytes(), g); err == nil {
-		t.Error("out-of-range v1 set ref accepted")
-	}
-
-	var v1huge persist.Enc
-	v1huge.I32(3)
-	v1huge.Ints([]int{2, 2})
-	v1huge.U64(uint64(g.N()))
-	v1huge.U64(math.MaxUint32)
-	if _, err := DecodePayloadVersion(1, v1huge.Bytes(), g); !errors.Is(err, persist.ErrCorrupt) {
-		t.Errorf("oversized v1 ref count: got %v, want ErrCorrupt", err)
-	}
-
-	var v1dup persist.Enc
-	v1dup.I32(3)
-	v1dup.Ints([]int{2, 2})
-	v1dup.U64(uint64(g.N()))
-	v1dup.U64(2) // node 0 lists the same set twice
-	v1dup.I32(0)
-	v1dup.I32(1)
-	v1dup.I32(0)
-	v1dup.I32(1)
-	for v := 1; v < g.N(); v++ {
-		v1dup.U64(0)
-	}
-	if _, err := DecodePayloadVersion(1, v1dup.Bytes(), g); !errors.Is(err, persist.ErrCorrupt) {
-		t.Errorf("duplicate v1 set ref: got %v, want ErrCorrupt", err)
-	}
 }
 
-// FuzzDecodePayload throws arbitrary bytes at both decoder generations:
+// FuzzDecodePayload throws arbitrary bytes at the payload decoder:
 // whatever comes back must be a clean error or a structurally valid
 // Collection — never a panic, never out-of-range state. The corpus seeds
-// it with genuine payloads of both versions plus their corrupted variants.
+// it with a genuine payload and corrupted variants of it.
 func FuzzDecodePayload(f *testing.F) {
 	g := generate.TwoStars()
 	col, err := Sample(g, 3, []int{20, 20}, 7, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
-	v2 := col.EncodePayload()
-	v1 := encodePayloadV1(col)
-	f.Add(uint32(2), v2)
-	f.Add(uint32(1), v1)
-	f.Add(uint32(2), v2[:len(v2)/2])
-	f.Add(uint32(1), v1[:len(v1)/2])
-	flipped := append([]byte(nil), v2...)
+	good := col.EncodePayload()
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(good[:len(good)-1])
+	f.Add(append(append([]byte(nil), good...), 0))
+	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/2] ^= 0xff
-	f.Add(uint32(2), flipped)
-	f.Add(uint32(2), []byte{})
-	f.Fuzz(func(t *testing.T, version uint32, payload []byte) {
-		back, err := DecodePayloadVersion(version%3, payload, g)
+	f.Add(flipped)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		back, err := DecodePayload(payload, g)
 		if err != nil {
 			return
 		}

@@ -74,12 +74,18 @@ func sampleKeyFor(graphName string, version uint64, g *graph.Graph, spec fairim.
 		k.evalOnly = evalOnly
 		return k
 	}
-	if spec.Engine == fairim.EngineRIS {
-		k.budget = spec.Sampling.RISPerGroup
-	} else {
-		k.budget = spec.Sampling.Samples
-	}
+	k.budget = sampleBudget(spec)
 	return k
+}
+
+// sampleBudget is the explicit budget a spec's sketch is sized by: RR
+// sets per group for RIS, worlds for forward MC. The other engine's
+// count does not change the sketch, so neither key carries it.
+func sampleBudget(spec fairim.ProblemSpec) int {
+	if spec.Engine == fairim.EngineRIS {
+		return spec.Sampling.RISPerGroup
+	}
+	return spec.Sampling.Samples
 }
 
 // sample is the cached, immutable artifact: an RR-sketch Collection or a
@@ -108,6 +114,16 @@ func (s *sample) newEstimator(tau int32) (estimator.Estimator, error) {
 		return ris.NewEstimator(s.col), nil
 	}
 	return influence.NewEvaluator(s.g, s.worlds, tau)
+}
+
+// payload encodes the sample with its engine's codec — the one place the
+// server picks an encoder, shared by the disk tier and the sketch
+// transfer endpoint. frameMeta stamps the matching kind and version.
+func (s *sample) payload() []byte {
+	if s.col != nil {
+		return s.col.EncodePayload()
+	}
+	return cascade.EncodeWorlds(s.worlds)
 }
 
 // cacheEntry is one cache slot. ready is closed once sample/err are

@@ -180,12 +180,12 @@ func (cs *clusterState) fetchSample(ctx context.Context, key sampleKey, g *graph
 			}
 			continue
 		}
-		payload, version, err := persist.DecodeRange(data, want, minCodecVersion(key))
+		payload, err := persist.Decode(data, want)
 		if err != nil {
 			cs.c.PeerFetchErrors.Add(1)
 			continue
 		}
-		smp, err := decodeSamplePayload(key, g, payload, version)
+		smp, err := decodeSamplePayload(key, g, payload)
 		if err != nil {
 			cs.c.PeerFetchErrors.Add(1)
 			continue
@@ -210,14 +210,8 @@ func (s *Server) handleSketchGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if smp := s.cache.peek(key); smp != nil {
-		var payload []byte
-		if smp.col != nil {
-			payload = smp.col.EncodePayload()
-		} else {
-			payload = cascade.EncodeWorlds(smp.worlds)
-		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		_ = persist.EncodeTo(w, frameMeta(key, s.fpm.fingerprint(key, smp.g)), payload)
+		_ = persist.EncodeTo(w, frameMeta(key, s.fpm.fingerprint(key, smp.g)), smp.payload())
 		return
 	}
 	if s.cache.disk != nil {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fairtcim/internal/persist"
 )
 
 // startFleet starts n replicas that all know each other (each one's
@@ -108,6 +111,35 @@ func TestWireKeyRoundTrip(t *testing.T) {
 			t.Fatalf("parseWireKey(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseWireKey throws arbitrary strings at the transfer endpoint's
+// key parser: it must never panic, and a key it accepts must survive a
+// wireKey round trip unchanged — so a replica serves exactly the frame
+// the key names.
+func FuzzParseWireKey(f *testing.F) {
+	for _, k := range []sampleKey{
+		{graph: "twostars", version: 3, engine: 1, model: 0, tau: 5, budget: 10, seed: -7, epsBits: 123, deltaBits: 456, sizingK: 4},
+		{graph: "a~b/c d%e", version: 1, engine: 0, model: 1, seed: 42, evalOnly: true},
+	} {
+		f.Add(k.wireKey())
+	}
+	for _, bad := range []string{"", "a~b", "g~1~9~0~0~0~0~0~0~0~0", "g~+1~1~0~-0~0~0~0~0~0~1", "%zz~1~1~0~0~0~0~0~0~0~0"} {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		k, err := parseWireKey(s)
+		if err != nil {
+			return
+		}
+		back, err := parseWireKey(k.wireKey())
+		if err != nil {
+			t.Fatalf("accepted %q, but its wire key %q is rejected: %v", s, k.wireKey(), err)
+		}
+		if back != k {
+			t.Fatalf("accepted %q as %+v, round trip gives %+v", s, k, back)
+		}
+	})
 }
 
 // TestSketchStreamParityWithDisk pins the transfer endpoint to the disk
@@ -214,15 +246,68 @@ func TestPeerFetchColdReplica(t *testing.T) {
 	}
 }
 
-// TestPeerFetchCorruptFrame: a peer streaming garbage (or truncated
-// frames) bumps peer_fetch_errors and degrades to a local cold build —
-// the request still succeeds with a correct answer.
+// skewedFrames returns well-formed frames of the canonical test request's
+// sketch — the right kind, the right graph fingerprint, a genuine payload
+// — stamped one codec version above and one below the reader's. A control
+// decode at the reader's own version proves the version is their only
+// fault.
+func skewedFrames(t *testing.T) map[string][]byte {
+	t.Helper()
+	s, _ := newTestServer(t, Config{})
+	var req SolveRequest
+	if err := json.Unmarshal([]byte(clusterSelectBody), &req); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := req.toSpec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, version, err := s.reg.GetVersioned("twostars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := sampleKeyFor("twostars", version, g, spec, false)
+	smp, _, _, err := s.cache.SampleFor(context.Background(), key, g, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := frameMeta(key, persist.GraphFingerprint(g))
+	frame := func(version uint32) []byte {
+		m := meta
+		m.Version = version
+		var buf bytes.Buffer
+		if err := persist.EncodeTo(&buf, m, smp.payload()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	payload, err := persist.Decode(frame(meta.Version), meta)
+	if err == nil {
+		_, err = decodeSamplePayload(key, g, payload)
+	}
+	if err != nil {
+		t.Fatalf("control frame at the reader's version rejected: %v", err)
+	}
+	return map[string][]byte{
+		"version skew +1": frame(meta.Version + 1),
+		"version skew -1": frame(meta.Version - 1),
+	}
+}
+
+// TestPeerFetchCorruptFrame: a peer streaming garbage, a truncated frame
+// or a well-formed frame of another codec version bumps
+// peer_fetch_errors and degrades to a local cold build — the request
+// still succeeds with a correct answer.
 func TestPeerFetchCorruptFrame(t *testing.T) {
-	for name, frame := range map[string][]byte{
+	inputs := map[string][]byte{
 		"garbage":   []byte("definitely not a persist frame"),
 		"truncated": []byte("FTCWARM1\x02"),
 		"empty":     nil,
-	} {
+	}
+	for name, frame := range skewedFrames(t) {
+		inputs[name] = frame
+	}
+	for name, frame := range inputs {
 		t.Run(name, func(t *testing.T) {
 			fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == "/healthz" {
@@ -326,6 +411,67 @@ func ownerOf(t *testing.T, srvs []*Server, urls []string) (owner, other int) {
 	}
 	t.Fatalf("owner %q not in fleet %v", own, urls)
 	return 0, 0
+}
+
+// TestRouteKeyMatchesSampleKey: two explicitly budgeted requests route to
+// the same owner exactly when they share a sketch. The other engine's
+// budget (samples for RIS, ris_per_group for forward MC) and a forward-MC
+// τ move neither key; a pool size, a world count, a seed, a model or an
+// engine moves both.
+func TestRouteKeyMatchesSampleKey(t *testing.T) {
+	g, version, err := testRegistry(t).GetVersioned("twostars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := []string{
+		`{"engine":"ris","tau":3,"ris_per_group":4000,"samples":100}`,
+		`{"engine":"ris","tau":3,"ris_per_group":4000,"samples":300}`,
+		`{"engine":"ris","tau":3,"ris_per_group":1000}`,
+		`{"engine":"ris","tau":3,"samples":50}`,
+		`{"engine":"ris","tau":3,"ris_per_group":2000}`,
+		`{"engine":"ris","tau":4,"ris_per_group":2000}`,
+		`{"engine":"ris","tau":3,"ris_per_group":2000,"seed":2}`,
+		`{"engine":"forward-mc","tau":3,"samples":200}`,
+		`{"engine":"forward-mc","tau":3,"samples":200,"ris_per_group":999}`,
+		`{"engine":"forward-mc","tau":9,"samples":200}`,
+		`{"engine":"forward-mc","tau":3,"samples":300}`,
+		`{"engine":"forward-mc","tau":3,"samples":300,"seed":2}`,
+		`{"engine":"forward-mc","tau":3,"samples":300,"model":"lt"}`,
+		`{"engine":"forward-mc","tau":3,"samples":50}`,
+	}
+	type keys struct {
+		sample sampleKey
+		route  string
+	}
+	all := make([]keys, len(bodies))
+	for i, body := range bodies {
+		var req SolveRequest
+		if err := json.Unmarshal([]byte(`{"graph":"twostars","problem":"p1","budget":2,`+body[1:]), &req); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := req.toSpec()
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		all[i] = keys{sampleKeyFor(req.Graph, version, g, spec, false), routeKeyFor(req.Graph, spec)}
+	}
+	shared := 0
+	for i := range all {
+		for j := i + 1; j < len(all); j++ {
+			sameSketch := all[i].sample == all[j].sample
+			if sameRoute := all[i].route == all[j].route; sameSketch != sameRoute {
+				t.Errorf("%s vs %s: same sketch %v, same route %v", bodies[i], bodies[j], sameSketch, sameRoute)
+			}
+			if sameSketch {
+				shared++
+			}
+		}
+	}
+	// Pairs 0-1, 2-3 (samples 50 materializes 20·50 RR sets), 7-8 and 7-9
+	// share a sketch — and 8-9 by transitivity.
+	if shared != 5 {
+		t.Fatalf("%d pairs share a sketch, want 5", shared)
+	}
 }
 
 // TestProxyToOwner: a request landing on the non-owner is proxied to the

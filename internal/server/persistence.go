@@ -250,15 +250,6 @@ func frameMeta(key sampleKey, fp uint64) persist.Meta {
 	return m
 }
 
-// minCodecVersion is the oldest payload codec a key's engine still
-// decodes; frames from any version in [min, current] are accepted.
-func minCodecVersion(key sampleKey) uint32 {
-	if key.engine == fairim.EngineRIS {
-		return ris.CodecMinVersion
-	}
-	return cascade.WorldCodecMinVersion
-}
-
 // meta frames a key's payload for this store's graph.
 func (d *diskStore) meta(key sampleKey, g *graph.Graph) persist.Meta {
 	return frameMeta(key, d.fp.fingerprint(key, g))
@@ -266,16 +257,13 @@ func (d *diskStore) meta(key sampleKey, g *graph.Graph) persist.Meta {
 
 // load reads the persisted sample for key, if any. It returns (nil, nil)
 // when no file exists (a cold start, not an error) and an error when a
-// file exists but is unusable — the caller counts it and builds cold.
-// Frames from any codec version down to the engine's minimum are
-// accepted and decoded with the matching layout, so bumping the codec
-// never strands a state dir written by an earlier release. Beyond the
-// frame checks, the decoded sample is validated against the key's own
-// parameters (τ, explicit budgets), so even a valid file that somehow
-// landed under the wrong name cannot serve wrong answers.
+// file exists but is unusable — the caller counts it and builds cold. A
+// frame written under another codec version is unusable like any other
+// mismatch: a state dir is a cache, so a codec change costs one cold
+// build per key, never a wrong answer.
 func (d *diskStore) load(key sampleKey, g *graph.Graph) (*sample, error) {
 	path := d.fileName(key)
-	payload, version, err := persist.LoadRange(path, d.meta(key, g), minCodecVersion(key))
+	payload, err := persist.Load(path, d.meta(key, g))
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
@@ -283,18 +271,19 @@ func (d *diskStore) load(key sampleKey, g *graph.Graph) (*sample, error) {
 		return nil, err
 	}
 	d.touch(path, time.Now())
-	return decodeSamplePayload(key, g, payload, version)
+	return decodeSamplePayload(key, g, payload)
 }
 
 // decodeSamplePayload turns a verified frame payload back into a sample,
 // then validates the decoded artifact against the key's own parameters
 // (τ, explicit budgets): even a valid frame that somehow landed under the
 // wrong name — or arrived from a confused peer — cannot serve wrong
-// answers. Shared by the disk tier and the cross-replica sketch fetch,
-// so a transferred frame passes exactly the checks a local load would.
-func decodeSamplePayload(key sampleKey, g *graph.Graph, payload []byte, version uint32) (*sample, error) {
+// answers. It is the one place that picks an engine's decoder, shared by
+// the disk tier and the cross-replica sketch fetch, so a transferred
+// frame passes exactly the checks a local load would.
+func decodeSamplePayload(key sampleKey, g *graph.Graph, payload []byte) (*sample, error) {
 	if key.engine == fairim.EngineRIS {
-		col, err := ris.DecodePayloadVersion(version, payload, g)
+		col, err := ris.DecodePayload(payload, g)
 		if err != nil {
 			return nil, err
 		}
@@ -310,7 +299,7 @@ func decodeSamplePayload(key sampleKey, g *graph.Graph, payload []byte, version 
 		}
 		return &sample{g: g, col: col}, nil
 	}
-	worlds, err := cascade.DecodeWorldsVersion(version, payload, g.N())
+	worlds, err := cascade.DecodeWorlds(payload, g.N())
 	if err != nil {
 		return nil, err
 	}
@@ -340,14 +329,8 @@ func (d *diskStore) rawFrame(key sampleKey) ([]byte, bool) {
 // save writes a freshly built sample under the key's file name and runs
 // the GC over the grown store.
 func (d *diskStore) save(key sampleKey, smp *sample) error {
-	var payload []byte
-	if smp.col != nil {
-		payload = smp.col.EncodePayload()
-	} else {
-		payload = cascade.EncodeWorlds(smp.worlds)
-	}
 	path := d.fileName(key)
-	if err := persist.Save(path, d.meta(key, smp.g), payload); err != nil {
+	if err := persist.Save(path, d.meta(key, smp.g), smp.payload()); err != nil {
 		return err
 	}
 	info, err := os.Stat(path)

@@ -58,10 +58,10 @@ func decodeStrict(w http.ResponseWriter, body []byte, v any) bool {
 
 // routeKeyFor maps a decoded request onto its cluster routing key. The
 // key mirrors sampleKeyFor's normalization (RIS pins the model, forward
-// MC drops τ) so requests that would share a sketch route to the same
-// owner — but needs no graph object and no registry version: replicas
-// with skewed versions must still agree on who owns a request, and a
-// router holds no graphs at all.
+// MC drops τ, each engine keys on its own sampleBudget) so requests that
+// would share a sketch route to the same owner — but needs no graph
+// object and no registry version: replicas with skewed versions must
+// still agree on who owns a request, and a router holds no graphs at all.
 func routeKeyFor(graphName string, spec fairim.ProblemSpec) string {
 	engine, model, tau := spec.Engine, spec.Model, spec.Tau
 	if engine == fairim.EngineRIS {
@@ -74,9 +74,9 @@ func routeKeyFor(graphName string, spec fairim.ProblemSpec) string {
 		eps = math.Float64bits(acc.Epsilon)
 		delta = math.Float64bits(acc.Delta)
 	}
-	return fmt.Sprintf("%s|%d|%d|%d|%d|%d|%d|%d|%d",
+	return fmt.Sprintf("%s|%d|%d|%d|%d|%d|%d|%d",
 		graphName, int(engine), int(model), tau,
-		spec.Sampling.Samples, spec.Sampling.RISPerGroup, spec.Seed, eps, delta)
+		sampleBudget(spec), spec.Seed, eps, delta)
 }
 
 func proxyHeader() http.Header {
