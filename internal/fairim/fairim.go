@@ -101,7 +101,7 @@ type Config struct {
 	// contributes Discount^t instead of 1. Mutually exclusive with Delay.
 	Discount    float64
 	MaxSeeds    int  // safety bound for cover problems; 0 = |V|
-	PlainGreedy bool // disable CELF (ablation); output is identical
+	PlainGreedy bool // P1/P4 only: disable CELF (ablation); output is identical
 	Trace       bool // record per-iteration group utilities
 	// OnIteration, if non-nil, is called synchronously from the solver
 	// goroutine after every greedy pick with that iteration's snapshot —
@@ -450,10 +450,6 @@ func captureWarm(res submodular.Result, snap *submodular.LazySnapshot) *WarmStar
 
 func cover(obj *objective, cfg Config, g *graph.Graph, target float64) (submodular.Result, error) {
 	cands := cfg.candidates(g)
-	if cfg.PlainGreedy {
-		// Plain cover: no laziness, used only in ablations/tests.
-		return submodular.GreedyCover(obj, cands, target, cfg.maxSeeds(g))
-	}
 	initial := obj.initialGains(cands, cfg.Parallelism)
 	res, err := submodular.GreedyCoverInit(obj, cands, target, cfg.maxSeeds(g), initial)
 	res.Evaluations += len(cands)

@@ -176,18 +176,20 @@ func (o *objective) Add(v graph.NodeID) {
 func (o *objective) Value() float64 { return o.vf.value(o.cur, o.g) }
 
 // initialGains evaluates Gain for every candidate on the empty (current)
-// set in parallel, exploiting the evaluator's read-only concurrent query
-// path.
+// set, reading the per-group gains from the estimator's flat first-pass
+// buffer (filled in parallel where the engine supports it) one row at a
+// time.
 func (o *objective) initialGains(candidates []graph.NodeID, parallelism int) []float64 {
-	perGroup := o.eval.InitialGains(candidates, parallelism)
+	rows := o.eval.InitialGains(candidates, parallelism)
+	groups := len(o.cur)
 	out := make([]float64, len(candidates))
 	base := o.vf.value(o.cur, o.g)
-	next := make([]float64, len(o.cur))
-	for i, delta := range perGroup {
-		for j := range next {
-			next[j] = o.cur[j] + delta[j]
+	for i := range out {
+		delta := rows[i*groups : (i+1)*groups]
+		for j := range o.next {
+			o.next[j] = o.cur[j] + delta[j]
 		}
-		out[i] = o.vf.value(next, o.g) - base
+		out[i] = o.vf.value(o.next, o.g) - base
 	}
 	return out
 }

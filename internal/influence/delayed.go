@@ -3,10 +3,9 @@ package influence
 import (
 	"container/heap"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"fairtcim/internal/cascade"
+	"fairtcim/internal/estimator"
 	"fairtcim/internal/graph"
 )
 
@@ -244,37 +243,20 @@ func (e *DelayedEvaluator) Reset() {
 	e.seeds = e.seeds[:0]
 }
 
-// InitialGains computes GainPerGroup for every candidate in parallel; safe
+// InitialGains computes GainPerGroup for every candidate into one flat,
+// row-major buffer, in parallel chunks with one scratch per worker; safe
 // because queries only read evaluator state.
-func (e *DelayedEvaluator) InitialGains(candidates []graph.NodeID, parallelism int) [][]float64 {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(candidates) {
-		parallelism = len(candidates)
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	out := make([][]float64, len(candidates))
-	var wg sync.WaitGroup
-	work := make(chan int, len(candidates))
-	for i := range candidates {
-		work <- i
-	}
-	close(work)
-	for p := 0; p < parallelism; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := e.newScratch()
-			for i := range work {
-				g := e.gainPerGroupInto(s, candidates[i])
-				out[i] = append([]float64(nil), g...)
+func (e *DelayedEvaluator) InitialGains(candidates []graph.NodeID, parallelism int) []float64 {
+	groups := e.g.NumGroups()
+	out := make([]float64, len(candidates)*groups)
+	estimator.ParallelChunks(len(candidates), parallelism, func() func(lo, hi int) {
+		s := e.newScratch()
+		return func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				copy(out[i*groups:(i+1)*groups], e.gainPerGroupInto(s, candidates[i]))
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	return out
 }
 

@@ -141,12 +141,18 @@ func TestDelayedResetAndInitialGains(t *testing.T) {
 	if g2 := e.Gain(5); math.Abs(g2-gainBefore) > 1e-9 {
 		t.Fatalf("post-reset gain %v != %v", g2, gainBefore)
 	}
-	cands := []graph.NodeID{0, 2, 9, 20}
+	var cands []graph.NodeID
+	for len(cands) < 200 {
+		cands = append(cands, 0, 2, 9, 20)
+	}
 	par := e.InitialGains(cands, 2)
+	if len(par) != len(cands)*g.NumGroups() {
+		t.Fatalf("%d gains for %d candidates × %d groups", len(par), len(cands), g.NumGroups())
+	}
 	for i, v := range cands {
 		seq := e.GainPerGroup(v)
 		for grp := range seq {
-			if math.Abs(par[i][grp]-seq[grp]) > 1e-12 {
+			if par[i*len(seq)+grp] != seq[grp] {
 				t.Fatalf("candidate %d group %d mismatch", v, grp)
 			}
 		}

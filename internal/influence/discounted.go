@@ -231,13 +231,16 @@ func (e *DiscountedEvaluator) Reset() {
 	e.seeds = e.seeds[:0]
 }
 
-// InitialGains computes GainPerGroup for every candidate. The discounted
-// evaluator's scratch is not sharded, so this runs sequentially; the
-// discounted path is an extension, not the hot production path.
-func (e *DiscountedEvaluator) InitialGains(candidates []graph.NodeID, parallelism int) [][]float64 {
-	out := make([][]float64, len(candidates))
+// InitialGains computes GainPerGroup for every candidate into one flat,
+// row-major buffer (row i holds candidates[i]'s per-group gains). The
+// discounted evaluator's scratch is not sharded, so this runs
+// sequentially; the discounted path is an extension, not the hot
+// production path.
+func (e *DiscountedEvaluator) InitialGains(candidates []graph.NodeID, parallelism int) []float64 {
+	groups := e.g.NumGroups()
+	out := make([]float64, len(candidates)*groups)
 	for i, v := range candidates {
-		out[i] = append([]float64(nil), e.GainPerGroup(v)...)
+		copy(out[i*groups:(i+1)*groups], e.GainPerGroup(v))
 	}
 	return out
 }

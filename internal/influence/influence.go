@@ -15,10 +15,9 @@ package influence
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"fairtcim/internal/cascade"
+	"fairtcim/internal/estimator"
 	"fairtcim/internal/graph"
 )
 
@@ -249,39 +248,23 @@ func (e *Evaluator) Reset() {
 	e.seeds = e.seeds[:0]
 }
 
-// InitialGains computes GainPerGroup for every candidate in parallel and
-// returns one copied slice per candidate, in candidate order. It only
-// reads evaluator state, so it is safe before/between Adds. parallelism
-// <= 0 means GOMAXPROCS. This accelerates the expensive first CELF pass.
-func (e *Evaluator) InitialGains(candidates []graph.NodeID, parallelism int) [][]float64 {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(candidates) {
-		parallelism = len(candidates)
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	out := make([][]float64, len(candidates))
-	var wg sync.WaitGroup
-	work := make(chan int, len(candidates))
-	for i := range candidates {
-		work <- i
-	}
-	close(work)
-	for p := 0; p < parallelism; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := e.NewScratch()
-			for i := range work {
-				g := e.GainPerGroupInto(s, candidates[i])
-				out[i] = append([]float64(nil), g...)
+// InitialGains computes GainPerGroup for every candidate into one flat,
+// row-major buffer: row i, out[i·G:(i+1)·G], holds candidates[i]'s
+// per-group gains. Workers claim chunks of rows, each with one Scratch. It
+// only reads evaluator state, so it is safe before/between Adds.
+// parallelism <= 0 means GOMAXPROCS. This accelerates the expensive first
+// CELF pass.
+func (e *Evaluator) InitialGains(candidates []graph.NodeID, parallelism int) []float64 {
+	groups := e.g.NumGroups()
+	out := make([]float64, len(candidates)*groups)
+	estimator.ParallelChunks(len(candidates), parallelism, func() func(lo, hi int) {
+		s := e.NewScratch()
+		return func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				copy(out[i*groups:(i+1)*groups], e.GainPerGroupInto(s, candidates[i]))
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	return out
 }
 

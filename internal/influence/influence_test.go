@@ -272,13 +272,22 @@ func TestInitialGainsMatchSequential(t *testing.T) {
 	g := randomGrouped(8, 40, 3, 0.08, 0.4)
 	e := newEval(t, g, 4, 20, 8)
 	e.Add(0)
-	cands := []graph.NodeID{1, 5, 9, 13, 22, 31}
-	par := e.InitialGains(cands, 4)
-	for i, v := range cands {
-		seq := e.GainPerGroup(v)
-		for grp := range seq {
-			if math.Abs(par[i][grp]-seq[grp]) > 1e-12 {
-				t.Fatalf("candidate %d group %d: parallel %v vs sequential %v", v, grp, par[i][grp], seq[grp])
+	// Enough candidates (repeats allowed) for several parallel chunks.
+	var cands []graph.NodeID
+	for len(cands) < 300 {
+		cands = append(cands, 1, 5, 9, 13, 22, 31)
+	}
+	for _, parallelism := range []int{1, 4} {
+		par := e.InitialGains(cands, parallelism)
+		if len(par) != len(cands)*g.NumGroups() {
+			t.Fatalf("parallelism %d: %d gains for %d candidates × %d groups", parallelism, len(par), len(cands), g.NumGroups())
+		}
+		for i, v := range cands {
+			seq := e.GainPerGroup(v)
+			for grp := range seq {
+				if got := par[i*len(seq)+grp]; got != seq[grp] {
+					t.Fatalf("parallelism %d candidate %d group %d: parallel %v vs sequential %v", parallelism, v, grp, got, seq[grp])
+				}
 			}
 		}
 	}

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"fairtcim/internal/estimator"
 	"fairtcim/internal/graph"
 	"fairtcim/internal/xrand"
 )
@@ -294,7 +295,7 @@ func (c *Collection) NumRefs() int { return len(c.refs) }
 // can run on RIS estimates instead of forward Monte Carlo.
 //
 // Estimator methods are not safe for concurrent use except InitialGains,
-// which shards its scratch per worker and only reads coverage state. The
+// whose workers only read coverage state and write disjoint rows. The
 // per-estimator coverage state is cheap relative to the Collection, so
 // concurrent solves should each construct their own Estimator over the
 // shared, read-only Collection.
@@ -364,39 +365,27 @@ func (e *Estimator) gainPerGroupInto(delta []float64, v graph.NodeID) []float64 
 	return delta
 }
 
-// InitialGains computes GainPerGroup for every candidate in parallel and
-// returns one copied slice per candidate, in candidate order. It only
-// reads estimator state, so it is safe before/between Adds. parallelism
-// <= 0 means GOMAXPROCS.
-func (e *Estimator) InitialGains(candidates []graph.NodeID, parallelism int) [][]float64 {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(candidates) {
-		parallelism = len(candidates)
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	out := make([][]float64, len(candidates))
-	var wg sync.WaitGroup
-	work := make(chan int, len(candidates))
-	for i := range candidates {
-		work <- i
-	}
-	close(work)
-	for p := 0; p < parallelism; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			delta := make([]float64, len(e.c.poolSize))
-			for i := range work {
-				g := e.gainPerGroupInto(delta, candidates[i])
-				out[i] = append([]float64(nil), g...)
+// InitialGains computes GainPerGroup for every candidate into one flat,
+// row-major buffer: row i, out[i·G:(i+1)·G], holds candidates[i]'s
+// per-group gains. Only nodes in the inverted index are evaluated; a node
+// in no RR set covers nothing, so its row stays 0. Rows are filled in
+// parallel chunks straight from the index, with no scratch. It only reads
+// estimator state, so it is safe before/between Adds. parallelism <= 0
+// means GOMAXPROCS.
+func (e *Estimator) InitialGains(candidates []graph.NodeID, parallelism int) []float64 {
+	c := e.c
+	groups := len(c.poolSize)
+	out := make([]float64, len(candidates)*groups)
+	estimator.ParallelChunks(len(candidates), parallelism, func() func(lo, hi int) {
+		return func(lo, hi int) {
+			for i, v := range candidates[lo:hi] {
+				if c.off[v] < c.off[v+1] {
+					row := (lo + i) * groups
+					e.gainPerGroupInto(out[row:row+groups], v)
+				}
 			}
-		}()
-	}
-	wg.Wait()
+		}
+	})
 	return out
 }
 

@@ -8,7 +8,6 @@
 package submodular
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 
@@ -121,18 +120,67 @@ type LazySnapshot struct {
 	Round int
 }
 
+// celfHeap is a max-heap of LazyItems by Gain. Its sift steps are
+// container/heap's, comparison for comparison and swap for swap, so equal
+// gains resolve by array position exactly as they would through
+// heap.Init/Push/Pop; being typed, it moves items without boxing each one
+// in an interface.
 type celfHeap []LazyItem
 
-func (h celfHeap) Len() int            { return len(h) }
-func (h celfHeap) Less(i, j int) bool  { return h[i].Gain > h[j].Gain }
-func (h celfHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *celfHeap) Push(x interface{}) { *h = append(*h, x.(LazyItem)) }
-func (h *celfHeap) Pop() interface{} {
+func (h celfHeap) less(i, j int) bool { return h[i].Gain > h[j].Gain }
+
+// init establishes the heap invariant (container/heap.Init).
+func (h celfHeap) init() {
+	n := len(h)
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i, n)
+	}
+}
+
+// push adds it to the heap (container/heap.Push).
+func (h *celfHeap) push(it LazyItem) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the item with the largest Gain
+// (container/heap.Pop).
+func (h *celfHeap) pop() LazyItem {
 	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+	return old[n]
+}
+
+func (h celfHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h celfHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // LazyGreedyMax runs CELF (Leskovec et al. 2007): because marginal gains
@@ -141,23 +189,18 @@ func (h *celfHeap) Pop() interface{} {
 // re-scanning everyone. Identical output to GreedyMax on exact objectives,
 // typically with far fewer Gain calls.
 func LazyGreedyMax(obj Objective, candidates []graph.NodeID, budget int) (Result, error) {
-	return LazyGreedyMaxInit(obj, candidates, budget, nil)
-}
-
-// LazyGreedyMaxInit is LazyGreedyMax with optionally precomputed initial
-// gains (initial[i] = obj.Gain(candidates[i]) on the empty set), letting
-// callers parallelize the expensive first pass. Pass nil to compute them
-// here.
-func LazyGreedyMaxInit(obj Objective, candidates []graph.NodeID, budget int, initial []float64) (Result, error) {
-	res, _, err := LazyGreedyMaxCapture(obj, candidates, budget, initial)
+	res, _, err := LazyGreedyMaxCapture(obj, candidates, budget, nil)
 	return res, err
 }
 
-// LazyGreedyMaxCapture is LazyGreedyMaxInit that additionally returns the
-// final CELF state, so a later call can extend the run to a larger budget
-// without redoing the committed picks (seed-set prefix memoization). The
-// snapshot is nil when the run ended early — error, exhausted candidates,
-// or zero best gain — because such a run has nothing useful to extend.
+// LazyGreedyMaxCapture is LazyGreedyMax with optionally precomputed
+// initial gains (initial[i] = obj.Gain(candidates[i]) on the current set,
+// letting callers parallelize the expensive first pass; nil computes them
+// here) that additionally returns the final CELF state, so a later call
+// can extend the run to a larger budget without redoing the committed
+// picks (seed-set prefix memoization). The snapshot is nil when the run
+// ended early — error, exhausted candidates, or zero best gain — because
+// such a run has nothing useful to extend.
 func LazyGreedyMaxCapture(obj Objective, candidates []graph.NodeID, budget int, initial []float64) (Result, *LazySnapshot, error) {
 	if budget < 0 {
 		return Result{}, nil, fmt.Errorf("submodular: negative budget %d", budget)
@@ -180,7 +223,7 @@ func LazyGreedyMaxCapture(obj Objective, candidates []graph.NodeID, budget int, 
 		}
 		h = append(h, LazyItem{Node: v, Gain: g, Round: 0})
 	}
-	heap.Init(&h)
+	h.init()
 	return lazyRun(obj, h, 0, budget, res)
 }
 
@@ -208,15 +251,15 @@ func LazyGreedyMaxResume(obj Objective, snap *LazySnapshot, budget int) (Result,
 // lazyRun is the shared CELF pick loop: up to budget picks starting at the
 // given round, over an already-initialized heap. It owns h from here on.
 func lazyRun(obj Objective, h celfHeap, round, budget int, res Result) (Result, *LazySnapshot, error) {
-	for len(res.Seeds) < budget && h.Len() > 0 {
-		top := heap.Pop(&h).(LazyItem)
+	for len(res.Seeds) < budget && len(h) > 0 {
+		top := h.pop()
 		if top.Round != round {
 			top.Gain = obj.Gain(top.Node)
 			res.Evaluations++
 			top.Round = round
 			// Re-insert unless it is still clearly the best.
-			if h.Len() > 0 && top.Gain < h[0].Gain {
-				heap.Push(&h, top)
+			if len(h) > 0 && top.Gain < h[0].Gain {
+				h.push(top)
 				continue
 			}
 		}
@@ -232,7 +275,7 @@ func lazyRun(obj Objective, h celfHeap, round, budget int, res Result) (Result, 
 		}
 		round++
 	}
-	if h.Len() == 0 {
+	if len(h) == 0 {
 		return res, nil, nil
 	}
 	return res, &LazySnapshot{Items: h, Round: round}, nil
@@ -251,7 +294,7 @@ func GreedyCover(obj Objective, candidates []graph.NodeID, target float64, maxSe
 }
 
 // GreedyCoverInit is GreedyCover with optionally precomputed initial gains;
-// see LazyGreedyMaxInit.
+// see LazyGreedyMaxCapture.
 func GreedyCoverInit(obj Objective, candidates []graph.NodeID, target float64, maxSeeds int, initial []float64) (Result, error) {
 	if initial != nil && len(initial) != len(candidates) {
 		return Result{}, fmt.Errorf("submodular: %d initial gains for %d candidates", len(initial), len(candidates))
@@ -274,20 +317,20 @@ func GreedyCoverInit(obj Objective, candidates []graph.NodeID, target float64, m
 		}
 		h = append(h, LazyItem{Node: v, Gain: g, Round: 0})
 	}
-	heap.Init(&h)
+	h.init()
 	round := 0
-	for h.Len() > 0 {
+	for len(h) > 0 {
 		if maxSeeds > 0 && len(res.Seeds) >= maxSeeds {
 			return res, fmt.Errorf("%w: %d seeds reached value %v < target %v",
 				ErrCoverInfeasible, len(res.Seeds), obj.Value(), target)
 		}
-		top := heap.Pop(&h).(LazyItem)
+		top := h.pop()
 		if top.Round != round {
 			top.Gain = obj.Gain(top.Node)
 			res.Evaluations++
 			top.Round = round
-			if h.Len() > 0 && top.Gain < h[0].Gain {
-				heap.Push(&h, top)
+			if len(h) > 0 && top.Gain < h[0].Gain {
+				h.push(top)
 				continue
 			}
 		}
