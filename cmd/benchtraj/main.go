@@ -1,12 +1,12 @@
 // Command benchtraj records the serving hot-path benchmark trajectory:
 // it drives the same micro-benchmarks CI gates on — RR-set sampling,
-// world sampling, sketch encode/decode, cold and prefix-extended solves,
-// and the warm HTTP serve path — through testing.Benchmark and writes the
-// numbers (ns/op, allocs/op, bytes/op, frame sizes, derived ratios) as a
-// BENCH_<n>.json checkpoint. It also drives the batched query planner's
-// sustained-load mix — 16 concurrent mixed specs answered by one
-// SolveBatch versus sixteen per-query solves — verifying the two paths
-// agree bit for bit before timing either.
+// world sampling, sketch encode/decode, a weight-only graph update, cold
+// and prefix-extended solves, and the warm HTTP serve path — through
+// testing.Benchmark and writes the numbers (ns/op, allocs/op, bytes/op,
+// frame sizes, derived ratios) as a BENCH_<n>.json checkpoint. It also
+// drives the batched query planner's sustained-load mix — 16 concurrent
+// mixed specs answered by one SolveBatch versus sixteen per-query solves
+// — verifying the two paths agree bit for bit before timing either.
 //
 //	go run ./cmd/benchtraj -out BENCH_6.json          # refresh the checkpoint
 //	go run ./cmd/benchtraj -check BENCH_6.json        # CI: fail on regression
@@ -28,6 +28,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
@@ -209,6 +210,16 @@ func measure() (*Trajectory, error) {
 	traj.Sizes["worlds_frame_v2_bytes"] = int64(len(worldsPayload))
 	traj.Sizes["worlds_frame_v1_bytes"] = worldsV1Bytes(worlds, g.N())
 
+	// --- graph update: re-weight 8 existing arcs ---
+	update := reweightDelta(g)
+	traj.Metrics["graph_apply_delta"] = bench(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := g.ApplyDelta(update); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
 	// --- solve: cold vs prefix-extended ---
 	spec := func() fairim.ProblemSpec {
 		return fairim.ProblemSpec{
@@ -283,6 +294,19 @@ func measure() (*Trajectory, error) {
 	traj.Derived["prefix_extend_speedup"] = float64(traj.Metrics["solve_cold_k50"].NsOp) / float64(traj.Metrics["solve_prefix_extend_k25_k50"].NsOp)
 	traj.Derived["planner_batch_speedup"] = float64(traj.Metrics["planner_per_query_16"].NsOp) / float64(traj.Metrics["planner_batched_16"].NsOp)
 	return traj, nil
+}
+
+// reweightDelta halves the probability of eight distinct existing arcs of
+// g, picked with a fixed seed: the weight-only update a dynamic graph
+// sees most.
+func reweightDelta(g *graph.Graph) graph.Delta {
+	offsets, targets, probs := g.OutCSR()
+	var d graph.Delta
+	for _, pos := range xrand.New(1).Perm(len(targets))[:8] {
+		from := sort.Search(g.N(), func(v int) bool { return int(offsets[v+1]) > pos })
+		d.Edges = append(d.Edges, graph.EdgeDelta{From: graph.NodeID(from), To: targets[pos], P: probs[pos] / 2})
+	}
+	return d
 }
 
 // plannerSpecs is the sustained-load planner mix: 16 concurrent queries

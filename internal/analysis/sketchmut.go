@@ -12,7 +12,9 @@ import (
 // fresh values via composite literals); everywhere else, assigning to a
 // field of either type through a pointer — or storing into one of their
 // CSR backing slices, including slices obtained from aliasing accessors
-// like Graph.OutCSR — is an error, not a style problem.
+// like Graph.OutCSR — is an error, not a style problem. Inside the
+// allowlist, an index write through a value copy is an error too: the
+// copy shares its source's arrays, which ApplyDelta relies on.
 var SketchMut = &Analyzer{
 	Name: "sketchmut",
 	Doc:  "flag writes to ris.Collection / graph.Graph snapshots outside their construction allowlist",
@@ -150,23 +152,41 @@ func checkWriteMut(pass *Pass, fn *ast.FuncDecl, tainted map[types.Object]string
 	if p == nil {
 		return
 	}
+	valueCopy := isLocalValue(pass, sel.X)
 	if p.allow[fn.Name.Name] {
+		// Constructors may store fields, but an index write through a
+		// local value copy (`out := *g; out.probs[i] = p`) patches the
+		// backing array the copy still shares with g.
+		if indexWrite && valueCopy {
+			pass.Reportf(sel.Pos(),
+				"index write to %s.%s field %s through a value copy lands in the array it shares with the source snapshot; patch a clone, then store it",
+				p.pkgPath, p.name, sel.Sel.Name)
+		}
 		return
 	}
 	// Writing a field of a local *value* copy before it is published is
 	// construction, not mutation (refresh's `nc := *c; nc.g = newG`
 	// pattern) — but only for direct field stores: an index write into a
 	// copied struct still lands in the shared backing array.
-	if !indexWrite {
-		if base, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-			if _, isPtr := pass.TypesInfo.TypeOf(base).(*types.Pointer); !isPtr {
-				if v, ok := pass.TypesInfo.Uses[base].(*types.Var); ok && !v.IsField() {
-					return
-				}
-			}
-		}
+	if valueCopy && !indexWrite {
+		return
 	}
 	pass.Reportf(sel.Pos(),
 		"write to %s.%s field %s outside its construction allowlist (%s is immutable once published)",
 		p.pkgPath, p.name, sel.Sel.Name, p.name)
+}
+
+// isLocalValue reports whether x is a local variable or parameter held by
+// value, not by pointer: for a protected type, a copy of a snapshot whose
+// slice fields still share the snapshot's arrays.
+func isLocalValue(pass *Pass, x ast.Expr) bool {
+	base, ok := ast.Unparen(x).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	if _, isPtr := pass.TypesInfo.TypeOf(base).(*types.Pointer); isPtr {
+		return false
+	}
+	v, ok := pass.TypesInfo.Uses[base].(*types.Var)
+	return ok && !v.IsField()
 }

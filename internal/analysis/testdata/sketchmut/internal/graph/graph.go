@@ -21,11 +21,13 @@ func Build(n int) *Graph {
 	return g
 }
 
-// ApplyDelta rebuilds via the value-copy idiom: writes land in a fresh
-// copy before publication, and the function is allowlisted anyway.
+// ApplyDelta rebuilds via the value-copy idiom: field stores land in a
+// fresh copy before publication, and the function is allowlisted anyway.
+// An index write through the copy still lands in g's array.
 func (g *Graph) ApplyDelta(off []int32) *Graph {
 	ng := *g
-	ng.outOff = off // ok: allowlisted + value copy
+	ng.outOff = off   // ok: allowlisted + value copy
+	ng.targets[0] = 1 // want `index write to fairtcim/internal/graph\.Graph field targets through a value copy lands in the array it shares with the source snapshot`
 	return &ng
 }
 

@@ -1,8 +1,12 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+
+	"fairtcim/internal/xrand"
 )
 
 // Dynamic-graph deltas. A Graph is immutable; evolving a network means
@@ -55,7 +59,7 @@ type DeltaResult struct {
 	GroupsChanged int
 
 	// TouchedArcs are the directed edges whose presence or probability
-	// changed, deduplicated.
+	// changed, deduplicated and sorted by (From, To).
 	TouchedArcs []Arc
 	// TouchedHeads are the distinct head nodes (To endpoints) of
 	// TouchedArcs, sorted ascending — the dirty frontier for reverse-
@@ -69,14 +73,22 @@ type DeltaResult struct {
 // upsert probabilities must lie in (0,1], removals must name existing
 // edges, group labels must stay dense with every group non-empty, and a
 // batch may not name the same edge twice.
+//
+// The new snapshot costs what the batch changes: it shares every array
+// the batch leaves unchanged with g. A weight-only batch copies and
+// patches just the probability and threshold arrays; a batch that adds or
+// removes arcs merges its sorted changes into each direction's CSR in one
+// pass; the group index is rebuilt only when a label actually changes.
+// The result is identical to a Builder rebuild of the new edge set fed in
+// forward-CSR order, ExpectedLiveEdges included.
 func (g *Graph) ApplyDelta(d Delta) (*Graph, *DeltaResult, error) {
 	if d.Empty() {
 		return nil, nil, fmt.Errorf("graph: empty delta")
 	}
-	n := g.N()
-	changes := make(map[Arc]EdgeDelta, len(d.Edges))
-	for _, e := range d.Edges {
-		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
+	n := NodeID(g.N())
+	changes := make([]arcChange, len(d.Edges))
+	for i, e := range d.Edges {
+		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
 			return nil, nil, fmt.Errorf("graph: delta edge (%d,%d) out of range [0,%d)", e.From, e.To, n)
 		}
 		if e.Remove {
@@ -86,104 +98,194 @@ func (g *Graph) ApplyDelta(d Delta) (*Graph, *DeltaResult, error) {
 		} else if e.P <= 0 || e.P > 1 {
 			return nil, nil, fmt.Errorf("graph: delta edge %d->%d probability %v outside (0,1]", e.From, e.To, e.P)
 		}
-		a := Arc{From: e.From, To: e.To}
-		if _, dup := changes[a]; dup {
-			return nil, nil, fmt.Errorf("graph: delta names edge %d->%d twice", e.From, e.To)
+		changes[i] = arcChange{row: e.From, col: e.To, p: e.P, remove: e.Remove}
+	}
+	// Sorted by (From, To), a duplicate sits next to its twin and the
+	// changes come in forward-CSR order.
+	slices.SortFunc(changes, byRowCol)
+	for i := 1; i < len(changes); i++ {
+		if byRowCol(changes[i-1], changes[i]) == 0 {
+			return nil, nil, fmt.Errorf("graph: delta names edge %d->%d twice", changes[i].row, changes[i].col)
 		}
-		changes[a] = e
 	}
 
+	// Locate each change in its forward row. No-op restatements drop out
+	// here; what is left are the edits, still in forward-CSR order.
 	res := &DeltaResult{}
-
-	// Stream the old forward CSR, dropping removals and rewriting updated
-	// probabilities in place; additions are appended afterwards. Every
-	// consumed change is deleted from the map so leftovers diagnose
-	// removals of edges that never existed.
-	from := make([]NodeID, 0, g.M()+len(changes))
-	to := make([]NodeID, 0, g.M()+len(changes))
-	probs := make([]float64, 0, g.M()+len(changes))
-	offsets, targets, oldProbs := g.OutCSR()
-	for u := 0; u < n; u++ {
-		for i := offsets[u]; i < offsets[u+1]; i++ {
-			a := Arc{From: NodeID(u), To: targets[i]}
-			ch, hit := changes[a]
-			if !hit {
-				from = append(from, a.From)
-				to = append(to, a.To)
-				probs = append(probs, oldProbs[i])
-				continue
-			}
-			delete(changes, a)
-			if ch.Remove {
-				res.EdgesRemoved++
-				res.TouchedArcs = append(res.TouchedArcs, a)
-				continue
-			}
-			from = append(from, a.From)
-			to = append(to, a.To)
-			probs = append(probs, ch.P)
-			if ch.P != oldProbs[i] {
-				res.EdgesUpdated++
-				res.TouchedArcs = append(res.TouchedArcs, a)
-			}
+	edits := changes[:0]
+	for _, c := range changes {
+		pos, found := locate(g.outOffsets, g.outTargets, c.row, c.col)
+		switch {
+		case c.remove && !found:
+			return nil, nil, fmt.Errorf("graph: delta removes nonexistent edge %d->%d", c.row, c.col)
+		case c.remove:
+			res.EdgesRemoved++
+		case !found:
+			c.add = true
+			res.EdgesAdded++
+		case c.p != g.outProbs[pos]:
+			res.EdgesUpdated++
+		default:
+			continue
 		}
-	}
-	for a, ch := range changes {
-		if ch.Remove {
-			return nil, nil, fmt.Errorf("graph: delta removes nonexistent edge %d->%d", a.From, a.To)
-		}
-		from = append(from, a.From)
-		to = append(to, a.To)
-		probs = append(probs, ch.P)
-		res.EdgesAdded++
-		res.TouchedArcs = append(res.TouchedArcs, a)
+		c.pos = pos
+		edits = append(edits, c)
 	}
 
-	labels := make([]int, n)
-	for v := 0; v < n; v++ {
-		labels[v] = g.Group(NodeID(v))
-	}
 	for _, gd := range d.Groups {
-		if gd.Node < 0 || int(gd.Node) >= n {
+		if gd.Node < 0 || gd.Node >= n {
 			return nil, nil, fmt.Errorf("graph: delta group change for node %d out of range [0,%d)", gd.Node, n)
 		}
 		if gd.Group < 0 {
 			return nil, nil, fmt.Errorf("graph: delta assigns node %d negative group %d", gd.Node, gd.Group)
 		}
-		if labels[gd.Node] != gd.Group {
-			labels[gd.Node] = gd.Group
-			res.GroupsChanged++
-		}
 	}
-
-	b := NewBuilder(n)
-	if err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("graph: applying delta: %v", r)
+	// Labels are copied only once some group delta changes one; until
+	// then the current label is g's.
+	var labels []int
+	for _, gd := range d.Groups {
+		cur := int(g.groups[gd.Node])
+		if labels != nil {
+			cur = labels[gd.Node]
+		}
+		if cur == gd.Group {
+			continue
+		}
+		if labels == nil {
+			labels = make([]int, n)
+			for v, l := range g.groups {
+				labels[v] = int(l)
 			}
-		}()
-		b.SetGroups(labels)
-		for i := range from {
-			b.AddEdge(from[i], to[i], probs[i])
 		}
-		return nil
-	}(); err != nil {
-		return nil, nil, err
-	}
-	out, err := b.Build()
-	if err != nil {
-		return nil, nil, err
+		labels[gd.Node] = gd.Group
+		res.GroupsChanged++
 	}
 
-	sort.Slice(res.TouchedArcs, func(i, j int) bool {
-		if res.TouchedArcs[i].From != res.TouchedArcs[j].From {
-			return res.TouchedArcs[i].From < res.TouchedArcs[j].From
+	out := *g
+	if labels != nil {
+		if err := out.buildGroupIndex(labels); err != nil {
+			return nil, nil, err
 		}
-		return res.TouchedArcs[i].To < res.TouchedArcs[j].To
-	})
-	res.TouchedHeads = headsOf(res.TouchedArcs)
-	return out, res, nil
+	}
+	m := g.M() + res.EdgesAdded - res.EdgesRemoved
+	if m > math.MaxInt32 {
+		// CSR offsets are int32; shard graphs beyond 2^31-1 directed edges.
+		return nil, nil, fmt.Errorf("graph: %d edges exceed the int32 CSR offset range", m)
+	}
+	if len(edits) > 0 {
+		res.TouchedArcs = make([]Arc, len(edits))
+		for i, c := range edits {
+			res.TouchedArcs[i] = Arc{From: c.row, To: c.col}
+		}
+		res.TouchedHeads = headsOf(res.TouchedArcs)
+	}
+
+	switch {
+	case len(edits) == 0:
+	case res.EdgesAdded == 0 && res.EdgesRemoved == 0:
+		// Re-weights only: the offsets and targets stay shared.
+		outProbs, outThresh := slices.Clone(g.outProbs), slices.Clone(g.outThresh)
+		inProbs, inThresh := slices.Clone(g.inProbs), slices.Clone(g.inThresh)
+		for _, c := range edits {
+			t := xrand.Threshold53(c.p)
+			outProbs[c.pos], outThresh[c.pos] = c.p, t
+			pos, _ := locate(g.inOffsets, g.inTargets, c.col, c.row)
+			inProbs[pos], inThresh[pos] = c.p, t
+		}
+		out.outProbs, out.outThresh, out.inProbs, out.inThresh = outProbs, outThresh, inProbs, inThresh
+	default:
+		out.outOffsets, out.outTargets, out.outProbs, out.outThresh =
+			mergeCSR(g.outOffsets, g.outTargets, g.outProbs, g.outThresh, edits, m)
+		// The reverse CSR takes the same edits keyed by head, in
+		// (To, From) order.
+		for i := range edits {
+			edits[i].row, edits[i].col = edits[i].col, edits[i].row
+		}
+		slices.SortFunc(edits, byRowCol)
+		for i := range edits {
+			edits[i].pos, _ = locate(g.inOffsets, g.inTargets, edits[i].row, edits[i].col)
+		}
+		out.inOffsets, out.inTargets, out.inProbs, out.inThresh =
+			mergeCSR(g.inOffsets, g.inTargets, g.inProbs, g.inThresh, edits, m)
+	}
+	// Summed in forward-CSR order, as Build sums a Builder fed that way.
+	sum := 0.0
+	for _, p := range out.outProbs {
+		sum += p
+	}
+	out.sumProbs = sum
+	return &out, res, nil
+}
+
+// arcChange is one edge change of a batch, in one direction's CSR: row
+// and col are its endpoints there (From and To in the forward CSR, To and
+// From in the reverse one), and pos is the index of the arc in that CSR's
+// arrays, or for an added arc the index it is inserted before.
+type arcChange struct {
+	row, col NodeID
+	p        float64
+	remove   bool
+	add      bool
+	pos      int32
+}
+
+func byRowCol(a, b arcChange) int {
+	if c := cmp.Compare(a.row, b.row); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.col, b.col)
+}
+
+// locate binary-searches row's sorted slice of one direction's CSR for
+// col. It returns the arc's index and true, or the index where it would be
+// inserted and false.
+func locate(offsets []int32, targets []NodeID, row, col NodeID) (int32, bool) {
+	lo, hi := offsets[row], offsets[row+1]
+	i, found := slices.BinarySearch(targets[lo:hi], col)
+	return lo + int32(i), found
+}
+
+// mergeCSR returns one direction's CSR arrays with the located edits,
+// sorted by (row, col), applied: runs of untouched arcs are copied in bulk
+// with their thresholds, added and re-weighted arcs get fresh thresholds,
+// and removed arcs are skipped. m is the new arc count.
+func mergeCSR(offsets []int32, targets []NodeID, probs []float64, thresh []uint64, edits []arcChange, m int) ([]int32, []NodeID, []float64, []uint64) {
+	n := len(offsets) - 1
+	newOffsets := make([]int32, n+1)
+	shift, e := int32(0), 0
+	for v := 0; v <= n; v++ {
+		for ; e < len(edits) && int(edits[e].row) < v; e++ {
+			if edits[e].add {
+				shift++
+			} else if edits[e].remove {
+				shift--
+			}
+		}
+		newOffsets[v] = offsets[v] + shift
+	}
+
+	newTargets := make([]NodeID, m)
+	newProbs := make([]float64, m)
+	newThresh := make([]uint64, m)
+	r, w := int32(0), int32(0) // read index in the old arrays, write index in the new
+	for _, c := range edits {
+		copy(newTargets[w:], targets[r:c.pos])
+		copy(newProbs[w:], probs[r:c.pos])
+		copy(newThresh[w:], thresh[r:c.pos])
+		w += c.pos - r
+		r = c.pos
+		if !c.add {
+			r++ // the edit replaces or removes the arc at pos
+		}
+		if !c.remove {
+			newTargets[w], newProbs[w], newThresh[w] = c.col, c.p, xrand.Threshold53(c.p)
+			w++
+		}
+	}
+	copy(newTargets[w:], targets[r:])
+	copy(newProbs[w:], probs[r:])
+	copy(newThresh[w:], thresh[r:])
+	return newOffsets, newTargets, newProbs, newThresh
 }
 
 // headsOf extracts the distinct To endpoints, sorted ascending.
@@ -195,12 +297,6 @@ func headsOf(arcs []Arc) []NodeID {
 	for _, a := range arcs {
 		heads = append(heads, a.To)
 	}
-	sort.Slice(heads, func(i, j int) bool { return heads[i] < heads[j] })
-	out := heads[:1]
-	for _, h := range heads[1:] {
-		if h != out[len(out)-1] {
-			out = append(out, h)
-		}
-	}
-	return out
+	slices.Sort(heads)
+	return slices.Compact(heads)
 }

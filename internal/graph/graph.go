@@ -15,6 +15,13 @@
 // the same way (group→members CSR), making GroupMembers an O(1) subslice
 // instead of an O(N) scan. Accessors return subslices of the shared
 // arrays; callers must not modify them.
+//
+// Snapshots share arrays. WithGroups shares the whole adjacency with its
+// source, and ApplyDelta shares every array a batch leaves unchanged: a
+// weight-only update copies just the four probability and threshold
+// arrays, and an edge-only update keeps the group index. A write through
+// an accessor slice would therefore change every snapshot holding that
+// array, not just the one it was read from.
 package graph
 
 import (
@@ -164,26 +171,11 @@ func (g *Graph) WithGroups(labels []int) (*Graph, error) {
 	if len(labels) != g.N() {
 		return nil, fmt.Errorf("graph: %d labels for %d nodes", len(labels), g.N())
 	}
-	groups, sizes, k, err := normalizeGroups(labels)
-	if err != nil {
+	out := *g
+	if err := out.buildGroupIndex(labels); err != nil {
 		return nil, err
 	}
-	out := &Graph{
-		outOffsets: g.outOffsets,
-		outTargets: g.outTargets,
-		outProbs:   g.outProbs,
-		inOffsets:  g.inOffsets,
-		inTargets:  g.inTargets,
-		inProbs:    g.inProbs,
-		outThresh:  g.outThresh,
-		inThresh:   g.inThresh,
-		groups:     groups,
-		numGroups:  k,
-		groupSizes: sizes,
-		sumProbs:   g.sumProbs,
-	}
-	out.buildGroupIndex()
-	return out, nil
+	return &out, nil
 }
 
 // Stats summarises the structure of a grouped graph; used by generators'
@@ -293,18 +285,13 @@ func (b *Builder) AddUndirected(u, v NodeID, p float64) {
 // Build finalizes the graph into CSR form. Duplicate directed edges are
 // rejected; self loops are allowed but pointless under IC.
 func (b *Builder) Build() (*Graph, error) {
-	groups, sizes, k, err := normalizeGroups(b.groups)
-	if err != nil {
+	g := &Graph{}
+	if err := g.buildGroupIndex(b.groups); err != nil {
 		return nil, err
 	}
 	if len(b.from) > math.MaxInt32 {
 		// CSR offsets are int32; shard graphs beyond 2^31-1 directed edges.
 		return nil, fmt.Errorf("graph: %d edges exceed the int32 CSR offset range", len(b.from))
-	}
-	g := &Graph{
-		groups:     groups,
-		numGroups:  k,
-		groupSizes: sizes,
 	}
 	g.outOffsets, g.outTargets, g.outProbs = buildCSR(b.n, b.from, b.to, b.p)
 	g.inOffsets, g.inTargets, g.inProbs = buildCSR(b.n, b.to, b.from, b.p)
@@ -318,7 +305,6 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	g.outThresh = thresholds(g.outProbs)
 	g.inThresh = thresholds(g.inProbs)
-	g.buildGroupIndex()
 	return g, nil
 }
 
@@ -360,10 +346,14 @@ func buildCSR(n int, src, dst []NodeID, p []float64) ([]int32, []NodeID, []float
 		probs[pos] = p[i]
 		fill[u]++
 	}
+	// One sorter serves every row: a fresh value per row would be boxed
+	// into sort.Interface, one allocation per row.
+	rows := &pairSorter{}
 	for v := 0; v < n; v++ {
 		lo, hi := offsets[v], offsets[v+1]
 		if hi-lo > 1 {
-			sort.Sort(pairSorter{t: targets[lo:hi], p: probs[lo:hi]})
+			rows.t, rows.p = targets[lo:hi], probs[lo:hi]
+			sort.Sort(rows)
 		}
 	}
 	return offsets, targets, probs
@@ -375,29 +365,35 @@ type pairSorter struct {
 	p []float64
 }
 
-func (s pairSorter) Len() int           { return len(s.t) }
-func (s pairSorter) Less(i, j int) bool { return s.t[i] < s.t[j] }
-func (s pairSorter) Swap(i, j int) {
+func (s *pairSorter) Len() int           { return len(s.t) }
+func (s *pairSorter) Less(i, j int) bool { return s.t[i] < s.t[j] }
+func (s *pairSorter) Swap(i, j int) {
 	s.t[i], s.t[j] = s.t[j], s.t[i]
 	s.p[i], s.p[j] = s.p[j], s.p[i]
 }
 
-// buildGroupIndex derives the group→members CSR from the per-node labels.
-func (g *Graph) buildGroupIndex() {
-	g.groupOffsets = make([]int32, g.numGroups+1)
-	for _, grp := range g.groups {
-		g.groupOffsets[grp+1]++
+// buildGroupIndex validates labels (see normalizeGroups) and sets g's
+// per-node labels, group sizes and group→members CSR from them. Build,
+// WithGroups and ApplyDelta all derive the group arrays here.
+func (g *Graph) buildGroupIndex(labels []int) error {
+	groups, sizes, k, err := normalizeGroups(labels)
+	if err != nil {
+		return err
 	}
-	for i := 0; i < g.numGroups; i++ {
-		g.groupOffsets[i+1] += g.groupOffsets[i]
+	offsets := make([]int32, k+1)
+	for i, size := range sizes {
+		offsets[i+1] = offsets[i] + int32(size)
 	}
-	g.groupMembers = make([]NodeID, len(g.groups))
-	fill := make([]int32, g.numGroups)
-	copy(fill, g.groupOffsets[:g.numGroups])
-	for v, grp := range g.groups {
-		g.groupMembers[fill[grp]] = NodeID(v)
+	members := make([]NodeID, len(groups))
+	fill := make([]int32, k)
+	copy(fill, offsets[:k])
+	for v, grp := range groups {
+		members[fill[grp]] = NodeID(v)
 		fill[grp]++
 	}
+	g.groups, g.numGroups, g.groupSizes = groups, k, sizes
+	g.groupOffsets, g.groupMembers = offsets, members
+	return nil
 }
 
 func firstDuplicate(targets []NodeID) NodeID {

@@ -386,3 +386,26 @@ func TestEmptyGraph(t *testing.T) {
 		t.Fatal("empty graph has a largest component")
 	}
 }
+
+// TestBuildAllocsIndependentOfSize: Build allocates a fixed number of
+// objects however many rows it sorts. Boxing a fresh sorter per row into
+// sort.Interface used to cost one allocation per row with two or more
+// arcs, in each direction.
+func TestBuildAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		b := NewBuilder(n)
+		for v := 0; v < n; v++ {
+			for _, d := range []int{3, 2, 1} { // descending, so every row needs sorting
+				b.AddEdge(NodeID(v), NodeID((v+d)%n), 0.5)
+			}
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := b.Build(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(100), allocs(10000); small != large {
+		t.Fatalf("Build allocates %v objects at n=100 but %v at n=10000", small, large)
+	}
+}
