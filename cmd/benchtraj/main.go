@@ -1,7 +1,8 @@
 // Command benchtraj records the serving hot-path benchmark trajectory:
 // it drives the same micro-benchmarks CI gates on — RR-set sampling,
 // world sampling, sketch encode/decode, a weight-only graph update, cold
-// and prefix-extended solves, and the warm HTTP serve path — through
+// and prefix-extended solves, and the warm HTTP serve path on both
+// engines — through
 // testing.Benchmark and writes the numbers (ns/op, allocs/op, bytes/op,
 // frame sizes, derived ratios) as a BENCH_<n>.json checkpoint. It also
 // drives the batched query planner's sustained-load mix — 16 concurrent
@@ -281,12 +282,18 @@ func measure() (*Trajectory, error) {
 		return nil, err
 	}
 
-	// --- warm serve: repeat select over the daemon's HTTP path ---
-	warmServe, err := benchWarmServe(g)
-	if err != nil {
-		return nil, err
+	// --- warm serve: repeat select over the daemon's HTTP path, on an RR
+	// sketch and on forward-MC worlds ---
+	for _, serve := range []struct{ name, sample string }{
+		{"warm_serve_select", fmt.Sprintf(`"engine":"ris","ris_per_group":%d`, benchPool)},
+		{"warm_serve_select_mc", fmt.Sprintf(`"engine":"forward-mc","samples":%d`, benchWorlds)},
+	} {
+		m, err := benchWarmServe(g, serve.sample)
+		if err != nil {
+			return nil, err
+		}
+		traj.Metrics[serve.name] = m
 	}
-	traj.Metrics["warm_serve_select"] = warmServe
 
 	traj.Derived["ris_sample_alloc_reduction"] = 1 - float64(traj.Metrics["ris_sample"].AllocsOp)/float64(traj.Metrics["ris_sample_unpooled_baseline"].AllocsOp)
 	traj.Derived["ris_frame_compression"] = float64(traj.Sizes["ris_frame_v1_bytes"]) / float64(traj.Sizes["ris_frame_v2_bytes"])
@@ -408,8 +415,8 @@ func benchPlanner(g *graph.Graph, col *ris.Collection, traj *Trajectory) error {
 
 // benchWarmServe measures a repeat /v1/select on a warmed daemon: sample
 // cached, prefix memoized, report from the sample — the steady-state
-// serve path.
-func benchWarmServe(g *graph.Graph) (Metric, error) {
+// serve path. sample holds the request's engine and sample-size fields.
+func benchWarmServe(g *graph.Graph, sample string) (Metric, error) {
 	reg := server.NewRegistry()
 	if err := reg.RegisterGraph("twoblock", "synthetic:twoblock", g); err != nil {
 		return Metric{}, err
@@ -420,8 +427,8 @@ func benchWarmServe(g *graph.Graph) (Metric, error) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	body := fmt.Sprintf(`{"graph":"twoblock","problem":"p4","budget":%d,"tau":%d,"engine":"ris","ris_per_group":%d,"eval":"sample"}`,
-		benchPrefixK, benchTau, benchPool)
+	body := fmt.Sprintf(`{"graph":"twoblock","problem":"p4","budget":%d,"tau":%d,%s,"eval":"sample"}`,
+		benchPrefixK, benchTau, sample)
 	post := func() error {
 		resp, err := http.Post(ts.URL+"/v1/select", "application/json", strings.NewReader(body))
 		if err != nil {

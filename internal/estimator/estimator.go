@@ -64,6 +64,13 @@ type Estimator interface {
 	// NormGroupUtilities returns fτ(S;Vᵢ)/|Vᵢ|.
 	NormGroupUtilities() []float64
 
+	// AppendUtilities appends the current GroupUtilities to utils and
+	// NormGroupUtilities to norms, G entries each, bit for bit as those
+	// methods compute them, and returns the extended slices. It allocates
+	// only when a buffer lacks room, so a solver can record the utilities
+	// after every pick into two flat buffers.
+	AppendUtilities(utils, norms []float64) ([]float64, []float64)
+
 	// TotalUtility returns the current fτ(S;V) estimate.
 	TotalUtility() float64
 

@@ -99,6 +99,64 @@ func TestEngineGainParity(t *testing.T) {
 	}
 }
 
+// TestAppendUtilitiesContract holds every engine's AppendUtilities to the
+// rows GroupUtilities and NormGroupUtilities return, bit for bit, after 0
+// to 3 Adds: the solvers record each pick through it and replay memoized
+// answers from those records. The method keeps what the buffers already
+// hold and allocates nothing when they have room.
+func TestAppendUtilitiesContract(t *testing.T) {
+	cfg := generate.DefaultTwoBlock(7)
+	cfg.N, cfg.PHom, cfg.PHet = 200, 0.06, 0.003
+	g, err := generate.TwoBlock(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tau = 5
+	worlds := cascade.SampleWorlds(g, cascade.IC, 60, 11, 0)
+	delayed, err := influence.NewDelayedEvaluator(g, cascade.SampleDelayedWorlds(g, cascade.GeometricDelay{M: 0.5}, 60, 11, 0), tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	discounted, err := influence.NewDiscountedEvaluator(g, worlds, tau, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := map[string]estimator.Estimator{
+		"forward-mc": forwardEstimator(t, g, tau, 60, 11),
+		"delayed":    delayed,
+		"discounted": discounted,
+		"ris":        risEstimator(t, g, tau, 500, 13),
+	}
+	groups := g.NumGroups()
+	const mark = -1.5 // a row the buffers held before the call
+	for name, e := range engines {
+		for adds, v := range []graph.NodeID{-1, 0, 50, 150} {
+			if v >= 0 {
+				e.Add(v)
+			}
+			utils := append(make([]float64, 0, 2*groups), mark)
+			norms := append(make([]float64, 0, 2*groups), mark)
+			utils, norms = e.AppendUtilities(utils, norms)
+			if len(utils) != 1+groups || len(norms) != 1+groups || utils[0] != mark || norms[0] != mark {
+				t.Fatalf("%s after %d adds: appended to %v / %v", name, adds, utils, norms)
+			}
+			wantU, wantN := e.GroupUtilities(), e.NormGroupUtilities()
+			for i := 0; i < groups; i++ {
+				if math.Float64bits(utils[1+i]) != math.Float64bits(wantU[i]) ||
+					math.Float64bits(norms[1+i]) != math.Float64bits(wantN[i]) {
+					t.Fatalf("%s after %d adds: group %d appended (%v, %v), want (%v, %v)",
+						name, adds, i, utils[1+i], norms[1+i], wantU[i], wantN[i])
+				}
+			}
+			if allocs := testing.AllocsPerRun(50, func() {
+				e.AppendUtilities(utils[:1], norms[:1])
+			}); allocs != 0 {
+				t.Fatalf("%s: AppendUtilities allocated %v times into buffers with room", name, allocs)
+			}
+		}
+	}
+}
+
 func relDiff(a, b float64) float64 {
 	denom := math.Max(math.Abs(a), math.Abs(b))
 	if denom == 0 {

@@ -7,7 +7,6 @@ import (
 	"fairtcim/internal/cascade"
 	"fairtcim/internal/estimator"
 	"fairtcim/internal/graph"
-	"fairtcim/internal/ris"
 	"fairtcim/internal/submodular"
 )
 
@@ -20,14 +19,17 @@ import (
 // over the matching hook.
 type BatchOptions struct {
 	// Estimator, if non-nil, supplies a warm optimization estimator
-	// (built from a cached sample). Returning a nil estimator (with nil
+	// (built from a cached sample). It is asked only for units that
+	// evaluate a gain: a unit whose memoized prefix covers its largest
+	// budget is answered without one. Returning a nil estimator (with nil
 	// error) means "no cached sample, sample cold"; an error fails every
 	// member of the unit.
 	Estimator func(gid int, rep ProblemSpec) (estimator.Estimator, error)
 	// Warm, if non-nil, supplies a budget-problem unit's memoized greedy
-	// prefix to replay (see Config.Warm). The same equivalence contract
-	// applies: the warm state must have been captured on the same graph,
-	// sample, and objective the key guarantees.
+	// prefix to replay (see Config.Warm); it is asked before Estimator.
+	// The same equivalence contract applies: the warm state must have been
+	// captured on the same graph, sample, and objective the key
+	// guarantees.
 	Warm func(gid int, rep ProblemSpec) *WarmStart
 	// OnWarm, if non-nil, receives a budget-problem unit's final CELF
 	// state after its run, for memoization. The WarmStart is immutable
@@ -235,17 +237,20 @@ func failUnit(members []int, outcomes []BatchOutcome, err error) {
 
 // runUnit executes one execution unit — a coalesced group or a spec
 // running alone — on Solve's objective constructor and greedy driver:
-// resolve the representative, build the unit's one estimator and
-// objective, run one greedy pass at the largest constraint, and peel each
-// member's Result out of it.
+// resolve the representative, build the unit's one estimator (none when
+// its memo covers every member) and objective, run one greedy pass at the
+// largest constraint, and peel each member's Result out of it.
 func runUnit(g *graph.Graph, gid int, members []int, specs []ProblemSpec, opts *BatchOptions, outcomes []BatchOutcome) {
 	rep := specs[representative(members, specs)]
 	// Hooks always see the representative as planned — before the
-	// estimator/warm injections below, which would otherwise trip
+	// warm/estimator injections below, which would otherwise trip
 	// eligibility checks keyed on the wire-decoded spec. A spec's own
 	// estimator or warm state wins over the hooks'.
 	planned := rep
-	if opts.Estimator != nil && rep.Estimator == nil {
+	if opts.Warm != nil && rep.Problem.IsBudget() && rep.Warm == nil {
+		rep.Warm = opts.Warm(gid, planned)
+	}
+	if opts.Estimator != nil && rep.Estimator == nil && !rep.fromMemo() {
 		est, err := opts.Estimator(gid, planned)
 		if err != nil {
 			failUnit(members, outcomes, err)
@@ -255,39 +260,23 @@ func runUnit(g *graph.Graph, gid int, members []int, specs []ProblemSpec, opts *
 		// building) a second sample the estimator already embodies.
 		rep.Estimator = est
 	}
-	if opts.Warm != nil && rep.Problem.IsBudget() && rep.Warm == nil {
-		rep.Warm = opts.Warm(gid, planned)
-	}
-	cfg, err := rep.resolve(g, rep.SizingSeeds(g), resolveSolve)
-	if err != nil {
-		failUnit(members, outcomes, err)
-		return
-	}
 	// The shared run traces when any member wants a trace; peeling narrows
-	// it back. Per-pick utility snapshots are kept only for an on-sample
-	// member that stops short of the representative's budget — a member
-	// ending at the run's last pick reads the objective's final state.
-	recordUtil := false
+	// it back.
 	for _, i := range members {
-		m := specs[i]
-		cfg.Trace = cfg.Trace || m.Trace
-		recordUtil = recordUtil || m.ReportOnSample && m.Problem.IsBudget() && m.Budget < rep.Budget
+		rep.Trace = rep.Trace || specs[i].Trace
 	}
-
-	eval, err := cfg.newEstimator(g)
+	cfg, obj, err := rep.prepare(g)
 	if err != nil {
 		failUnit(members, outcomes, err)
 		return
 	}
-	obj := rep.objectiveFor(eval, cfg)
-	obj.recordUtil = recordUtil
 	res, snap, err := rep.greedy(obj, cfg, g)
 	if err != nil {
 		failUnit(members, outcomes, err)
 		return
 	}
 	if opts.OnWarm != nil {
-		if w := captureWarm(res, snap); w != nil {
+		if w := captureWarm(res, snap, obj); w != nil {
 			opts.OnWarm(gid, planned, w)
 		}
 	}
@@ -329,7 +318,7 @@ func peelMember(g *graph.Graph, member ProblemSpec, cfg Config, obj *objective,
 	if member.ReportOnSample {
 		util := obj.cur
 		if k < len(res.Seeds) {
-			util = obj.utilAt[k-1]
+			util = obj.utils[(k-1)*obj.groups : k*obj.groups]
 		}
 		out.PerGroup = append([]float64(nil), util...)
 	} else {
@@ -338,11 +327,7 @@ func peelMember(g *graph.Graph, member ProblemSpec, cfg Config, obj *objective,
 			return BatchOutcome{Err: err}
 		}
 	}
-	if rs, ok := obj.eval.(*ris.Estimator); ok {
-		out.RISPerGroup = rs.SampleSize()
-	} else {
-		out.Samples = obj.eval.SampleSize()
-	}
+	out.Samples, out.RISPerGroup = obj.samples, obj.risPerGroup
 	fillDerived(out, g)
 
 	// Only a member the run ended at owns its final heap snapshot; shorter
@@ -350,7 +335,7 @@ func peelMember(g *graph.Graph, member ProblemSpec, cfg Config, obj *objective,
 	// would have one, but Warm is an in-process extension seam, not part
 	// of the wire result).
 	if member.CaptureWarm && k == len(res.Seeds) {
-		out.Warm = captureWarm(res, snap)
+		out.Warm = captureWarm(res, snap, obj)
 	}
 	return BatchOutcome{Result: out}
 }

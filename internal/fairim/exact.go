@@ -16,14 +16,14 @@ import (
 // SolveTCIMBudgetExact solves P1 by exhaustive enumeration.
 func SolveTCIMBudgetExact(g *graph.Graph, budget int, cfg Config) (*Result, error) {
 	return solveExact("P1", g, budget, cfg, func(e estimator.Estimator) *objective {
-		return newObjective(e, totalValue{}, Config{})
+		return newObjective(g, e, totalValue{}, Config{}, min(budget, g.N()))
 	})
 }
 
 // SolveFairTCIMBudgetExact solves P4 by exhaustive enumeration.
 func SolveFairTCIMBudgetExact(g *graph.Graph, budget int, cfg Config) (*Result, error) {
 	return solveExact("P4", g, budget, cfg, func(e estimator.Estimator) *objective {
-		return newObjective(e, concaveValue{h: cfg.h(), weights: cfg.GroupWeights}, Config{})
+		return newObjective(g, e, concaveValue{h: cfg.h(), weights: cfg.GroupWeights}, Config{}, min(budget, g.N()))
 	})
 }
 

@@ -119,13 +119,18 @@ type Config struct {
 	// job's cancellation context here.
 	Cancel <-chan struct{}
 	// Warm, if non-nil, primes a budget solve (P1/P4 under CELF) with a
-	// memoized greedy prefix: the prefix seeds are replayed (zero gain
-	// evaluations, full trace/OnIteration parity) and the CELF heap resumes
-	// from the snapshot for the remaining picks. The caller must guarantee
-	// the warm state was captured on an equivalent instance — same graph,
-	// estimator sample, objective, and candidate set — or the extension is
-	// garbage; the serving layer keys its prefix cache on exactly that.
-	// Ignored for cover problems and under PlainGreedy.
+	// memoized greedy prefix, which must come from Result.Warm of an
+	// earlier capture (CaptureWarm). The prefix seeds are replayed from the
+	// utilities the capture recorded (zero gain evaluations, full
+	// trace/OnIteration parity) and the CELF heap resumes from the snapshot
+	// for the remaining picks. A prefix that covers the budget answers the
+	// solve alone: no estimator is sampled or built, an injected Estimator
+	// is left untouched, and the resolved sample sizes are the capture's.
+	// The caller must guarantee the warm state was captured on an
+	// equivalent instance — same graph, estimator sample, objective, and
+	// candidate set — or the answer is garbage; the serving layer keys its
+	// prefix cache on exactly that. Ignored for cover problems and under
+	// PlainGreedy.
 	Warm *WarmStart
 	// CaptureWarm asks a budget solve to return its final CELF state in
 	// Result.Warm so a later solve with a larger budget can extend it.
@@ -168,11 +173,21 @@ func mapCanceled(err error) error {
 // plus the CELF heap snapshot left after picking them. Because the heap
 // after k picks does not depend on the eventual budget, replay + resume
 // reproduces a larger cold solve bit-for-bit (see
-// submodular.LazySnapshot). Treat as immutable once captured — one
-// WarmStart may serve any number of extensions concurrently.
+// submodular.LazySnapshot). It also carries what the capturing run
+// computed after each pick — the group utilities and normalized group
+// utilities — and the sample sizes it resolved, so a replay within the
+// prefix needs no estimator. Only a capture (Result.Warm) fills those, so
+// a WarmStart built by hand is rejected. Treat as immutable once captured
+// — one WarmStart may serve any number of replays and extensions
+// concurrently.
 type WarmStart struct {
 	Seeds    []graph.NodeID
 	Snapshot *submodular.LazySnapshot
+
+	// utils and norms hold, for pick i, GroupUtilities and
+	// NormGroupUtilities after it: G entries per pick, row-major.
+	utils, norms         []float64
+	samples, risPerGroup int
 }
 
 // DefaultConfig returns the paper's synthetic-experiment defaults (§6.1):
@@ -264,6 +279,9 @@ func (c *Config) validate(g *graph.Graph) error {
 	if c.Warm != nil {
 		if c.Warm.Snapshot == nil {
 			return fmt.Errorf("fairim: warm start without a heap snapshot")
+		}
+		if rows := len(c.Warm.Seeds) * g.NumGroups(); len(c.Warm.utils) != rows || len(c.Warm.norms) != rows {
+			return fmt.Errorf("fairim: warm start not captured by a solve on this graph")
 		}
 		for _, v := range c.Warm.Seeds {
 			if v < 0 || int(v) >= g.N() {
@@ -388,30 +406,25 @@ const coverSlack = 1e-9
 // would pick. res.EvalsAt[i] is what a run stopping after pick i+1 spends:
 // 0 for a replayed pick, the parallel first pass included for a cold one.
 func maximize(obj *objective, cfg Config, g *graph.Graph, budget int) (submodular.Result, *submodular.LazySnapshot, error) {
-	cands := cfg.candidates(g)
 	if cfg.PlainGreedy {
-		res, err := submodular.GreedyMax(obj, cands, budget)
+		res, err := submodular.GreedyMax(obj, cfg.candidates(g), budget)
 		return res, nil, err
 	}
-	if w := cfg.Warm; w != nil && w.Snapshot != nil && len(w.Seeds) > 0 {
-		// Replay through obj.Add rather than splicing results: the trace,
-		// OnIteration stream, Values, and cancellation seam all behave as
-		// in a cold run — only the Gain evaluations are saved. The
-		// candidate count caps the preallocation: a caller's budget may be
+	if w := cfg.Warm; w != nil && len(w.Seeds) > 0 {
+		// Replay through the objective rather than splicing results: the
+		// trace, OnIteration stream, Values, and cancellation seam all
+		// behave as in a cold run — only the Gain evaluations are saved.
+		// The node count caps the preallocation: a caller's budget may be
 		// arbitrarily large.
-		n := min(budget, len(cands))
+		n := min(budget, g.N())
 		res := submodular.Result{
 			Seeds:   make([]graph.NodeID, 0, n),
 			Values:  make([]float64, 0, n),
 			EvalsAt: make([]int, 0, n),
 		}
-		replay := w.Seeds
-		if len(replay) > budget {
-			replay = replay[:budget]
-		}
-		for _, v := range replay {
-			obj.Add(v)
-			res.Seeds = append(res.Seeds, v)
+		for i := range min(budget, len(w.Seeds)) {
+			obj.replay(w, i)
+			res.Seeds = append(res.Seeds, w.Seeds[i])
 			res.Values = append(res.Values, obj.Value())
 			res.EvalsAt = append(res.EvalsAt, 0)
 			if err := obj.Stopped(); err != nil {
@@ -430,6 +443,7 @@ func maximize(obj *objective, cfg Config, g *graph.Graph, budget int) (submodula
 		res.Evaluations = ext.Evaluations
 		return res, snap, err
 	}
+	cands := cfg.candidates(g)
 	initial := obj.initialGains(cands, cfg.Parallelism)
 	res, snap, err := submodular.LazyGreedyMaxCapture(obj, cands, budget, initial)
 	res.Evaluations += len(cands) // the parallel first pass
@@ -439,13 +453,21 @@ func maximize(obj *objective, cfg Config, g *graph.Graph, budget int) (submodula
 	return res, snap, err
 }
 
-// captureWarm packages a run's final CELF state as a WarmStart; nil when
-// the run left no heap state worth extending.
-func captureWarm(res submodular.Result, snap *submodular.LazySnapshot) *WarmStart {
+// captureWarm packages a run's final CELF state, with the utilities the
+// objective recorded for every pick, as a WarmStart; nil when the run left
+// no heap state worth extending.
+func captureWarm(res submodular.Result, snap *submodular.LazySnapshot, obj *objective) *WarmStart {
 	if snap == nil || len(res.Seeds) == 0 {
 		return nil
 	}
-	return &WarmStart{Seeds: append([]graph.NodeID(nil), res.Seeds...), Snapshot: snap}
+	return &WarmStart{
+		Seeds:       append([]graph.NodeID(nil), res.Seeds...),
+		Snapshot:    snap,
+		utils:       obj.utils[:len(obj.utils):len(obj.utils)],
+		norms:       obj.norms[:len(obj.norms):len(obj.norms)],
+		samples:     obj.samples,
+		risPerGroup: obj.risPerGroup,
+	}
 }
 
 func cover(obj *objective, cfg Config, g *graph.Graph, target float64) (submodular.Result, error) {
@@ -459,8 +481,8 @@ func cover(obj *objective, cfg Config, g *graph.Graph, target float64) (submodul
 func finishResult(problem string, g *graph.Graph, res submodular.Result, obj *objective, cfg Config) (*Result, error) {
 	var perGroup []float64
 	if cfg.ReportOnSample {
-		// The solver's estimator already holds the final seed set.
-		perGroup = obj.eval.GroupUtilities()
+		// The objective already holds the final seed set's utilities.
+		perGroup = append([]float64(nil), obj.cur...)
 	} else {
 		var err error
 		perGroup, err = cfg.estimate(g, res.Seeds)
@@ -474,13 +496,10 @@ func finishResult(problem string, g *graph.Graph, res submodular.Result, obj *ob
 		PerGroup:    perGroup,
 		Evaluations: res.Evaluations,
 		Trace:       obj.trace,
-	}
-	// Report the sample the optimizer actually ran on; a RIS solve draws
-	// no forward-MC worlds, so its Samples stays zero.
-	if rs, ok := obj.eval.(*ris.Estimator); ok {
-		out.RISPerGroup = rs.SampleSize()
-	} else {
-		out.Samples = obj.eval.SampleSize()
+		// The sample the optimizer ran on; a RIS solve draws no forward-MC
+		// worlds, so its Samples stays zero.
+		Samples:     obj.samples,
+		RISPerGroup: obj.risPerGroup,
 	}
 	fillDerived(out, g)
 	return out, nil

@@ -4,6 +4,7 @@ import (
 	"fairtcim/internal/concave"
 	"fairtcim/internal/estimator"
 	"fairtcim/internal/graph"
+	"fairtcim/internal/ris"
 )
 
 // valueFn maps per-group utilities fτ(S;Vᵢ) to the scalar each problem
@@ -79,37 +80,57 @@ func (q groupQuotaValue) value(util []float64, g *graph.Graph) float64 {
 
 // objective adapts an estimator.Estimator plus a valueFn to
 // submodular.Objective, optionally recording a per-iteration trace. The
-// estimator may be any engine — forward Monte Carlo or RIS.
+// estimator may be any engine — forward Monte Carlo or RIS — or nil for a
+// run answered wholly from a memoized prefix, which commits picks only
+// through replay and never evaluates a gain.
 type objective struct {
 	eval    estimator.Estimator
 	vf      valueFn
 	g       *graph.Graph
+	groups  int
 	traceOn bool
 	trace   []IterationStat
 	onIter  func(IterationStat) // streaming observer; nil = none
 	cancel  <-chan struct{}     // cooperative cancellation; nil = none
 	stopErr error               // latched once cancel fires
+	// Resolved optimization sample sizes the run reports: forward-MC
+	// worlds, or RR sets per group when the RIS engine ran.
+	samples, risPerGroup int
 
-	cur  []float64 // cached GroupUtilities of the current set
-	next []float64 // scratch for candidate utilities
-
-	// recordUtil asks Add to snapshot GroupUtilities after every commit;
-	// SolveBatch uses the snapshots to peel per-member on-sample reports
-	// out of one shared run.
-	recordUtil bool
-	utilAt     [][]float64 // utilAt[i] = GroupUtilities after pick i+1
+	// utils and norms record GroupUtilities and NormGroupUtilities after
+	// every commit, groups entries per pick: row i is the state after pick
+	// i+1. cur is the last row (all zeros before the first pick); nothing
+	// writes it in place, so a replay may alias the rows of a shared memo.
+	utils, norms []float64
+	cur          []float64
+	next         []float64 // scratch for candidate utilities
 }
 
-func newObjective(eval estimator.Estimator, vf valueFn, cfg Config) *objective {
+// newObjective starts an objective on the empty seed set; a nil eval
+// needs cfg.Warm to answer from. rows presizes the utility records for a
+// run known to commit at most that many picks.
+func newObjective(g *graph.Graph, eval estimator.Estimator, vf valueFn, cfg Config, rows int) *objective {
+	groups := g.NumGroups()
 	o := &objective{
 		eval:    eval,
 		vf:      vf,
-		g:       eval.Graph(),
+		g:       g,
+		groups:  groups,
 		traceOn: cfg.Trace,
 		onIter:  cfg.OnIteration,
 		cancel:  cfg.Cancel,
-		cur:     eval.GroupUtilities(),
-		next:    make([]float64, eval.Graph().NumGroups()),
+		utils:   make([]float64, 0, rows*groups),
+		norms:   make([]float64, 0, rows*groups),
+		cur:     make([]float64, groups),
+		next:    make([]float64, groups),
+	}
+	if eval == nil {
+		// Answered from the memo: report the sample it was captured on.
+		o.samples, o.risPerGroup = cfg.Warm.samples, cfg.Warm.risPerGroup
+	} else if _, ok := eval.(*ris.Estimator); ok {
+		o.risPerGroup = eval.SampleSize()
+	} else {
+		o.samples = eval.SampleSize()
 	}
 	// A cancel that fired before the first pick stops the optimizer
 	// before it spends anything.
@@ -143,15 +164,34 @@ func (o *objective) Gain(v graph.NodeID) float64 {
 	return o.vf.value(o.next, o.g) - o.vf.value(o.cur, o.g)
 }
 
-// Add commits v and refreshes the cached utilities.
+// Add commits v and records the utilities it leaves.
 func (o *objective) Add(v graph.NodeID) {
 	o.eval.Add(v)
-	o.cur = o.eval.GroupUtilities()
-	if o.recordUtil {
-		o.utilAt = append(o.utilAt, append([]float64(nil), o.cur...))
+	o.utils, o.norms = o.eval.AppendUtilities(o.utils, o.norms)
+	o.commit(v)
+}
+
+// replay commits memo pick i from the rows the capturing run recorded,
+// which are what the estimator would compute. An estimator, present when
+// the run extends past the memo, still adds the seed. The records alias
+// the memo's first i+1 rows with their capacity capped, so a later Add
+// copies them instead of writing into a memo other solves share.
+func (o *objective) replay(w *WarmStart, i int) {
+	v := w.Seeds[i]
+	if o.eval != nil {
+		o.eval.Add(v)
 	}
+	hi := (i + 1) * o.groups
+	o.utils, o.norms = w.utils[:hi:hi], w.norms[:hi:hi]
+	o.commit(v)
+}
+
+// commit makes the last recorded row current and reports the pick to the
+// trace and the streaming observer.
+func (o *objective) commit(v graph.NodeID) {
+	n := len(o.utils)
+	o.cur = o.utils[n-o.groups : n]
 	if o.traceOn || o.onIter != nil {
-		norm := o.eval.NormGroupUtilities()
 		total := 0.0
 		for _, u := range o.cur {
 			total += u
@@ -160,7 +200,8 @@ func (o *objective) Add(v graph.NodeID) {
 			Seed:      v,
 			Objective: o.vf.value(o.cur, o.g),
 			Total:     total,
-			NormGroup: norm,
+			// A copy: callers may keep the stat.
+			NormGroup: append([]float64(nil), o.norms[n-o.groups:n]...),
 		}
 		if o.traceOn {
 			o.trace = append(o.trace, st)

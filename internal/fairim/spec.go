@@ -198,8 +198,8 @@ const (
 	// serving cache.
 	resolveEvalSample
 	// resolveEvalFresh skips optimization-sample sizing entirely — the
-	// estimate comes from fresh eval worlds, so building a pool here
-	// would be thrown away unused.
+	// estimate comes from fresh eval worlds, or the run is answered from a
+	// memo, so building a pool here would be thrown away unused.
 	resolveEvalFresh
 )
 
@@ -250,10 +250,11 @@ func (s ProblemSpec) resolve(g *graph.Graph, k int, mode resolveMode) (Config, e
 		}
 	}
 	if cfg.Estimator != nil || mode == resolveEvalFresh {
-		// A warm estimator carries its own sample, and a fresh-world
-		// evaluation never touches the optimization sample — either way
-		// there is nothing to size (and for RIS, a sized pool would be
-		// an expensive build thrown away unused).
+		// A warm estimator carries its own sample, and neither a
+		// fresh-world evaluation nor a memo answer touches the
+		// optimization sample — either way there is nothing to size (and
+		// for RIS, a sized pool would be an expensive build thrown away
+		// unused).
 		return cfg, nil
 	}
 	if k < 1 {
@@ -303,8 +304,9 @@ func (s ProblemSpec) validateConstraint() error {
 }
 
 // objectiveFor is the one P1/P2/P4/P6 objective constructor, shared by
-// Solve and SolveBatch; P4 carries the optional group weights.
-func (s ProblemSpec) objectiveFor(eval estimator.Estimator, cfg Config) *objective {
+// Solve and SolveBatch; P4 carries the optional group weights. eval is nil
+// for a spec answered from its memo (see fromMemo).
+func (s ProblemSpec) objectiveFor(g *graph.Graph, eval estimator.Estimator, cfg Config) *objective {
 	var vf valueFn
 	switch s.Problem {
 	case P1:
@@ -316,7 +318,43 @@ func (s ProblemSpec) objectiveFor(eval estimator.Estimator, cfg Config) *objecti
 	default: // P6
 		vf = groupQuotaValue{quota: s.Quota}
 	}
-	return newObjective(eval, vf, cfg)
+	rows := 0
+	if s.Problem.IsBudget() && cfg.Warm == nil {
+		// A cold budget run commits at most one row per pick; a warm one
+		// starts from the memo's rows instead.
+		rows = min(s.Budget, g.N())
+	}
+	return newObjective(g, eval, vf, cfg, rows)
+}
+
+// fromMemo reports whether the spec's warm prefix answers its whole
+// budget, so that the run replays the memo and evaluates no gain.
+func (s ProblemSpec) fromMemo() bool {
+	return s.Problem.IsBudget() && !s.PlainGreedy && s.Warm != nil && len(s.Warm.Seeds) >= s.Budget
+}
+
+// prepare resolves the spec and builds the objective its greedy run
+// drives. A spec answered from its memo sizes no optimization sample and
+// builds no estimator (an injected one is left untouched); fresh-world
+// reports are still sized. Every other spec samples or reuses its
+// estimator.
+func (s ProblemSpec) prepare(g *graph.Graph) (Config, *objective, error) {
+	memo := s.fromMemo()
+	mode := resolveSolve
+	if memo {
+		mode = resolveEvalFresh
+	}
+	cfg, err := s.resolve(g, s.SizingSeeds(g), mode)
+	if err != nil {
+		return cfg, nil, err
+	}
+	var eval estimator.Estimator
+	if !memo {
+		if eval, err = cfg.newEstimator(g); err != nil {
+			return cfg, nil, err
+		}
+	}
+	return cfg, s.objectiveFor(g, eval, cfg), nil
 }
 
 // greedy is the greedy driver Solve and SolveBatch share: CELF (or the
@@ -339,22 +377,17 @@ func (s ProblemSpec) greedy(obj *objective, cfg Config, g *graph.Graph) (submodu
 
 // Solve runs the spec's problem on g: it resolves the sampling budget
 // (deriving it from the accuracy target when one is set), builds or reuses
-// the estimator, and dispatches to the greedy machinery the problem kind
-// demands. It is the sequential reference every SolveBatch outcome is
-// pinned against.
+// the estimator — unless a memoized prefix answers the whole budget — and
+// dispatches to the greedy machinery the problem kind demands. It is the
+// sequential reference every SolveBatch outcome is pinned against.
 func Solve(g *graph.Graph, spec ProblemSpec) (*Result, error) {
 	if err := spec.validateConstraint(); err != nil {
 		return nil, err
 	}
-	cfg, err := spec.resolve(g, spec.SizingSeeds(g), resolveSolve)
+	cfg, obj, err := spec.prepare(g)
 	if err != nil {
 		return nil, err
 	}
-	eval, err := cfg.newEstimator(g)
-	if err != nil {
-		return nil, err
-	}
-	obj := spec.objectiveFor(eval, cfg)
 	res, snap, err := spec.greedy(obj, cfg, g)
 	if err != nil {
 		return nil, err
@@ -364,7 +397,7 @@ func Solve(g *graph.Graph, spec ProblemSpec) (*Result, error) {
 		return nil, err
 	}
 	if cfg.CaptureWarm {
-		out.Warm = captureWarm(res, snap)
+		out.Warm = captureWarm(res, snap, obj)
 	}
 	return out, nil
 }

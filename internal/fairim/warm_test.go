@@ -2,12 +2,21 @@ package fairim
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
+	"fairtcim/internal/cascade"
+	"fairtcim/internal/estimator"
 	"fairtcim/internal/generate"
 	"fairtcim/internal/graph"
+	"fairtcim/internal/influence"
 	"fairtcim/internal/ris"
+	"fairtcim/internal/submodular"
 )
 
 func warmTestGraph(t *testing.T) *graph.Graph {
@@ -153,13 +162,18 @@ func TestWarmUnboundedBudget(t *testing.T) {
 }
 
 // TestWarmValidation: malformed warm state is rejected before any
-// sampling is spent.
+// sampling is spent — including one built by hand, which carries no
+// recorded utilities to replay.
 func TestWarmValidation(t *testing.T) {
 	g := warmTestGraph(t)
 	cfg := DefaultConfig(1)
 	cfg.Warm = &WarmStart{Seeds: []graph.NodeID{0}}
 	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 2, Config: cfg}); err == nil {
 		t.Error("warm start without snapshot accepted")
+	}
+	cfg.Warm = &WarmStart{Seeds: []graph.NodeID{0}, Snapshot: &submodular.LazySnapshot{}}
+	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 1, Config: cfg}); err == nil || !strings.Contains(err.Error(), "not captured") {
+		t.Errorf("hand-built warm start: got %v, want a not-captured error", err)
 	}
 }
 
@@ -200,5 +214,201 @@ func TestCancelDuringSampling(t *testing.T) {
 	okCfg.ReportOnSample = true
 	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: okCfg}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWarmReplayMatchesColdSolve pins memo replays to cold solves: for
+// every budget a captured prefix covers, a warm Solve returns what a cold
+// Solve at that budget returns — seeds, utility bits, resolved sample
+// sizes, the trace and the OnIteration stream — on every engine, for P1
+// and P4, reported on the sample and on fresh worlds. Only Evaluations
+// differ: a replay spends none.
+func TestWarmReplayMatchesColdSolve(t *testing.T) {
+	g := smallSBM(t, 8)
+	const memoK = 5
+	every := []int{1, 2, 3, 4, 5}
+	engines := []struct {
+		name     string
+		sampling Sampling
+		budgets  []int
+		set      func(*Config)
+	}{
+		{"ris", Sampling{}, every, func(c *Config) { c.Engine, c.RISPerGroup = EngineRIS, 300 }},
+		{"ic", Sampling{}, every, func(c *Config) {}},
+		{"lt", Sampling{}, every, func(c *Config) { c.Model = cascade.LT }},
+		{"delayed", Sampling{}, every, func(c *Config) { c.Delay = cascade.GeometricDelay{M: 0.5} }},
+		{"discounted", Sampling{}, every, func(c *Config) { c.Discount = 0.8 }},
+		// An accuracy-sized sample depends on the sizing budget, so a memo
+		// is equivalent only at the budget it was captured at; there the
+		// replay must report the sizes the capturing run resolved.
+		{"ris-accuracy", Sampling{Accuracy: &Accuracy{Epsilon: 0.3, Delta: 0.1}}, []int{memoK},
+			func(c *Config) { c.Engine = EngineRIS }},
+		{"ic-accuracy", Sampling{Accuracy: &Accuracy{Epsilon: 0.3, Delta: 0.2}}, []int{memoK}, func(c *Config) {}},
+	}
+	for _, eng := range engines {
+		for _, problem := range []Problem{P1, P4} {
+			for _, onSample := range []bool{true, false} {
+				label := fmt.Sprintf("%s/%v/on-sample=%v", eng.name, problem, onSample)
+				base := quickCfg(3)
+				eng.set(&base)
+				base.ReportOnSample = onSample
+				capture := base
+				capture.CaptureWarm = true
+				memo, err := Solve(g, ProblemSpec{Problem: problem, Budget: memoK, Sampling: eng.sampling, Config: capture})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if memo.Warm == nil || len(memo.Warm.Seeds) != memoK {
+					t.Fatalf("%s: captured %+v, want a %d-seed memo", label, memo.Warm, memoK)
+				}
+				for _, k := range eng.budgets {
+					var coldStream, warmStream []IterationStat
+					cold := base
+					cold.Trace = true
+					cold.OnIteration = func(st IterationStat) { coldStream = append(coldStream, st) }
+					want, err := Solve(g, ProblemSpec{Problem: problem, Budget: k, Sampling: eng.sampling, Config: cold})
+					if err != nil {
+						t.Fatalf("%s k=%d cold: %v", label, k, err)
+					}
+					warm := cold
+					warm.Warm = memo.Warm
+					warm.OnIteration = func(st IterationStat) { warmStream = append(warmStream, st) }
+					got, err := Solve(g, ProblemSpec{Problem: problem, Budget: k, Sampling: eng.sampling, Config: warm})
+					if err != nil {
+						t.Fatalf("%s k=%d warm: %v", label, k, err)
+					}
+					if got.Evaluations != 0 {
+						t.Fatalf("%s k=%d: replay spent %d evaluations", label, k, got.Evaluations)
+					}
+					w := *want
+					w.Evaluations = 0
+					requireSameResult(t, fmt.Sprintf("%s k=%d", label, k), got, &w)
+					requireSameStream(t, fmt.Sprintf("%s k=%d", label, k), warmStream, coldStream, k)
+				}
+			}
+		}
+	}
+}
+
+// TestMemoUnitBuildsNothing: a unit whose memoized prefix covers its
+// largest budget is answered from the memo alone. It never asks
+// BatchOptions.Estimator, and what a covered Solve allocates depends on
+// neither the sample size nor the graph size. (SolveBatch's P4 share key
+// formats through fmt's sync.Pool, which the race detector randomly
+// empties, so the count is taken on Solve.)
+func TestMemoUnitBuildsNothing(t *testing.T) {
+	const memoK = 10
+	var allocs []float64
+	for _, n := range []int{200, 2000} {
+		gcfg := generate.DefaultTwoBlock(4)
+		gcfg.N, gcfg.PHom, gcfg.PHet = n, 8/float64(n), 0.4/float64(n) // same mean degree at both sizes
+		g, err := generate.TwoBlock(gcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, worlds := range []int{50, 400} {
+			label := fmt.Sprintf("n=%d worlds=%d", n, worlds)
+			base := DefaultConfig(2)
+			base.Tau = 5
+			base.Samples = worlds
+			base.ReportOnSample = true
+			sample := cascade.SampleWorlds(g, cascade.IC, worlds, base.Seed, 0)
+			build := func(int, ProblemSpec) (estimator.Estimator, error) {
+				return influence.NewEvaluator(g, sample, base.Tau)
+			}
+			capture := base
+			capture.CaptureWarm = true
+			if capture.Estimator, err = build(0, ProblemSpec{}); err != nil {
+				t.Fatal(err)
+			}
+			memo, err := Solve(g, ProblemSpec{Problem: P4, Budget: memoK, Config: capture})
+			if err != nil {
+				t.Fatal(err)
+			}
+			memoHook := func(int, ProblemSpec) *WarmStart { return memo.Warm }
+			specs := []ProblemSpec{
+				{Problem: P4, Budget: 6, Config: base},
+				{Problem: P4, Budget: memoK, Config: base},
+			}
+			outs, _ := SolveBatch(g, specs, &BatchOptions{
+				Estimator: func(int, ProblemSpec) (estimator.Estimator, error) {
+					t.Fatalf("%s: a memo-covered unit asked for an estimator", label)
+					return nil, nil
+				},
+				Warm: memoHook,
+			})
+			for i, spec := range specs {
+				if outs[i].Err != nil {
+					t.Fatalf("%s budget %d: %v", label, spec.Budget, outs[i].Err)
+				}
+				if spec.Estimator, err = build(0, spec); err != nil {
+					t.Fatal(err)
+				}
+				want, err := Solve(g, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Evaluations = 0
+				requireSameResult(t, label, outs[i].Result, want)
+			}
+			// Solve samples its own worlds unless the memo answers it.
+			replay := specs[0]
+			replay.Warm = memo.Warm
+			allocs = append(allocs, testing.AllocsPerRun(20, func() {
+				if _, err := Solve(g, replay); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+	}
+	for _, a := range allocs[1:] {
+		if a != allocs[0] {
+			t.Fatalf("memo-covered replay allocations vary with the sample or graph size: %v (n=200/50, 200/400, 2000/50, 2000/400 worlds)", allocs)
+		}
+	}
+}
+
+// TestWarmMemoSharedSafely: one captured memo serves concurrent solves —
+// two extensions past it and a replay inside it — and none of them writes
+// into it. Run under -race; the memo's seeds and recorded rows must read
+// exactly as they did before.
+func TestWarmMemoSharedSafely(t *testing.T) {
+	g := warmTestGraph(t)
+	cfg := DefaultConfig(5)
+	cfg.Tau = 5
+	cfg.Samples = 80
+	cfg.ReportOnSample = true
+	capture := cfg
+	capture.CaptureWarm = true
+	memo, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Config: capture})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := memo.Warm
+	seeds, utils, norms := slices.Clone(w.Seeds), slices.Clone(w.utils), slices.Clone(w.norms)
+
+	budgets := []int{9, 9, 3}
+	results := make([]*Result, len(budgets))
+	errs := make([]error, len(budgets))
+	var wg sync.WaitGroup
+	for i, b := range budgets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			warm := cfg
+			warm.Warm = w
+			warm.Trace = true
+			results[i], errs[i] = Solve(g, ProblemSpec{Problem: P4, Budget: b, Config: warm})
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("solve %d: %v", i, err)
+		}
+	}
+	requireSameResult(t, "concurrent extensions", results[1], results[0])
+	if !reflect.DeepEqual(w.Seeds, seeds) || !reflect.DeepEqual(w.utils, utils) || !reflect.DeepEqual(w.norms, norms) {
+		t.Fatal("a solve wrote into the memo it shared")
 	}
 }

@@ -123,6 +123,12 @@ func (e *DelayedEvaluator) NormGroupUtilities() []float64 {
 	return out
 }
 
+// AppendUtilities appends GroupUtilities to utils and NormGroupUtilities
+// to norms without allocating when both have room.
+func (e *DelayedEvaluator) AppendUtilities(utils, norms []float64) ([]float64, []float64) {
+	return appendUtilities(e.g, e.sums, len(e.worlds), utils, norms)
+}
+
 // TotalUtility returns the current fτ(S;V) estimate.
 func (e *DelayedEvaluator) TotalUtility() float64 {
 	t := 0.0

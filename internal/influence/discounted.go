@@ -125,6 +125,12 @@ func (e *DiscountedEvaluator) NormGroupUtilities() []float64 {
 	return out
 }
 
+// AppendUtilities appends GroupUtilities to utils and NormGroupUtilities
+// to norms without allocating when both have room.
+func (e *DiscountedEvaluator) AppendUtilities(utils, norms []float64) ([]float64, []float64) {
+	return appendUtilities(e.g, e.sums, len(e.worlds), utils, norms)
+}
+
 // TotalUtility returns the expected discounted utility over all nodes.
 func (e *DiscountedEvaluator) TotalUtility() float64 {
 	t := 0.0

@@ -129,6 +129,24 @@ func (e *Evaluator) NormGroupUtilities() []float64 {
 	return out
 }
 
+// AppendUtilities appends GroupUtilities to utils and NormGroupUtilities
+// to norms without allocating when both have room.
+func (e *Evaluator) AppendUtilities(utils, norms []float64) ([]float64, []float64) {
+	return appendUtilities(e.g, e.sums, len(e.worlds), utils, norms)
+}
+
+// appendUtilities is AppendUtilities for the forward-MC engines, whose
+// per-group utility is a sum over r worlds: u = s/r, rounded once, then
+// u/|Vᵢ| — the roundings GroupUtilities and NormGroupUtilities make.
+func appendUtilities(g *graph.Graph, sums []float64, r int, utils, norms []float64) ([]float64, []float64) {
+	for i, s := range sums {
+		u := s / float64(r)
+		utils = append(utils, u)
+		norms = append(norms, u/float64(g.GroupSize(i)))
+	}
+	return utils, norms
+}
+
 // TotalUtility returns the current estimate of fτ(S;V,G).
 func (e *Evaluator) TotalUtility() float64 {
 	total := 0.0

@@ -437,6 +437,19 @@ func (e *Estimator) NormGroupUtilities() []float64 {
 	return out
 }
 
+// AppendUtilities appends GroupUtilities to utils and NormGroupUtilities
+// to norms without allocating when both have room. The covered fraction
+// is rounded once and scaled by the group size, the same two roundings
+// GroupUtilities makes.
+func (e *Estimator) AppendUtilities(utils, norms []float64) ([]float64, []float64) {
+	for i, cnt := range e.count {
+		norm := float64(cnt) / float64(e.c.poolSize[i])
+		utils = append(utils, norm*float64(e.c.g.GroupSize(i)))
+		norms = append(norms, norm)
+	}
+	return utils, norms
+}
+
 // TotalUtility returns the estimated fτ(S;V).
 func (e *Estimator) TotalUtility() float64 {
 	t := 0.0

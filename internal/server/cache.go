@@ -106,9 +106,10 @@ type sample struct {
 // newEstimator builds a fresh single-request estimator over the shared
 // sample: coverage bitmaps for RIS, activation-time matrices for forward
 // MC. The allocation is proportional to samples×N for forward MC, so
-// handlers call this inside a worker slot, never per queued request. tau
-// applies only to forward MC (a Collection is already bound to the τ it
-// was sampled with).
+// handlers call this inside a worker slot, never per queued request, and
+// only for a unit that evaluates a gain: a unit its prefix memo answers
+// builds none. tau applies only to forward MC (a Collection is already
+// bound to the τ it was sampled with).
 func (s *sample) newEstimator(tau int32) (estimator.Estimator, error) {
 	if s.col != nil {
 		return ris.NewEstimator(s.col), nil

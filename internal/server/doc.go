@@ -29,9 +29,10 @@
 //     coalescing window alike — runs one pipeline (planner.go): a single
 //     select or job is a batch of one. It fetches each distinct sample,
 //     takes one worker slot, and runs one fairim.SolveBatch, whose hooks
-//     build a cheap per-unit estimator.Estimator over the shared
-//     read-only sample (so solves never contend on estimator state) and
-//     read and feed the seed-prefix memo;
+//     read and feed the seed-prefix memo and build a cheap per-unit
+//     estimator.Estimator over the shared read-only sample (so solves
+//     never contend on estimator state) — only for a unit the memo does
+//     not answer outright;
 //   - a worker-pool semaphore bounds concurrent solves; excess
 //     synchronous requests queue up to a timeout and are then shed with
 //     503, degrading gracefully under load instead of thrashing.

@@ -155,8 +155,13 @@ func (s *Server) solveBatch(ctx context.Context, gate workerGate, graphName stri
 			return f.smp.newEstimator(rep.Tau)
 		},
 		Warm: func(gid int, rep fairim.ProblemSpec) *fairim.WarmStart {
-			pk, ok := prefixKeyFor(sampleKeyFor(graphName, version, g, rep, false), rep)
-			if !ok {
+			key := sampleKeyFor(graphName, version, g, rep, false)
+			pk, ok := prefixKeyFor(key, rep)
+			// A memo can outlive its sample (the two LRUs are separate).
+			// After a failed fetch, none is offered, so the Estimator hook
+			// fails the unit with the fetch error instead of a memo answer
+			// that has no sample to report.
+			if !ok || samples[key].err != nil {
 				return nil
 			}
 			w := s.cache.warmFor(pk)

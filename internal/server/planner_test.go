@@ -1,12 +1,15 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
 	"testing"
 	"time"
+
+	"fairtcim/internal/fairim"
 )
 
 // TestBatchSelectEndpoint drives POST /v1/select/batch end to end:
@@ -257,4 +260,60 @@ func TestBatchUpdateRaceSoak(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestFailedFetchNotAnsweredFromMemo: the prefix memo's LRU is separate
+// from the sample LRU, so a memo can outlive its sample and cover a unit
+// whose sample fetch fails. That unit must fail with its fetch error — it
+// has no sample to report from — while its batchmate is answered.
+func TestFailedFetchNotAnsweredFromMemo(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	g, version, err := s.reg.GetVersioned("twoblock")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tau := int32(5)
+	buildable := SolveRequest{Graph: "twoblock", Problem: "p1", Budget: 25, Tau: &tau, Engine: "forward-mc", Eval: "sample"}
+	// The same spec, accuracy-sized: its eval-world count fits under the
+	// auto-sizing cap, but its optimization sample does not.
+	oversized := buildable
+	oversized.Seed = 2
+	oversized.Accuracy = &AccuracyRequest{Epsilon: 0.005, Delta: 0.01}
+	var specs []fairim.ProblemSpec
+	for _, req := range []SolveRequest{buildable, oversized} {
+		spec, err := req.toSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, spec)
+	}
+	_, fetchErr := fairim.HoeffdingWorlds(0.005, 0.01, 25, g.N(), g.NumGroups())
+	if fetchErr == nil {
+		t.Fatal("the oversized spec's sample fits under the cap")
+	}
+
+	// Plant a captured k=30 memo under the oversized spec's prefix key.
+	capture := specs[0]
+	capture.Budget = 30
+	capture.CaptureWarm = true
+	captured, err := fairim.Solve(g, capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, ok := prefixKeyFor(sampleKeyFor("twoblock", version, g, specs[1], false), specs[1])
+	if !ok || captured.Warm == nil {
+		t.Fatalf("no memo to plant (memoizable %v, captured %v)", ok, captured.Warm)
+	}
+	s.cache.storeWarm(pk, captured.Warm)
+
+	items, _, err := s.solveBatch(context.Background(), serverGate{s}, "twoblock", version, g, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if items[0].err != nil || items[0].resp == nil || len(items[0].resp.Seeds) != 25 {
+		t.Fatalf("buildable item: %+v", items[0])
+	}
+	if items[1].err == nil || items[1].err.Error() != fetchErr.Error() {
+		t.Fatalf("oversized item: err %v, want the fetch error %q", items[1].err, fetchErr)
+	}
 }

@@ -12,11 +12,13 @@ import (
 // the first k picks of any larger-budget solve over the same sample and
 // objective. The cache exploits that by memoizing, per (sample,
 // problem, deadline, wrapper), the longest solved seed prefix together
-// with the CELF heap snapshot the optimizer held after its last pick.
-// A later request for a larger budget replays the prefix (no gain
-// evaluations) and resumes CELF from the snapshot; a smaller budget is
-// answered by pure replay. Parity with a cold solve — identical seeds,
-// values and traces — is pinned by fairim's warm-start tests.
+// with the CELF heap snapshot the optimizer held after its last pick and
+// the group utilities it computed after each pick. A later request for a
+// larger budget replays the prefix (no gain evaluations) and resumes CELF
+// from the snapshot; a budget the prefix covers is answered from the
+// memo alone, with no estimator and no candidate list. Parity with a
+// cold solve — identical seeds, utilities, values and traces — is pinned
+// by fairim's warm-start tests.
 
 // prefixKey identifies one memoized greedy prefix. Everything the pick
 // sequence depends on is part of the key: the full sample identity
@@ -77,8 +79,9 @@ func (c *Cache) warmFor(key prefixKey) *fairim.WarmStart {
 // storeWarm memoizes a solve's captured prefix, keeping the longest
 // seen per key — a k=50 state answers every k ≤ 50 by replay and
 // extends everything above. Stored state is immutable by contract
-// (resume copies the heap before mutating; replay only reads Seeds), so
-// one entry safely serves any number of concurrent later solves.
+// (resume copies the heap before mutating; replay only reads the seeds
+// and recorded utilities), so one entry safely serves any number of
+// concurrent later solves.
 func (c *Cache) storeWarm(key prefixKey, warm *fairim.WarmStart) {
 	if warm == nil || warm.Snapshot == nil || len(warm.Seeds) == 0 {
 		return
