@@ -1,8 +1,8 @@
 // Command benchtraj records the serving hot-path benchmark trajectory:
 // it drives the same micro-benchmarks CI gates on — RR-set sampling,
-// world sampling, sketch encode/decode, a weight-only graph update, cold
-// and prefix-extended solves, and the warm HTTP serve path on both
-// engines — through
+// world sampling, sketch encode/decode, a delayed forward-MC gain query,
+// a weight-only graph update, cold and prefix-extended solves, and the
+// warm HTTP serve path on both engines — through
 // testing.Benchmark and writes the numbers (ns/op, allocs/op, bytes/op,
 // frame sizes, derived ratios) as a BENCH_<n>.json checkpoint. It also
 // drives the batched query planner's sustained-load mix — 16 concurrent
@@ -38,6 +38,7 @@ import (
 	"fairtcim/internal/fairim"
 	"fairtcim/internal/generate"
 	"fairtcim/internal/graph"
+	"fairtcim/internal/influence"
 	"fairtcim/internal/ris"
 	"fairtcim/internal/server"
 	"fairtcim/internal/xrand"
@@ -210,6 +211,21 @@ func measure() (*Trajectory, error) {
 	traj.Sizes["ris_frame_v1_bytes"] = risV1Bytes(col, g)
 	traj.Sizes["worlds_frame_v2_bytes"] = int64(len(worldsPayload))
 	traj.Sizes["worlds_frame_v1_bytes"] = worldsV1Bytes(worlds, g.N())
+
+	// --- delayed forward MC: a marginal-gain query after two picks, over
+	// every node in turn (as the root BenchmarkEvaluatorGain) ---
+	delayedWorlds := cascade.SampleDelayedWorlds(g, cascade.GeometricDelay{M: 0.5}, benchWorlds, 1, 0)
+	delayed, err := influence.NewDelayedEvaluator(g, delayedWorlds, benchTau)
+	if err != nil {
+		return nil, err
+	}
+	delayed.Add(0)
+	delayed.Add(100)
+	traj.Metrics["delayed_gain"] = bench(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			delayed.Gain(graph.NodeID(i % g.N()))
+		}
+	})
 
 	// --- graph update: re-weight 8 existing arcs ---
 	update := reweightDelta(g)

@@ -333,4 +333,10 @@ func TestSampleWorldsCancel(t *testing.T) {
 	if worlds, err := SampleWorldsCancel(g, IC, 5, 3, 2, nil); err != nil || len(worlds) != 5 {
 		t.Fatalf("nil cancel: %v (%d worlds)", err, len(worlds))
 	}
+	if _, err := SampleDelayedWorldsCancel(g, UnitDelay{}, 50, 3, 2, cancel); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled delayed sampling: got %v, want context.Canceled", err)
+	}
+	if worlds, err := SampleDelayedWorldsCancel(g, UnitDelay{}, 5, 3, 2, nil); err != nil || len(worlds) != 5 {
+		t.Fatalf("nil cancel, delayed: %v (%d worlds)", err, len(worlds))
+	}
 }

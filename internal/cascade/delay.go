@@ -1,13 +1,8 @@
 package cascade
 
 import (
-	"container/heap"
-	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"fairtcim/internal/graph"
 	"fairtcim/internal/xrand"
@@ -148,72 +143,72 @@ func SampleDelayedWorlds(g *graph.Graph, dist DelayDist, r int, seed int64, para
 }
 
 // SampleDelayedWorldsCancel is SampleDelayedWorlds with cooperative
-// cancellation, matching SampleWorldsCancel: once cancel is closed,
-// workers stop between worlds and the call returns context.Canceled. A
-// nil cancel never fires, making this the common implementation for both
-// entry points.
+// cancellation, through the same worker pool as SampleWorldsCancel: once
+// cancel is closed, workers stop between worlds and the call returns
+// context.Canceled. A nil cancel never fires.
 func SampleDelayedWorldsCancel(g *graph.Graph, dist DelayDist, r int, seed int64, parallelism int, cancel <-chan struct{}) ([]*WeightedWorld, error) {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > r {
-		parallelism = r
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-	root := xrand.New(seed)
-	worlds := make([]*WeightedWorld, r)
-	var canceled atomic.Bool
-	var wg sync.WaitGroup
-	work := make(chan int, r)
-	for i := 0; i < r; i++ {
-		work <- i
-	}
-	close(work)
-	for p := 0; p < parallelism; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if cancel != nil {
-					select {
-					case <-cancel:
-						canceled.Store(true)
-						return
-					default:
-					}
-				}
-				worlds[i] = SampleDelayedWorld(g, dist, root.SplitN(int64(i)))
-			}
-		}()
-	}
-	wg.Wait()
-	if canceled.Load() {
-		return nil, context.Canceled
-	}
-	return worlds, nil
+	return sampleCancel(r, seed, parallelism, cancel, func(rng *xrand.RNG) *WeightedWorld { return SampleDelayedWorld(g, dist, rng) })
 }
 
-// distHeap is a binary min-heap of (node, dist) pairs for the bounded
-// Dijkstra below.
-type distItem struct {
-	node graph.NodeID
-	d    int32
+// DistItem is one DistHeap entry: a node and its tentative activation
+// time.
+type DistItem struct {
+	Node graph.NodeID
+	D    int32
 }
 
-type distHeap []distItem
+// DistHeap is a binary min-heap of DistItems by D, the frontier of a
+// bounded Dijkstra over weighted worlds. Its sift steps are
+// container/heap's, comparison for comparison and swap for swap, so equal
+// times surface in the order heap.Push and heap.Pop would give them; being
+// typed, it moves items without boxing each one in an interface. The zero
+// value is an empty heap.
+type DistHeap []DistItem
 
-func (h distHeap) Len() int            { return len(h) }
-func (h distHeap) Less(i, j int) bool  { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
+// Push adds it to the heap (container/heap.Push).
+func (h *DistHeap) Push(it DistItem) {
+	*h = append(*h, it)
+	h.up(len(*h) - 1)
+}
+
+// Pop removes and returns the item with the smallest D
+// (container/heap.Pop). The heap must not be empty.
+func (h *DistHeap) Pop() DistItem {
 	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+	return old[n]
+}
+
+func (h DistHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || h[j].D >= h[i].D {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h DistHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h[j2].D < h[j1].D {
+			j = j2 // right child
+		}
+		if h[j].D >= h[i].D {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // ReachableDelayed computes each node's weighted activation time from
@@ -228,28 +223,27 @@ func ReachableDelayed(w *WeightedWorld, seeds []graph.NodeID, tau int32, scratch
 	for i := range dist {
 		dist[i] = NotActivated
 	}
-	h := make(distHeap, 0, len(seeds))
+	h := make(DistHeap, 0, len(seeds))
 	for _, s := range seeds {
 		if dist[s] != 0 {
 			dist[s] = 0
-			h = append(h, distItem{node: s, d: 0})
+			h.Push(DistItem{Node: s})
 		}
 	}
-	heap.Init(&h)
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(distItem)
-		if it.d != dist[it.node] {
+	for len(h) > 0 {
+		it := h.Pop()
+		if it.D != dist[it.Node] {
 			continue // stale entry
 		}
-		targets, delays := w.Out(it.node)
+		targets, delays := w.Out(it.Node)
 		for i, to := range targets {
-			nd := it.d + delays[i]
+			nd := it.D + delays[i]
 			if nd > tau {
 				continue
 			}
 			if dist[to] == NotActivated || nd < dist[to] {
 				dist[to] = nd
-				heap.Push(&h, distItem{node: to, d: nd})
+				h.Push(DistItem{Node: to, D: nd})
 			}
 		}
 	}
@@ -267,7 +261,7 @@ func RunICM(g *graph.Graph, seeds []graph.NodeID, tau int32, m float64, rng *xra
 	for i := range times {
 		times[i] = NotActivated
 	}
-	h := distHeap{}
+	var h DistHeap
 	activate := func(v graph.NodeID, t int32) {
 		times[v] = t
 		targets, probs := g.OutEdges(v)
@@ -280,7 +274,7 @@ func RunICM(g *graph.Graph, seeds []graph.NodeID, tau int32, m float64, rng *xra
 			}
 			at := t + int32(rng.Geometric(m))
 			if at <= tau {
-				heap.Push(&h, distItem{node: to, d: at})
+				h.Push(DistItem{Node: to, D: at})
 			}
 		}
 	}
@@ -289,12 +283,12 @@ func RunICM(g *graph.Graph, seeds []graph.NodeID, tau int32, m float64, rng *xra
 			activate(s, 0)
 		}
 	}
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(distItem)
-		if times[it.node] != NotActivated {
+	for len(h) > 0 {
+		it := h.Pop()
+		if times[it.Node] != NotActivated {
 			continue // already activated earlier via another edge
 		}
-		activate(it.node, it.d)
+		activate(it.Node, it.D)
 	}
 	return times
 }

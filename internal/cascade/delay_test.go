@@ -1,6 +1,8 @@
 package cascade
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -248,5 +250,76 @@ func TestDelayedMonotoneInTau(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDistHeapPopsInOrder pushes and pops heavily tied times in random
+// interleavings: every pop must return a minimum of what is queued.
+func TestDistHeapPopsInOrder(t *testing.T) {
+	rng := xrand.New(4)
+	var h DistHeap
+	var queued []int32 // multiset of queued times, unordered
+	for step := 0; step < 2000; step++ {
+		if len(h) > 0 && rng.Intn(2) == 0 {
+			it := h.Pop()
+			low := 0
+			for i, d := range queued {
+				if d < queued[low] {
+					low = i
+				}
+			}
+			if it.D != queued[low] {
+				t.Fatalf("step %d: popped %d, minimum queued %d", step, it.D, queued[low])
+			}
+			queued = append(queued[:low], queued[low+1:]...)
+			continue
+		}
+		d := rng.Int31n(6)
+		h.Push(DistItem{Node: graph.NodeID(step), D: d})
+		queued = append(queued, d)
+	}
+	if len(h) != len(queued) {
+		t.Fatalf("heap holds %d items, want %d", len(h), len(queued))
+	}
+}
+
+// TestDelayedSearchesPinned pins RunICM's and ReachableDelayed's outputs
+// bit for bit on a random graph. RunICM draws each influence coin when it
+// pops a meeting from its frontier heap, so the pin also fails if the
+// heap's sift order, which decides how tied meetings surface, ever leaves
+// container/heap's.
+func TestDelayedSearchesPinned(t *testing.T) {
+	rng := xrand.New(21)
+	const n = 60
+	b := graph.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j && rng.Bernoulli(0.08) {
+				b.AddEdge(graph.NodeID(i), graph.NodeID(j), 0.5)
+			}
+		}
+	}
+	g := b.MustBuild()
+	seeds := []graph.NodeID{0, 1, 2}
+	const tau = 12
+	h := fnv.New64a()
+	record := func(times []int32) {
+		for _, tv := range times {
+			binary.Write(h, binary.LittleEndian, tv)
+		}
+	}
+	sim := xrand.New(3)
+	for r := 0; r < 200; r++ {
+		record(RunICM(g, seeds, tau, 0.4, sim))
+	}
+	if got, want := h.Sum64(), uint64(0x39b080f02a799db3); got != want {
+		t.Errorf("RunICM outcomes hash %#x, want %#x", got, want)
+	}
+	h.Reset()
+	for _, w := range SampleDelayedWorlds(g, GeometricDelay{M: 0.4}, 50, 5, 0) {
+		record(ReachableDelayed(w, seeds, tau, nil))
+	}
+	if got, want := h.Sum64(), uint64(0x67932153449c20e7); got != want {
+		t.Errorf("ReachableDelayed distances hash %#x, want %#x", got, want)
 	}
 }

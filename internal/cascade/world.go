@@ -177,17 +177,25 @@ func SampleWorlds(g *graph.Graph, model Model, r int, seed int64, parallelism in
 // context.Canceled. A nil cancel never fires, making this the common
 // implementation for both entry points.
 func SampleWorldsCancel(g *graph.Graph, model Model, r int, seed int64, parallelism int, cancel <-chan struct{}) ([]*World, error) {
+	sample := SampleICWorld
+	if model == LT {
+		sample = SampleLTWorld
+	}
+	return sampleCancel(r, seed, parallelism, cancel, func(rng *xrand.RNG) *World { return sample(g, rng) })
+}
+
+// sampleCancel is the worker pool behind every world sampler: up to
+// parallelism workers (<= 0 means GOMAXPROCS) draw r worlds, world i always
+// from the i'th split of the seed stream, so the result does not depend on
+// scheduling. Each worker polls cancel before every world; once it is
+// closed the call returns context.Canceled. A nil cancel never fires.
+func sampleCancel[W any](r int, seed int64, parallelism int, cancel <-chan struct{}, draw func(*xrand.RNG) W) ([]W, error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	if parallelism > r {
-		parallelism = r
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
+	parallelism = max(1, min(parallelism, r))
 	root := xrand.New(seed)
-	worlds := make([]*World, r)
+	worlds := make([]W, r)
 	var canceled atomic.Bool
 	var wg sync.WaitGroup
 	next := make(chan int, r)
@@ -200,21 +208,13 @@ func SampleWorldsCancel(g *graph.Graph, model Model, r int, seed int64, parallel
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				if cancel != nil {
-					select {
-					case <-cancel:
-						canceled.Store(true)
-						return
-					default:
-					}
-				}
-				rng := root.SplitN(int64(i))
-				switch model {
-				case LT:
-					worlds[i] = SampleLTWorld(g, rng)
+				select {
+				case <-cancel:
+					canceled.Store(true)
+					return
 				default:
-					worlds[i] = SampleICWorld(g, rng)
 				}
+				worlds[i] = draw(root.SplitN(int64(i)))
 			}
 		}()
 	}

@@ -2,8 +2,9 @@
 // engines and everything that consumes them — the solvers (fairim), the
 // serving layer and the benchmarks. Two engines implement it today:
 //
-//   - forward Monte Carlo over live-edge worlds (influence.Evaluator and
-//     its delayed/discounted variants), the paper's estimator; and
+//   - forward Monte Carlo over live-edge worlds (influence.Evaluator,
+//     one type for the 0/1, delayed and discounted utilities), the
+//     paper's estimator; and
 //   - reverse influence sampling (ris.Estimator), the scalability
 //     extension that turns group utilities into RR-set coverage.
 //

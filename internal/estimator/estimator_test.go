@@ -15,8 +15,6 @@ import (
 // Every estimation engine must satisfy the shared interface.
 var (
 	_ estimator.Estimator = (*influence.Evaluator)(nil)
-	_ estimator.Estimator = (*influence.DelayedEvaluator)(nil)
-	_ estimator.Estimator = (*influence.DiscountedEvaluator)(nil)
 	_ estimator.Estimator = (*ris.Estimator)(nil)
 )
 

@@ -1,10 +1,14 @@
 package fairim
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 
 	"fairtcim/internal/cascade"
+	"fairtcim/internal/generate"
 	"fairtcim/internal/graph"
+	"fairtcim/internal/xrand"
 )
 
 func TestDelayedDiffusionSolve(t *testing.T) {
@@ -132,5 +136,37 @@ func TestDelayedTraceMonotone(t *testing.T) {
 		if res.Trace[i].Total < res.Trace[i-1].Total-1e-9 {
 			t.Fatal("delayed trace decreased")
 		}
+	}
+}
+
+// countingDelay is a unit delay that counts its draws.
+type countingDelay struct{ draws *atomic.Int64 }
+
+func (d countingDelay) Sample(*xrand.RNG) int32 {
+	d.draws.Add(1)
+	return 1
+}
+
+func (countingDelay) Name() string { return "counting" }
+
+// TestDelayedSamplingHonorsCancel: a cancel closed before a delayed solve
+// starts stops it inside world sampling, before a single delay is drawn.
+func TestDelayedSamplingHonorsCancel(t *testing.T) {
+	g, err := generate.TwoBlock(generate.DefaultTwoBlock(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var draws atomic.Int64
+	done := make(chan struct{})
+	close(done)
+	cfg := DefaultConfig(1)
+	cfg.Tau = 5
+	cfg.Delay = countingDelay{&draws}
+	cfg.Cancel = done
+	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: cfg}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("got %v, want ErrCanceled", err)
+	}
+	if n := draws.Load(); n != 0 {
+		t.Fatalf("canceled solve drew %d delays, want 0", n)
 	}
 }

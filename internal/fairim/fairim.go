@@ -112,11 +112,12 @@ type Config struct {
 	// Cancel, if non-nil, is polled at the same between-picks seam as
 	// OnIteration — once the channel is closed, the solve aborts after the
 	// current pick and returns ErrCanceled — and inside the sampling loops:
-	// IC/LT world sampling, RR-pool sampling, and the accuracy sizer's
-	// doubling rounds all stop between samples, so a multi-second sampling
-	// phase is interruptible too. Only delayed-world sampling and the
-	// parallel first gain pass run to completion. The serving layer wires a
-	// job's cancellation context here.
+	// optimization world sampling (IC, LT and delayed), RR-pool sampling,
+	// and the accuracy sizer's doubling rounds all stop between samples,
+	// so a multi-second sampling phase is interruptible too. Only the
+	// parallel first gain pass and the fresh-world report run to
+	// completion. The serving layer wires a job's cancellation context
+	// here.
 	Cancel <-chan struct{}
 	// Warm, if non-nil, primes a budget solve (P1/P4 under CELF) with a
 	// memoized greedy prefix, which must come from Result.Warm of an
@@ -369,11 +370,37 @@ func (c *Config) newEstimator(g *graph.Graph) (estimator.Estimator, error) {
 		}
 		return ris.NewEstimator(col), nil
 	}
+	e, err := c.forwardMC(g, c.Samples, c.Seed, c.Cancel)
+	if err != nil {
+		return nil, err // an untyped nil, not a nil *influence.Evaluator
+	}
+	return e, nil
+}
+
+// estimate evaluates seeds on fresh worlds under the configured model.
+func (c *Config) estimate(g *graph.Graph, seeds []graph.NodeID) ([]float64, error) {
+	e, err := c.forwardMC(g, c.evalSamples(), c.Seed+1, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, v := range seeds {
+		e.Add(v)
+	}
+	return e.GroupUtilities(), nil
+}
+
+// forwardMC samples r live-edge worlds from seed — delay-weighted under
+// Delay — and builds the forward-MC evaluator of the configured utility:
+// delayed, discounted or 0/1. Sampling stops early once cancel closes.
+func (c *Config) forwardMC(g *graph.Graph, r int, seed int64, cancel <-chan struct{}) (*influence.Evaluator, error) {
 	if c.Delay != nil {
-		worlds := cascade.SampleDelayedWorlds(g, c.Delay, c.Samples, c.Seed, c.Parallelism)
+		worlds, err := cascade.SampleDelayedWorldsCancel(g, c.Delay, r, seed, c.Parallelism, cancel)
+		if err != nil {
+			return nil, mapCanceled(err)
+		}
 		return influence.NewDelayedEvaluator(g, worlds, c.Tau)
 	}
-	worlds, err := cascade.SampleWorldsCancel(g, c.Model, c.Samples, c.Seed, c.Parallelism, c.Cancel)
+	worlds, err := cascade.SampleWorldsCancel(g, c.Model, r, seed, c.Parallelism, cancel)
 	if err != nil {
 		return nil, mapCanceled(err)
 	}
@@ -381,18 +408,6 @@ func (c *Config) newEstimator(g *graph.Graph) (estimator.Estimator, error) {
 		return influence.NewDiscountedEvaluator(g, worlds, c.Tau, c.Discount)
 	}
 	return influence.NewEvaluator(g, worlds, c.Tau)
-}
-
-// estimate evaluates seeds on fresh worlds under the configured model.
-func (c *Config) estimate(g *graph.Graph, seeds []graph.NodeID) ([]float64, error) {
-	switch {
-	case c.Delay != nil:
-		return influence.EstimateDelayed(g, seeds, c.Tau, c.Delay, c.evalSamples(), c.Seed+1)
-	case c.Discount > 0:
-		return influence.EstimateDiscounted(g, seeds, c.Tau, c.Discount, c.Model, c.evalSamples(), c.Seed+1)
-	default:
-		return influence.Estimate(g, seeds, c.Tau, c.Model, c.evalSamples(), c.Seed+1)
-	}
 }
 
 // coverSlack absorbs floating-point noise in Monte-Carlo-estimated cover

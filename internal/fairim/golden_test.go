@@ -5,22 +5,29 @@ import (
 	"slices"
 	"testing"
 
+	"fairtcim/internal/cascade"
 	"fairtcim/internal/datasets"
 	"fairtcim/internal/graph"
 )
 
-// TestSolveGoldenAnswers pins what the solvers compute on two mid-sized
+// TestSolveGoldenAnswers pins what the solvers compute on three mid-sized
 // stand-ins: the seed sets, the Evaluations counts and the bits of the
-// on-sample per-group utilities. Both the CELF heap's tie order (equal
+// reported per-group utilities. Both the CELF heap's tie order (equal
 // gains resolve by heap array position) and the first gain pass feed
 // every one of them, so a change to either that moves any answer fails
-// here even when every property test still holds.
+// here even when every property test still holds. The rice rows cover
+// every forward-MC utility (IC, LT, delayed, discounted), on the
+// optimization sample and on the fresh-world report.
 func TestSolveGoldenAnswers(t *testing.T) {
 	instagram, err := datasets.Instagram(0.1, 0.06, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap, err := datasets.FacebookSnap(0.01, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rice, err := datasets.RiceFacebook(0.01, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,6 +38,19 @@ func TestSolveGoldenAnswers(t *testing.T) {
 	mcCfg.ReportOnSample = true
 	rr := Sampling{RISPerGroup: 4000}
 	worlds := Sampling{Samples: 50}
+	// variant returns mcCfg with one forward-MC utility switched on; fresh
+	// reports on fresh worlds instead of the optimization sample.
+	variant := func(fresh bool, set func(*Config)) Config {
+		c := mcCfg
+		c.ReportOnSample = !fresh
+		if set != nil {
+			set(&c)
+		}
+		return c
+	}
+	lt := func(c *Config) { c.Model = cascade.LT }
+	delayed := func(c *Config) { c.Delay = cascade.GeometricDelay{M: 0.5} }
+	discounted := func(c *Config) { c.Discount = 0.8 }
 	specs := map[string]struct {
 		g    *graph.Graph
 		spec ProblemSpec
@@ -41,6 +61,13 @@ func TestSolveGoldenAnswers(t *testing.T) {
 		"ris/P6/instagram": {instagram, ProblemSpec{Problem: P6, Quota: 0.05, Sampling: rr, Config: risCfg}},
 		"mc/P4/snap":       {snap, ProblemSpec{Problem: P4, Budget: 30, Sampling: worlds, Config: mcCfg}},
 		"mc/P6/snap":       {snap, ProblemSpec{Problem: P6, Quota: 0.05, Sampling: worlds, Config: mcCfg}},
+
+		"mc-lt/P4/rice":               {rice, ProblemSpec{Problem: P4, Budget: 10, Sampling: worlds, Config: variant(false, lt)}},
+		"mc-delayed/P4/rice":          {rice, ProblemSpec{Problem: P4, Budget: 10, Sampling: worlds, Config: variant(false, delayed)}},
+		"mc-discounted/P4/rice":       {rice, ProblemSpec{Problem: P4, Budget: 10, Sampling: worlds, Config: variant(false, discounted)}},
+		"mc/P1/rice/fresh":            {rice, ProblemSpec{Problem: P1, Budget: 10, Sampling: worlds, Config: variant(true, nil)}},
+		"mc-delayed/P1/rice/fresh":    {rice, ProblemSpec{Problem: P1, Budget: 10, Sampling: worlds, Config: variant(true, delayed)}},
+		"mc-discounted/P1/rice/fresh": {rice, ProblemSpec{Problem: P1, Budget: 10, Sampling: worlds, Config: variant(true, discounted)}},
 	}
 	for _, want := range goldenAnswers {
 		t.Run(want.name, func(t *testing.T) {
@@ -79,4 +106,10 @@ var goldenAnswers = []struct {
 	{"ris/P6/instagram", []graph.NodeID{50872, 17174, 18333, 31661, 26715, 45258, 35489, 7160, 13905, 49733, 38761, 23990, 39967, 24017, 41465, 24385, 21727, 23021, 23624, 2624, 51255, 20635, 19664, 9614, 22871, 24479, 4926, 13572, 48038, 9582, 4747, 24211, 33410, 16377, 43183, 35827, 24134, 12291, 1687, 48205, 9892, 7075, 32950, 4120, 8241, 16528, 16537, 33103, 33121, 8284, 4146, 33200, 2075, 33221, 33247, 1041, 16693, 16710, 33444, 8371, 33524, 16791, 16796, 16827, 33769, 4231, 33929, 16995, 17006, 34046, 34072, 34093, 34118, 8529, 17117, 17121, 17139, 1071, 34309, 34323, 34352, 34360, 34370, 8631, 34554, 8658, 8684, 17419, 4365, 8750, 17526, 17576, 17609, 8827, 8843, 8851, 2215, 35455, 35468, 35484, 35505, 17771, 35579, 35586, 17794, 17797, 17817, 35672, 8918, 17844, 17893, 35795, 35900, 35925, 4500, 18003, 18027, 18079, 18109, 36242, 4530, 36275, 18138, 4549, 36420, 18213, 18246, 2282, 18323, 9162, 36743, 36752, 9193, 9223, 36936, 9265, 2316, 1159, 37130, 37143, 2327, 37365, 37429, 37456, 37718, 37736, 37947, 34711, 34659, 35208, 35106, 35109, 34995, 34713, 32707, 39495, 39271, 39397, 40757, 39618, 40058, 39645, 40362, 40257, 40061, 40276, 40272, 41173, 41882, 41836, 41757, 41944, 41927, 41929, 42038, 42033, 42529, 43322, 42836}, 56170, []uint64{0x4093ae0000000000, 0x409792999999999a}},
 	{"mc/P4/snap", []graph.NodeID{1900, 3844, 2917, 449, 1971, 1814, 3989, 278, 2932, 1987, 247, 1030, 3266, 2009, 2348, 503, 3748, 924, 2132, 2378, 3273, 304, 2075, 2246, 978, 487, 3800, 2088, 2279, 1850}, 20295, []uint64{0x4023cccccccccccd, 0x4038666666666666, 0x401e28f5c28f5c29, 0x4029c28f5c28f5c3, 0x403051eb851eb852}},
 	{"mc/P6/snap", []graph.NodeID{1971, 1987, 2132, 2075, 2148, 2009, 2044, 2088, 247, 2102, 487, 503, 449, 424, 29, 304, 1814, 278, 522, 442, 330, 539, 218, 69, 84, 281, 390, 1030, 1872, 2932, 2348, 2246, 1900, 2378, 978, 1850, 3989, 2452, 1829, 3748, 2909, 864, 2690, 3266, 981, 2696, 2532, 974, 2314, 1758, 3852, 3800, 2195, 3273, 3191, 752, 857, 3844, 2673, 2554, 2432, 2872, 2698, 2242, 2657, 2526, 2279, 1236, 3128, 678, 1941, 3210, 790, 1920, 3724, 3746, 3543, 1726, 3888, 3644, 3035, 3782, 3292, 3795, 3842, 3294, 3697, 3990, 2803, 909}, 11913, []uint64{0x403b8f5c28f5c28f, 0x4051fae147ae147b, 0x4026c28f5c28f5c3, 0x404411eb851eb852, 0x404b68f5c28f5c29}},
+	{"mc-lt/P4/rice", []graph.NodeID{133, 40, 909, 678, 322, 37, 437, 215, 738, 19}, 4820, []uint64{0x401fd70a3d70a3d7, 0x403475c28f5c28f6, 0x4034051eb851eb85, 0x4028f5c28f5c28f6}},
+	{"mc-delayed/P4/rice", []graph.NodeID{513, 244, 39, 34, 1120, 781, 223, 22, 75, 252}, 5094, []uint64{0x401f333333333333, 0x40309eb851eb851f, 0x40320f5c28f5c28f, 0x40231eb851eb851f}},
+	{"mc-discounted/P4/rice", []graph.NodeID{378, 40, 771, 26, 1119, 345, 789, 14, 67, 1145}, 5602, []uint64{0x401734b0b5a3eb26, 0x4021e39f3dc5d471, 0x4021e9de29319ce1, 0x401adfbd92ef3358}},
+	{"mc/P1/rice/fresh", []graph.NodeID{378, 821, 165, 238, 713, 439, 415, 556, 437, 778}, 1339, []uint64{0x3ff6147ae147ae14, 0x402c1eb851eb851f, 0x402b99999999999a, 0x4014666666666666}},
+	{"mc-delayed/P1/rice/fresh", []graph.NodeID{513, 781, 244, 438, 223, 737, 729, 39, 125, 1185}, 1306, []uint64{0x400a8f5c28f5c28f, 0x402bd70a3d70a3d7, 0x402dc28f5c28f5c3, 0x401c147ae147ae14}},
+	{"mc-discounted/P1/rice/fresh", []graph.NodeID{378, 173, 713, 345, 354, 753, 192, 789, 556, 238}, 1258, []uint64{0x3ff21751beec6778, 0x402746b58dd003b3, 0x40229b9fb2471a61, 0x4005154ac393bbd3}},
 }

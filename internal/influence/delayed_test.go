@@ -10,7 +10,7 @@ import (
 	"fairtcim/internal/xrand"
 )
 
-func newDelayedEval(t *testing.T, g *graph.Graph, tau int32, r int, m float64, seed int64) *DelayedEvaluator {
+func newDelayedEval(t *testing.T, g *graph.Graph, tau int32, r int, m float64, seed int64) *Evaluator {
 	t.Helper()
 	worlds := cascade.SampleDelayedWorlds(g, cascade.GeometricDelay{M: m}, r, seed, 0)
 	e, err := NewDelayedEvaluator(g, worlds, tau)
@@ -165,10 +165,11 @@ func TestEstimateDelayedAgainstDirectICM(t *testing.T) {
 	const tau, m = 5, 0.5
 	const reps = 4000
 
-	est, err := EstimateDelayed(g, seeds, tau, cascade.GeometricDelay{M: m}, reps, 13)
-	if err != nil {
-		t.Fatal(err)
+	e := newDelayedEval(t, g, tau, reps, m, 13)
+	for _, v := range seeds {
+		e.Add(v)
 	}
+	est := e.GroupUtilities()
 	total := est[0] + est[1]
 
 	rng := xrand.New(17)
@@ -184,7 +185,7 @@ func TestEstimateDelayedAgainstDirectICM(t *testing.T) {
 	if math.Abs(total-direct) > 0.35 {
 		t.Fatalf("delayed estimate %v vs direct IC-M %v", total, direct)
 	}
-	if _, err := EstimateDelayed(g, seeds, tau, cascade.UnitDelay{}, 0, 1); err == nil {
+	if _, err := NewDelayedEvaluator(g, cascade.SampleDelayedWorlds(g, cascade.UnitDelay{}, 0, 1, 0), tau); err == nil {
 		t.Fatal("zero samples accepted")
 	}
 }

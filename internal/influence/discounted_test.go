@@ -10,7 +10,7 @@ import (
 	"fairtcim/internal/xrand"
 )
 
-func newDiscEval(t *testing.T, g *graph.Graph, tau int32, gamma float64, r int, seed int64) *DiscountedEvaluator {
+func newDiscEval(t *testing.T, g *graph.Graph, tau int32, gamma float64, r int, seed int64) *Evaluator {
 	t.Helper()
 	worlds := cascade.SampleWorlds(g, cascade.IC, r, seed, 0)
 	e, err := NewDiscountedEvaluator(g, worlds, tau, gamma)
@@ -192,14 +192,14 @@ func TestDiscountedReset(t *testing.T) {
 
 func TestEstimateDiscounted(t *testing.T) {
 	g := randomGrouped(6, 25, 2, 0.1, 0.4)
-	util, err := EstimateDiscounted(g, []graph.NodeID{0, 3}, 4, 0.7, cascade.IC, 100, 5)
-	if err != nil {
-		t.Fatal(err)
+	e := newDiscEval(t, g, 4, 0.7, 100, 5)
+	for _, v := range []graph.NodeID{0, 3} {
+		e.Add(v)
 	}
-	if len(util) != 2 || util[0]+util[1] < 2 {
+	if util := e.GroupUtilities(); len(util) != 2 || util[0]+util[1] < 2 {
 		t.Fatalf("discounted estimate %v", util)
 	}
-	if _, err := EstimateDiscounted(g, nil, 4, 0.7, cascade.IC, 0, 1); err == nil {
+	if _, err := NewDiscountedEvaluator(g, cascade.SampleWorlds(g, cascade.IC, 0, 1, 0), 4, 0.7); err == nil {
 		t.Fatal("zero samples accepted")
 	}
 }

@@ -1,15 +1,25 @@
 // Package influence implements the time-critical influence utility
-// fτ(S;Y,G) of Eq. 1 and its group-aware estimation.
+// fτ(S;Y,G) of Eq. 1 and its group-aware estimation by forward Monte
+// Carlo.
 //
 // The estimator averages over R live-edge worlds (see package cascade).
+// One Evaluator type serves three utilities:
+//
+//   - the paper's 0/1 deadline utility: a node counts 1 if activated
+//     within τ (NewEvaluator);
+//   - the same utility under delayed diffusion such as IC-M, where worlds
+//     carry integer edge delays (NewDelayedEvaluator);
+//   - the time-discounted utility from the paper's future work: a node
+//     activated at t ≤ τ counts γ^t (NewDiscountedEvaluator).
+//
 // An Evaluator keeps, for every world, the current activation time of
 // every node under the growing seed set, plus per-group totals, over all
-// worlds, of nodes activated within the deadline. A marginal-gain query
-// for candidate v runs a τ-bounded BFS from v in each world, pruned at
-// nodes whose current activation time is already no worse — so the query
-// costs only the part of the world the candidate actually improves. On a
-// fixed world set the resulting set function is exactly monotone and
-// submodular.
+// worlds, of the utility those times earn. A marginal-gain query for
+// candidate v runs a τ-bounded search from v in each world — a BFS on hop
+// worlds, a Dijkstra on delayed ones — pruned at nodes whose current
+// activation time is already no worse, so the query costs only the part
+// of the world the candidate actually improves. On a fixed world set each
+// utility is exactly monotone and submodular.
 package influence
 
 import (
@@ -23,41 +33,62 @@ import (
 
 // unreached is the internal "activation time" of an inactive node. It must
 // compare greater than every valid deadline, including cascade.NoDeadline,
-// so that inactive nodes never count as within-deadline. BFS times never
-// reach it: expansion stops at d == tau <= NoDeadline < unreached.
+// so that inactive nodes never count as within-deadline. Search times
+// never reach it: expansion stops at d == tau <= NoDeadline < unreached.
 const unreached int32 = math.MaxInt32
 
-// Evaluator estimates fτ(S;V_i,G) for all groups i simultaneously over a
-// fixed set of live-edge worlds, with incremental seed-set growth.
+// Evaluator estimates a time-critical utility for all groups
+// simultaneously over a fixed set of live-edge worlds, with incremental
+// seed-set growth. Its constructor fixes the utility: NewEvaluator (0/1),
+// NewDelayedEvaluator (0/1 over delayed worlds) or NewDiscountedEvaluator
+// (γ^t); only the per-world search differs between them.
 //
-// Evaluator methods are not safe for concurrent use except GainPerGroupInto
-// with distinct Scratch values, which performs read-only queries.
+// Evaluator methods are not safe for concurrent use except InitialGains.
 type Evaluator struct {
-	g      *graph.Graph
-	worlds []*cascade.World
-	tau    int32
+	g   *graph.Graph
+	tau int32
+	// Exactly one of worlds (hop worlds) and weighted (delayed worlds) is
+	// set.
+	worlds   []*cascade.World
+	weighted []*cascade.WeightedWorld
+	// Discounted utility only: pow[d] = γ^d, d ≤ min(τ, powTableMax-1);
+	// nil for the 0/1 utility.
+	gamma float64
+	pow   []float64
 
 	dist  [][]int32 // dist[w][v]: activation time of v in world w, or unreached
-	sums  []float64 // sums[i]: group-i nodes with dist <= tau, summed over worlds
+	sums  []float64 // sums[i]: group-i utility, summed over worlds
 	seeds []graph.NodeID
 
-	scratch *Scratch // default scratch for the non-concurrent API
+	scratch *scratch // default scratch for the non-concurrent API
 }
 
-// Scratch holds per-query BFS state so concurrent read-only gain queries
-// do not contend. Obtain with NewScratch.
-type Scratch struct {
-	tent  []int32 // tentative BFS time per node
+// scratch holds per-query search state so concurrent read-only gain
+// queries do not contend.
+type scratch struct {
+	tent  []int32 // tentative search time per node
 	stamp []int64 // epoch marking which entries of tent are valid
 	epoch int64
-	queue []graph.NodeID
-	delta []float64 // per-group accumulator
+	queue []graph.NodeID   // BFS frontier (hop worlds)
+	heap  cascade.DistHeap // Dijkstra frontier (delayed worlds)
+	delta []float64        // per-group accumulator
 }
 
-// NewEvaluator builds an evaluator for deadline tau over the given worlds.
-// tau must be >= 0 (use cascade.NoDeadline for τ = ∞); at least one world
-// is required.
+// NewEvaluator builds an evaluator of the 0/1 deadline utility for
+// deadline tau over the given worlds. tau must be >= 0 (use
+// cascade.NoDeadline for τ = ∞); at least one world is required.
 func NewEvaluator(g *graph.Graph, worlds []*cascade.World, tau int32) (*Evaluator, error) {
+	e, err := newEvaluator(g, worlds, tau)
+	if err != nil {
+		return nil, err
+	}
+	e.worlds = worlds
+	return e, nil
+}
+
+// newEvaluator validates worlds and tau and allocates the state every
+// utility shares; the caller attaches the worlds.
+func newEvaluator[W interface{ N() int }](g *graph.Graph, worlds []W, tau int32) (*Evaluator, error) {
 	if len(worlds) == 0 {
 		return nil, fmt.Errorf("influence: need at least one world")
 	}
@@ -69,7 +100,7 @@ func NewEvaluator(g *graph.Graph, worlds []*cascade.World, tau int32) (*Evaluato
 			return nil, fmt.Errorf("influence: world %d has %d nodes, graph has %d", i, w.N(), g.N())
 		}
 	}
-	e := &Evaluator{g: g, worlds: worlds, tau: tau}
+	e := &Evaluator{g: g, tau: tau}
 	e.dist = make([][]int32, len(worlds))
 	for w := range worlds {
 		d := make([]int32, g.N())
@@ -79,28 +110,22 @@ func NewEvaluator(g *graph.Graph, worlds []*cascade.World, tau int32) (*Evaluato
 		e.dist[w] = d
 	}
 	e.sums = make([]float64, g.NumGroups())
-	e.scratch = e.NewScratch()
+	e.scratch = e.newScratch()
 	return e, nil
 }
 
-// NewScratch allocates BFS scratch sized for this evaluator.
-func (e *Evaluator) NewScratch() *Scratch {
-	return &Scratch{
+// newScratch allocates search scratch sized for this evaluator.
+func (e *Evaluator) newScratch() *scratch {
+	return &scratch{
 		tent:  make([]int32, e.g.N()),
 		stamp: make([]int64, e.g.N()),
 		delta: make([]float64, e.g.NumGroups()),
 	}
 }
 
-// Tau returns the evaluator's deadline.
-func (e *Evaluator) Tau() int32 { return e.tau }
-
-// NumWorlds returns the number of Monte-Carlo worlds.
-func (e *Evaluator) NumWorlds() int { return len(e.worlds) }
-
 // SampleSize returns the number of Monte-Carlo worlds (the
 // estimator.Estimator sample-budget accessor).
-func (e *Evaluator) SampleSize() int { return len(e.worlds) }
+func (e *Evaluator) SampleSize() int { return len(e.dist) }
 
 // Graph returns the underlying graph.
 func (e *Evaluator) Graph() *graph.Graph { return e.g }
@@ -108,19 +133,20 @@ func (e *Evaluator) Graph() *graph.Graph { return e.g }
 // Seeds returns the current seed set (shared slice; do not modify).
 func (e *Evaluator) Seeds() []graph.NodeID { return e.seeds }
 
-// GroupUtilities returns the current estimates of fτ(S;V_i,G) for every
-// group i: expected numbers of group members activated within the deadline.
+// GroupUtilities returns the current estimates of the utility of every
+// group i: for the 0/1 utility fτ(S;V_i,G), the expected number of group
+// members activated within the deadline.
 func (e *Evaluator) GroupUtilities() []float64 {
 	out := make([]float64, len(e.sums))
-	r := float64(len(e.worlds))
+	r := float64(len(e.dist))
 	for i, s := range e.sums {
 		out[i] = s / r
 	}
 	return out
 }
 
-// NormGroupUtilities returns fτ(S;V_i,G)/|V_i| for every group, the
-// normalized per-group utilities all figures report.
+// NormGroupUtilities returns every group's utility divided by the group's
+// size, the normalized per-group utilities all figures report.
 func (e *Evaluator) NormGroupUtilities() []float64 {
 	out := e.GroupUtilities()
 	for i := range out {
@@ -130,58 +156,48 @@ func (e *Evaluator) NormGroupUtilities() []float64 {
 }
 
 // AppendUtilities appends GroupUtilities to utils and NormGroupUtilities
-// to norms without allocating when both have room.
+// to norms without allocating when both have room: u = s/r, rounded once,
+// then u/|Vᵢ| — the roundings those methods make.
 func (e *Evaluator) AppendUtilities(utils, norms []float64) ([]float64, []float64) {
-	return appendUtilities(e.g, e.sums, len(e.worlds), utils, norms)
-}
-
-// appendUtilities is AppendUtilities for the forward-MC engines, whose
-// per-group utility is a sum over r worlds: u = s/r, rounded once, then
-// u/|Vᵢ| — the roundings GroupUtilities and NormGroupUtilities make.
-func appendUtilities(g *graph.Graph, sums []float64, r int, utils, norms []float64) ([]float64, []float64) {
-	for i, s := range sums {
-		u := s / float64(r)
+	r := float64(len(e.dist))
+	for i, s := range e.sums {
+		u := s / r
 		utils = append(utils, u)
-		norms = append(norms, u/float64(g.GroupSize(i)))
+		norms = append(norms, u/float64(e.g.GroupSize(i)))
 	}
 	return utils, norms
 }
 
-// TotalUtility returns the current estimate of fτ(S;V,G).
+// TotalUtility returns the current estimate of the utility over all nodes.
 func (e *Evaluator) TotalUtility() float64 {
 	total := 0.0
-	r := float64(len(e.worlds))
+	r := float64(len(e.dist))
 	for _, s := range e.sums {
 		total += s / r
 	}
 	return total
 }
 
-// GainPerGroup returns the expected per-group increase of fτ if v were
-// added to the seed set, without modifying state. The returned slice is
-// reused across calls; copy it if you need to keep it.
+// GainPerGroup returns the expected per-group increase of the utility if v
+// were added to the seed set, without modifying state. The returned slice
+// is reused across calls; copy it if you need to keep it.
 func (e *Evaluator) GainPerGroup(v graph.NodeID) []float64 {
-	return e.GainPerGroupInto(e.scratch, v)
+	return e.gainPerGroup(e.scratch, v)
 }
 
-// GainPerGroupInto is GainPerGroup with caller-provided scratch; queries
-// with distinct scratch values may run concurrently (the evaluator state is
+// gainPerGroup is GainPerGroup with caller-provided scratch; queries with
+// distinct scratch values may run concurrently (the evaluator state is
 // only read).
-func (e *Evaluator) GainPerGroupInto(s *Scratch, v graph.NodeID) []float64 {
-	for i := range s.delta {
-		s.delta[i] = 0
-	}
-	for w := range e.worlds {
-		e.bfs(s, w, v, false)
-	}
-	r := float64(len(e.worlds))
+func (e *Evaluator) gainPerGroup(s *scratch, v graph.NodeID) []float64 {
+	e.search(s, v, false)
+	r := float64(len(e.dist))
 	for i := range s.delta {
 		s.delta[i] /= r
 	}
 	return s.delta
 }
 
-// Gain returns the expected total-influence increase of adding v.
+// Gain returns the expected total-utility increase of adding v.
 func (e *Evaluator) Gain(v graph.NodeID) float64 {
 	per := e.GainPerGroup(v)
 	total := 0.0
@@ -193,21 +209,39 @@ func (e *Evaluator) Gain(v graph.NodeID) float64 {
 
 // Add commits v to the seed set, updating all worlds.
 func (e *Evaluator) Add(v graph.NodeID) {
-	s := e.scratch
-	for i := range s.delta {
-		s.delta[i] = 0
-	}
-	for w := range e.worlds {
-		e.bfs(s, w, v, true)
-	}
+	e.search(e.scratch, v, true)
 	e.seeds = append(e.seeds, v)
 }
 
-// bfs runs the τ-bounded improvement BFS from v in world w. When commit is
-// false it only accumulates the per-group newly-within-deadline counts into
-// s.delta; when true it also writes the improved activation times and adds
-// the newly counted nodes to sums.
-func (e *Evaluator) bfs(s *Scratch, w int, v graph.NodeID, commit bool) {
+// search zeroes s.delta and runs the utility's search from v in every
+// world, accumulating the per-group gains into s.delta; with commit it
+// also applies them. The kernel is chosen once, outside the loop over
+// worlds.
+func (e *Evaluator) search(s *scratch, v graph.NodeID, commit bool) {
+	for i := range s.delta {
+		s.delta[i] = 0
+	}
+	switch {
+	case e.weighted != nil:
+		for w := range e.weighted {
+			e.dijkstra(s, w, v, commit)
+		}
+	case e.pow != nil:
+		for w := range e.worlds {
+			e.discountedBFS(s, w, v, commit)
+		}
+	default:
+		for w := range e.worlds {
+			e.bfs(s, w, v, commit)
+		}
+	}
+}
+
+// bfs runs the 0/1 utility's τ-bounded improvement BFS from v in world w.
+// When commit is false it only accumulates the per-group newly-within-
+// deadline counts into s.delta; when true it also writes the improved
+// activation times and adds the newly counted nodes to sums.
+func (e *Evaluator) bfs(s *scratch, w int, v graph.NodeID, commit bool) {
 	dist := e.dist[w]
 	if dist[v] == 0 {
 		return // already a seed in this world
@@ -254,8 +288,7 @@ func (e *Evaluator) bfs(s *Scratch, w int, v graph.NodeID, commit bool) {
 
 // Reset clears the seed set and all per-world state.
 func (e *Evaluator) Reset() {
-	for w := range e.worlds {
-		d := e.dist[w]
+	for _, d := range e.dist {
 		for v := range d {
 			d[v] = unreached
 		}
@@ -268,18 +301,18 @@ func (e *Evaluator) Reset() {
 
 // InitialGains computes GainPerGroup for every candidate into one flat,
 // row-major buffer: row i, out[i·G:(i+1)·G], holds candidates[i]'s
-// per-group gains. Workers claim chunks of rows, each with one Scratch. It
-// only reads evaluator state, so it is safe before/between Adds.
-// parallelism <= 0 means GOMAXPROCS. This accelerates the expensive first
-// CELF pass.
+// per-group gains. Workers claim chunks of rows, each with its own
+// scratch. It only reads evaluator state, so it is safe before/between
+// Adds. parallelism <= 0 means GOMAXPROCS. This accelerates the expensive
+// first CELF pass.
 func (e *Evaluator) InitialGains(candidates []graph.NodeID, parallelism int) []float64 {
 	groups := e.g.NumGroups()
 	out := make([]float64, len(candidates)*groups)
 	estimator.ParallelChunks(len(candidates), parallelism, func() func(lo, hi int) {
-		s := e.NewScratch()
+		s := e.newScratch()
 		return func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				copy(out[i*groups:(i+1)*groups], e.GainPerGroupInto(s, candidates[i]))
+				copy(out[i*groups:(i+1)*groups], e.gainPerGroup(s, candidates[i]))
 			}
 		}
 	})

@@ -268,28 +268,43 @@ func TestReset(t *testing.T) {
 	}
 }
 
+// TestInitialGainsMatchSequential holds every utility's parallel first
+// pass to its sequential GainPerGroup, bit for bit, on one and on several
+// workers.
 func TestInitialGainsMatchSequential(t *testing.T) {
 	g := randomGrouped(8, 40, 3, 0.08, 0.4)
-	e := newEval(t, g, 4, 20, 8)
-	e.Add(0)
+	const tau, r, seed = 4, 20, 8
 	// Enough candidates (repeats allowed) for several parallel chunks.
 	var cands []graph.NodeID
 	for len(cands) < 300 {
 		cands = append(cands, 1, 5, 9, 13, 22, 31)
 	}
-	for _, parallelism := range []int{1, 4} {
-		par := e.InitialGains(cands, parallelism)
-		if len(par) != len(cands)*g.NumGroups() {
-			t.Fatalf("parallelism %d: %d gains for %d candidates × %d groups", parallelism, len(par), len(cands), g.NumGroups())
-		}
-		for i, v := range cands {
-			seq := e.GainPerGroup(v)
-			for grp := range seq {
-				if got := par[i*len(seq)+grp]; got != seq[grp] {
-					t.Fatalf("parallelism %d candidate %d group %d: parallel %v vs sequential %v", parallelism, v, grp, got, seq[grp])
+	for _, c := range []struct {
+		name string
+		new  func(t *testing.T) *Evaluator
+	}{
+		{"zero-one", func(t *testing.T) *Evaluator { return newEval(t, g, tau, r, seed) }},
+		{"delayed", func(t *testing.T) *Evaluator { return newDelayedEval(t, g, tau, r, 0.5, seed) }},
+		{"discounted", func(t *testing.T) *Evaluator { return newDiscEval(t, g, tau, 0.8, r, seed) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := c.new(t)
+			e.Add(0)
+			for _, parallelism := range []int{1, 4} {
+				par := e.InitialGains(cands, parallelism)
+				if len(par) != len(cands)*g.NumGroups() {
+					t.Fatalf("parallelism %d: %d gains for %d candidates × %d groups", parallelism, len(par), len(cands), g.NumGroups())
+				}
+				for i, v := range cands {
+					seq := e.GainPerGroup(v)
+					for grp := range seq {
+						if got := par[i*len(seq)+grp]; got != seq[grp] {
+							t.Fatalf("parallelism %d candidate %d group %d: parallel %v vs sequential %v", parallelism, v, grp, got, seq[grp])
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
