@@ -61,8 +61,10 @@ type Result struct {
 }
 
 // GreedyMax runs the classical greedy: B rounds, each scanning every
-// remaining candidate. It exists mostly as the ablation baseline for CELF;
-// both produce identical seed sets on exact objectives.
+// remaining candidate and picking the highest gain, the lower node ID on a
+// tie, so the picks do not depend on the candidate order. It exists mostly
+// as the ablation baseline for CELF; both return identical seeds and
+// values on exact objectives.
 func GreedyMax(obj Objective, candidates []graph.NodeID, budget int) (Result, error) {
 	if budget < 0 {
 		return Result{}, fmt.Errorf("submodular: negative budget %d", budget)
@@ -73,18 +75,18 @@ func GreedyMax(obj Objective, candidates []graph.NodeID, budget int) (Result, er
 	}
 	remaining := append([]graph.NodeID(nil), candidates...)
 	for len(res.Seeds) < budget && len(remaining) > 0 {
-		bestIdx, bestGain := -1, 0.0
+		bestIdx, best := -1, LazyItem{}
 		for i, v := range remaining {
-			g := obj.Gain(v)
+			it := LazyItem{Node: v, Gain: obj.Gain(v)}
 			res.Evaluations++
-			if bestIdx == -1 || g > bestGain {
-				bestIdx, bestGain = i, g
+			if bestIdx == -1 || outranks(it, best) {
+				bestIdx, best = i, it
 			}
 		}
-		if bestGain <= 0 {
+		if best.Gain <= 0 {
 			break // monotone objective exhausted; extra seeds are useless
 		}
-		v := remaining[bestIdx]
+		v := best.Node
 		obj.Add(v)
 		res.Seeds = append(res.Seeds, v)
 		res.Values = append(res.Values, obj.Value())
@@ -120,14 +122,20 @@ type LazySnapshot struct {
 	Round int
 }
 
-// celfHeap is a max-heap of LazyItems by Gain. Its sift steps are
-// container/heap's, comparison for comparison and swap for swap, so equal
-// gains resolve by array position exactly as they would through
-// heap.Init/Push/Pop; being typed, it moves items without boxing each one
-// in an interface.
+// outranks reports whether a comes before b in CELF's order: the higher
+// gain first, and on equal gains the lower node ID. The order is total
+// over distinct nodes, so which candidate a run picks never depends on
+// where an item sits in the heap array, nor on the candidate order.
+func outranks(a, b LazyItem) bool {
+	return a.Gain > b.Gain || a.Gain == b.Gain && a.Node < b.Node
+}
+
+// celfHeap is a max-heap of LazyItems in outranks order. Its sift steps
+// are container/heap's; being typed, it moves items without boxing each
+// one in an interface.
 type celfHeap []LazyItem
 
-func (h celfHeap) less(i, j int) bool { return h[i].Gain > h[j].Gain }
+func (h celfHeap) less(i, j int) bool { return outranks(h[i], h[j]) }
 
 // init establishes the heap invariant (container/heap.Init).
 func (h celfHeap) init() {
@@ -186,8 +194,10 @@ func (h celfHeap) down(i, n int) {
 // LazyGreedyMax runs CELF (Leskovec et al. 2007): because marginal gains
 // only shrink as the set grows, a stale gain is an upper bound, so the
 // top-of-heap candidate whose gain is current can be added without
-// re-scanning everyone. Identical output to GreedyMax on exact objectives,
-// typically with far fewer Gain calls.
+// re-scanning everyone. The heap and the accept test share GreedyMax's
+// total order (higher gain, then lower node ID), so on exact objectives
+// the seeds and values are GreedyMax's whatever the candidate order, cold
+// or captured and resumed, typically with far fewer Gain calls.
 func LazyGreedyMax(obj Objective, candidates []graph.NodeID, budget int) (Result, error) {
 	res, _, err := LazyGreedyMaxCapture(obj, candidates, budget, nil)
 	return res, err
@@ -257,8 +267,9 @@ func lazyRun(obj Objective, h celfHeap, round, budget int, res Result) (Result, 
 			top.Gain = obj.Gain(top.Node)
 			res.Evaluations++
 			top.Round = round
-			// Re-insert unless it is still clearly the best.
-			if len(h) > 0 && top.Gain < h[0].Gain {
+			// Re-insert unless it still outranks every other item: their
+			// stale gains bound their current ones from above.
+			if len(h) > 0 && outranks(h[0], top) {
 				h.push(top)
 				continue
 			}
@@ -329,7 +340,7 @@ func GreedyCoverInit(obj Objective, candidates []graph.NodeID, target float64, m
 			top.Gain = obj.Gain(top.Node)
 			res.Evaluations++
 			top.Round = round
-			if len(h) > 0 && top.Gain < h[0].Gain {
+			if len(h) > 0 && outranks(h[0], top) {
 				h.push(top)
 				continue
 			}
