@@ -458,7 +458,7 @@ func maximize(obj *objective, cfg Config, g *graph.Graph, budget int) (submodula
 		res.Evaluations = ext.Evaluations
 		return res, snap, err
 	}
-	cands := cfg.candidates(g)
+	cands := obj.candidates(cfg)
 	initial := obj.initialGains(cands, cfg.Parallelism)
 	res, snap, err := submodular.LazyGreedyMaxCapture(obj, cands, budget, initial)
 	res.Evaluations += len(cands) // the parallel first pass
@@ -486,7 +486,7 @@ func captureWarm(res submodular.Result, snap *submodular.LazySnapshot, obj *obje
 }
 
 func cover(obj *objective, cfg Config, g *graph.Graph, target float64) (submodular.Result, error) {
-	cands := cfg.candidates(g)
+	cands := obj.candidates(cfg)
 	initial := obj.initialGains(cands, cfg.Parallelism)
 	res, err := submodular.GreedyCoverInit(obj, cands, target, cfg.maxSeeds(g), initial)
 	res.Evaluations += len(cands)

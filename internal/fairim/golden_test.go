@@ -100,10 +100,10 @@ var goldenAnswers = []struct {
 	evals    int
 	perGroup []uint64
 }{
-	{"ris/P1/instagram", []graph.NodeID{50872, 26715, 31661, 33410, 35489, 35827, 38761, 39967, 41465, 43183, 45258, 48038, 48205, 49733, 51255, 1687, 2624, 4747, 4926, 7075, 7160, 9582, 9614, 9892, 12291, 13572, 13905, 16377, 17174, 18333}, 55434, []uint64{0x4071b63333333333, 0x4075afd4fdf3b646}},
-	{"ris/P4/instagram", []graph.NodeID{4, 50872, 1687, 2624, 26715, 4747, 31661, 4926, 33410, 7075, 35489, 7160, 35827, 9582, 38761, 9614, 39967, 9892, 41465, 12291, 43183, 13572, 45258, 13905, 48038, 16377, 48205, 17174, 49733, 18333}, 86275, []uint64{0x40721af5c28f5c29, 0x4074be72b020c49b}},
-	{"ris/P2/instagram", []graph.NodeID{50872, 26715, 31661, 33410, 35489, 35827, 38761, 39967, 41465, 43183, 45258, 48038, 48205, 49733, 51255, 1687, 2624, 4747, 4926, 7075, 7160, 9582, 9614, 9892, 12291, 13572, 13905, 16377, 17174, 18333, 19664, 20635, 21727, 22871, 23021, 23624, 23990, 24134, 24211, 24385, 24479, 2816, 4146, 5850, 16030, 25311, 25471, 25509, 25555, 25561, 25655, 25681, 25702, 26028, 26033, 26099, 26158, 26352, 26488, 26740, 26825, 27081, 27248, 27519, 27521, 27680, 27752, 27835, 28103, 28135, 28223, 28365, 28394, 28460, 28567, 28817, 28895, 29010, 29035, 29236, 29296, 29422, 29523, 29597, 29606, 30035, 30196, 30286, 30345, 30460, 30567, 30589, 30642, 30655, 30796, 31022, 31076, 31117, 31167, 31193, 31374, 31707, 31839, 32049, 32154, 32179, 32197, 32305, 32338, 32431, 32432, 32707, 32950, 33103, 33121, 33200, 33247, 33444, 33524, 33769, 34046, 34072, 34093, 34118, 34309, 34323, 34352, 34360, 34370, 34554, 34590, 34624, 34659, 34711, 34713, 34845, 34853, 34995, 35056, 35106, 35109, 35177, 35186, 35195, 35208, 35455, 35468, 35484, 35579, 35586, 35672, 35795, 35900, 35925, 36242, 36275, 36420, 36512, 36622, 36743, 36752, 36936, 37130, 37365, 37429, 37456, 37736, 37947, 38599}, 56429, []uint64{0x407eb347ae147ae1, 0x40a1cc1f7ced9168}},
-	{"ris/P6/instagram", []graph.NodeID{50872, 1687, 2624, 4747, 4926, 7075, 7160, 9582, 9614, 9892, 12291, 13572, 13905, 16377, 17174, 18333, 26715, 31661, 33410, 35489, 35827, 38761, 19664, 20635, 21727, 22871, 23021, 23624, 23990, 24134, 24211, 24385, 24479, 39967, 41465, 43183, 45258, 48038, 48205, 49733, 51255, 24017, 4, 39, 187, 214, 225, 252, 325, 620, 853, 1041, 1071, 1159, 1283, 1290, 1301, 1493, 1547, 1566, 1570, 1615, 1620, 1649, 1728, 1773, 2039, 2075, 2215, 2282, 2316, 2327, 2351, 2501, 2620, 2670, 2709, 2784, 2816, 2923, 2932, 2946, 3000, 3097, 3099, 3149, 3250, 3345, 3353, 3406, 3408, 3459, 3464, 3482, 3517, 3619, 3636, 3902, 4120, 4146, 4231, 4365, 4500, 4530, 4549, 5549, 5850, 16030, 25311, 25471, 25509, 25555, 25561, 25655, 25681, 25702, 26028, 26033, 26099, 26158, 26352, 26488, 26740, 26825, 27081, 27248, 27519, 27521, 27680, 27752, 27835, 28103, 28135, 28223, 28365, 28394, 28460, 28567, 28817, 28895, 29010, 29035, 29236, 29296, 29422, 29523, 29597, 29606, 30035, 30196, 30286, 30345, 30460, 30567, 30589, 30642, 30655, 30796, 31022, 31076, 31117, 31167, 31193, 31374, 31707, 31839, 32049, 32154, 32179, 32197, 32305, 32338, 32431, 32432, 32707, 32950, 33103, 33121, 33200}, 56159, []uint64{0x4093ae0000000000, 0x409792999999999a}},
+	{"ris/P1/instagram", []graph.NodeID{50872, 26715, 31661, 33410, 35489, 35827, 38761, 39967, 41465, 43183, 45258, 48038, 48205, 49733, 51255, 1687, 2624, 4747, 4926, 7075, 7160, 9582, 9614, 9892, 12291, 13572, 13905, 16377, 17174, 18333}, 8363, []uint64{0x4071b63333333333, 0x4075afd4fdf3b646}},
+	{"ris/P4/instagram", []graph.NodeID{4, 50872, 1687, 2624, 26715, 4747, 31661, 4926, 33410, 7075, 35489, 7160, 35827, 9582, 38761, 9614, 39967, 9892, 41465, 12291, 43183, 13572, 45258, 13905, 48038, 16377, 48205, 17174, 49733, 18333}, 39204, []uint64{0x40721af5c28f5c29, 0x4074be72b020c49b}},
+	{"ris/P2/instagram", []graph.NodeID{50872, 26715, 31661, 33410, 35489, 35827, 38761, 39967, 41465, 43183, 45258, 48038, 48205, 49733, 51255, 1687, 2624, 4747, 4926, 7075, 7160, 9582, 9614, 9892, 12291, 13572, 13905, 16377, 17174, 18333, 19664, 20635, 21727, 22871, 23021, 23624, 23990, 24134, 24211, 24385, 24479, 2816, 4146, 5850, 16030, 25311, 25471, 25509, 25555, 25561, 25655, 25681, 25702, 26028, 26033, 26099, 26158, 26352, 26488, 26740, 26825, 27081, 27248, 27519, 27521, 27680, 27752, 27835, 28103, 28135, 28223, 28365, 28394, 28460, 28567, 28817, 28895, 29010, 29035, 29236, 29296, 29422, 29523, 29597, 29606, 30035, 30196, 30286, 30345, 30460, 30567, 30589, 30642, 30655, 30796, 31022, 31076, 31117, 31167, 31193, 31374, 31707, 31839, 32049, 32154, 32179, 32197, 32305, 32338, 32431, 32432, 32707, 32950, 33103, 33121, 33200, 33247, 33444, 33524, 33769, 34046, 34072, 34093, 34118, 34309, 34323, 34352, 34360, 34370, 34554, 34590, 34624, 34659, 34711, 34713, 34845, 34853, 34995, 35056, 35106, 35109, 35177, 35186, 35195, 35208, 35455, 35468, 35484, 35579, 35586, 35672, 35795, 35900, 35925, 36242, 36275, 36420, 36512, 36622, 36743, 36752, 36936, 37130, 37365, 37429, 37456, 37736, 37947, 38599}, 9358, []uint64{0x407eb347ae147ae1, 0x40a1cc1f7ced9168}},
+	{"ris/P6/instagram", []graph.NodeID{50872, 1687, 2624, 4747, 4926, 7075, 7160, 9582, 9614, 9892, 12291, 13572, 13905, 16377, 17174, 18333, 26715, 31661, 33410, 35489, 35827, 38761, 19664, 20635, 21727, 22871, 23021, 23624, 23990, 24134, 24211, 24385, 24479, 39967, 41465, 43183, 45258, 48038, 48205, 49733, 51255, 24017, 4, 39, 187, 214, 225, 252, 325, 620, 853, 1041, 1071, 1159, 1283, 1290, 1301, 1493, 1547, 1566, 1570, 1615, 1620, 1649, 1728, 1773, 2039, 2075, 2215, 2282, 2316, 2327, 2351, 2501, 2620, 2670, 2709, 2784, 2816, 2923, 2932, 2946, 3000, 3097, 3099, 3149, 3250, 3345, 3353, 3406, 3408, 3459, 3464, 3482, 3517, 3619, 3636, 3902, 4120, 4146, 4231, 4365, 4500, 4530, 4549, 5549, 5850, 16030, 25311, 25471, 25509, 25555, 25561, 25655, 25681, 25702, 26028, 26033, 26099, 26158, 26352, 26488, 26740, 26825, 27081, 27248, 27519, 27521, 27680, 27752, 27835, 28103, 28135, 28223, 28365, 28394, 28460, 28567, 28817, 28895, 29010, 29035, 29236, 29296, 29422, 29523, 29597, 29606, 30035, 30196, 30286, 30345, 30460, 30567, 30589, 30642, 30655, 30796, 31022, 31076, 31117, 31167, 31193, 31374, 31707, 31839, 32049, 32154, 32179, 32197, 32305, 32338, 32431, 32432, 32707, 32950, 33103, 33121, 33200}, 9088, []uint64{0x4093ae0000000000, 0x409792999999999a}},
 	{"mc/P4/snap", []graph.NodeID{1900, 3844, 2917, 449, 1971, 1814, 3989, 278, 2932, 1987, 247, 1030, 3266, 2009, 2348, 503, 3748, 924, 2132, 2378, 3273, 304, 2075, 2246, 978, 487, 3800, 2088, 2279, 1850}, 20295, []uint64{0x4023cccccccccccd, 0x4038666666666666, 0x401e28f5c28f5c29, 0x4029c28f5c28f5c3, 0x403051eb851eb852}},
 	{"mc/P6/snap", []graph.NodeID{1971, 1987, 2132, 2075, 2148, 2009, 2044, 2088, 247, 2102, 487, 503, 449, 424, 29, 304, 1814, 278, 522, 442, 330, 539, 218, 69, 84, 281, 390, 1030, 1872, 2932, 2348, 2246, 1900, 2378, 978, 1850, 3989, 2452, 1829, 3748, 2909, 864, 2690, 3266, 981, 2696, 2532, 974, 2314, 1758, 3852, 3800, 2195, 3273, 3191, 752, 857, 3844, 2673, 2554, 2432, 2872, 2698, 2242, 2657, 2526, 2279, 1236, 3128, 678, 1941, 3210, 790, 1920, 3724, 3746, 3543, 1726, 3888, 3644, 3035, 3782, 3292, 3795, 3842, 3294, 3697, 3990, 2803, 546}, 11913, []uint64{0x403b8f5c28f5c28f, 0x4052000000000000, 0x4026cccccccccccd, 0x404411eb851eb852, 0x404b75c28f5c28f6}},
 	{"mc-lt/P4/rice", []graph.NodeID{133, 40, 909, 678, 322, 37, 437, 215, 738, 19}, 4820, []uint64{0x401fd70a3d70a3d7, 0x403475c28f5c28f6, 0x4034051eb851eb85, 0x4028f5c28f5c28f6}},

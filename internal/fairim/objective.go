@@ -216,6 +216,17 @@ func (o *objective) commit(v graph.NodeID) {
 // Value returns the objective at the current set.
 func (o *objective) Value() float64 { return o.vf.value(o.cur, o.g) }
 
+// candidates returns the nodes a CELF run's first pass evaluates:
+// cfg.Candidates, or every node when unset. Under RIS only those in at
+// least one RR set are kept; any other node covers nothing, has gain 0 on
+// every seed set, and would be dropped from the heap after its evaluation.
+func (o *objective) candidates(cfg Config) []graph.NodeID {
+	if e, ok := o.eval.(*ris.Estimator); ok {
+		return e.Collection().IndexedNodes(cfg.Candidates)
+	}
+	return cfg.candidates(o.g)
+}
+
 // initialGains evaluates Gain for every candidate on the empty (current)
 // set, reading the per-group gains from the estimator's flat first-pass
 // buffer (filled in parallel where the engine supports it) one row at a

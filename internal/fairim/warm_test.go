@@ -161,6 +161,75 @@ func TestWarmUnboundedBudget(t *testing.T) {
 	}
 }
 
+// TestRISFirstPassSkipsUncoveredNodes: on a graph where most nodes lie in
+// no RR set, a RIS solve's first pass evaluates only the nodes that do —
+// within Config.Candidates when that is set — and the snapshot it
+// memoizes holds only indexed candidates with a positive gain. The seeds
+// are still those of the plain greedy ablation, which scans every node.
+func TestRISFirstPassSkipsUncoveredNodes(t *testing.T) {
+	g := warmTestGraph(t)
+	col, err := ris.Sample(g, 2, []int{10, 10}, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexed := col.IndexedNodes(nil)
+	if len(indexed) == 0 || 2*len(indexed) > g.N() {
+		t.Fatalf("%d of %d nodes indexed; the test needs a sparse index", len(indexed), g.N())
+	}
+	solve := func(problem Problem, budget int, set func(*Config)) *Result {
+		t.Helper()
+		cfg := DefaultConfig(5)
+		cfg.Tau = 2
+		cfg.ReportOnSample = true
+		cfg.Estimator = ris.NewEstimator(col)
+		if set != nil {
+			set(&cfg)
+		}
+		res, err := Solve(g, ProblemSpec{Problem: problem, Budget: budget, Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	// The first pick is the fresh top of the first pass, so a budget-1
+	// run spends exactly the first pass.
+	if got := solve(P1, 1, nil).Evaluations; got != len(indexed) {
+		t.Errorf("first pass evaluated %d nodes, want the %d indexed", got, len(indexed))
+	}
+	var even []graph.NodeID
+	want := 0
+	for v := range graph.NodeID(g.N()) {
+		if v%2 == 0 {
+			even = append(even, v)
+			if slices.Contains(indexed, v) {
+				want++
+			}
+		}
+	}
+	if got := solve(P1, 1, func(c *Config) { c.Candidates = even }).Evaluations; got != want {
+		t.Errorf("restricted first pass evaluated %d nodes, want the %d indexed candidates", got, want)
+	}
+
+	res := solve(P4, 5, func(c *Config) { c.CaptureWarm = true })
+	if res.Warm == nil {
+		t.Fatal("no warm state captured")
+	}
+	items := res.Warm.Snapshot.Items
+	if len(items)+len(res.Seeds) > len(indexed) {
+		t.Errorf("snapshot holds %d items beside %d picks; only %d nodes are indexed", len(items), len(res.Seeds), len(indexed))
+	}
+	for _, it := range items {
+		if it.Gain <= 0 || !slices.Contains(indexed, it.Node) {
+			t.Errorf("snapshot item %+v: want an indexed node with a positive gain", it)
+		}
+	}
+	plain := solve(P4, 5, func(c *Config) { c.PlainGreedy = true })
+	if !slices.Equal(res.Seeds, plain.Seeds) {
+		t.Errorf("CELF picked %v, plain greedy %v", res.Seeds, plain.Seeds)
+	}
+}
+
 // TestWarmValidation: malformed warm state is rejected before any
 // sampling is spent — including one built by hand, which carries no
 // recorded utilities to replay.

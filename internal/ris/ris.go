@@ -289,6 +289,37 @@ func (c *Collection) NumSets() int { return int(c.base[len(c.base)-1]) }
 // RR-set sizes. It is the byte-budget driver of the persisted frame.
 func (c *Collection) NumRefs() int { return len(c.refs) }
 
+// IndexedNodes returns the nodes that lie in at least one RR set: every
+// such node in ascending order when within is nil, else the members of
+// within that qualify, in within's order. Any other node covers no set, so
+// its gain is 0 on every seed set and a greedy run never picks it. The
+// list is allocated once, at its exact size.
+func (c *Collection) IndexedNodes(within []graph.NodeID) []graph.NodeID {
+	size := len(within)
+	if within == nil {
+		size = c.g.N()
+	}
+	node := func(i int) graph.NodeID {
+		if within == nil {
+			return graph.NodeID(i)
+		}
+		return within[i]
+	}
+	n := 0
+	for i := range size {
+		if v := node(i); c.off[v] < c.off[v+1] {
+			n++
+		}
+	}
+	out := make([]graph.NodeID, 0, n)
+	for i := range size {
+		if v := node(i); c.off[v] < c.off[v+1] {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
 // Estimator evaluates group utilities of a growing seed set against a
 // Collection by incremental RR-set coverage. It satisfies the
 // estimator.Estimator interface, so every fairim solver and experiment

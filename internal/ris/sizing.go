@@ -143,7 +143,7 @@ func (c coverage) Value() float64 { return c.TotalUtility() }
 func requiredForPool(col *Collection, k int, eps, delta float64) (int, error) {
 	g := col.Graph()
 	est := NewEstimator(col)
-	if _, err := submodular.LazyGreedyMax(coverage{est}, g.Nodes(), k); err != nil {
+	if _, err := submodular.LazyGreedyMax(coverage{est}, col.IndexedNodes(nil), k); err != nil {
 		return 0, err
 	}
 	required := 0

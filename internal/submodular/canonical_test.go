@@ -36,9 +36,10 @@ func shuffledNodes(rng *xrand.RNG, n int) []graph.NodeID {
 // checkCanonical asserts that three greedy runs over the n-node instance,
 // each on its own shuffle of the candidates, return the same seeds and
 // values: GreedyMax, cold CELF at budget, and CELF captured at split then
-// resumed to budget. The resumed run must also spend, pick for pick, the
-// evaluations the cold run spent. Finally a cover targeting the cold run's
-// value after each pick must stop on the cold run's seeds up to that pick.
+// resumed to budget. The captured snapshot must hold only items that can
+// gain, and the resumed run must spend, pick for pick, the evaluations the
+// cold run spent. Finally a cover targeting the cold run's value after
+// each pick must stop on the cold run's seeds up to that pick.
 func checkCanonical(t *testing.T, factory func() Objective, n, budget, split int, rng *xrand.RNG) {
 	t.Helper()
 	plain, err := GreedyMax(factory(), shuffledNodes(rng, n), budget)
@@ -59,6 +60,11 @@ func checkCanonical(t *testing.T, factory func() Objective, n, budget, split int
 	}
 	seeds, values := head.Seeds, head.Values
 	if snap != nil {
+		for _, it := range snap.Items {
+			if it.Gain <= 0 {
+				t.Fatalf("split %d: snapshot keeps %+v, which can never gain", split, it)
+			}
+		}
 		obj := factory()
 		for _, v := range head.Seeds {
 			obj.Add(v)

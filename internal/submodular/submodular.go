@@ -110,13 +110,15 @@ type LazyItem struct {
 }
 
 // LazySnapshot is the complete CELF state after a run: the heap (in valid
-// heap order) and the number of committed picks. Because the heap after k
-// picks is a function of the objective and those k picks only — not of the
-// eventual budget — a snapshot from a budget-k run is bit-identical to a
-// larger run's state at pick k, so resuming it extends the solution
-// exactly as the larger cold run would have continued. Snapshots are
-// immutable once captured; Resume copies before mutating, so one snapshot
-// can serve any number of extensions.
+// heap order) and the number of committed picks. The heap holds only the
+// candidates whose first-pass gain was positive; no other candidate can
+// ever be picked. Because the heap after k picks is a function of the
+// objective and those k picks only — not of the eventual budget — a
+// snapshot from a budget-k run is bit-identical to a larger run's state at
+// pick k, so resuming it extends the solution exactly as the larger cold
+// run would have continued. Snapshots are immutable once captured; Resume
+// copies before mutating, so one snapshot can serve any number of
+// extensions.
 type LazySnapshot struct {
 	Items []LazyItem
 	Round int
@@ -151,7 +153,7 @@ func (h *celfHeap) push(it LazyItem) {
 	h.up(len(*h) - 1)
 }
 
-// pop removes and returns the item with the largest Gain
+// pop removes and returns the item that outranks every other
 // (container/heap.Pop).
 func (h *celfHeap) pop() LazyItem {
 	old := *h
@@ -197,7 +199,9 @@ func (h celfHeap) down(i, n int) {
 // re-scanning everyone. The heap and the accept test share GreedyMax's
 // total order (higher gain, then lower node ID), so on exact objectives
 // the seeds and values are GreedyMax's whatever the candidate order, cold
-// or captured and resumed, typically with far fewer Gain calls.
+// or captured and resumed, typically with far fewer Gain calls. Under that
+// order a candidate whose first gain is ≤ 0 can never be picked, so only
+// the candidates that can gain enter the heap.
 func LazyGreedyMax(obj Objective, candidates []graph.NodeID, budget int) (Result, error) {
 	res, _, err := LazyGreedyMaxCapture(obj, candidates, budget, nil)
 	return res, err
@@ -209,8 +213,9 @@ func LazyGreedyMax(obj Objective, candidates []graph.NodeID, budget int) (Result
 // here) that additionally returns the final CELF state, so a later call
 // can extend the run to a larger budget without redoing the committed
 // picks (seed-set prefix memoization). The snapshot is nil when the run
-// ended early — error, exhausted candidates, or zero best gain — because
-// such a run has nothing useful to extend.
+// ended before its budget — error, exhausted candidates, or zero best gain
+// — because such a run has nothing useful to extend; a run that fills its
+// budget returns one even when no candidate is left in it.
 func LazyGreedyMaxCapture(obj Objective, candidates []graph.NodeID, budget int, initial []float64) (Result, *LazySnapshot, error) {
 	if budget < 0 {
 		return Result{}, nil, fmt.Errorf("submodular: negative budget %d", budget)
@@ -222,6 +227,17 @@ func LazyGreedyMaxCapture(obj Objective, candidates []graph.NodeID, budget int, 
 	if err := stopped(obj); err != nil {
 		return res, nil, err
 	}
+	h := firstPass(obj, candidates, initial, &res)
+	return lazyRun(obj, h, 0, budget, res)
+}
+
+// firstPass heaps the candidates that can gain: each one's gain on the
+// current set is read from initial, or evaluated and counted in res when
+// initial is nil, and only positive gains enter the heap. Dropping the
+// rest is exact. Gains never grow as the set does, so a candidate at ≤ 0
+// can never be picked, and under the total order it never outranks a
+// positive item, so no decision about another candidate depends on it.
+func firstPass(obj Objective, candidates []graph.NodeID, initial []float64, res *Result) celfHeap {
 	h := make(celfHeap, 0, len(candidates))
 	for i, v := range candidates {
 		var g float64
@@ -231,10 +247,12 @@ func LazyGreedyMaxCapture(obj Objective, candidates []graph.NodeID, budget int, 
 			g = obj.Gain(v)
 			res.Evaluations++
 		}
-		h = append(h, LazyItem{Node: v, Gain: g, Round: 0})
+		if g > 0 {
+			h = append(h, LazyItem{Node: v, Gain: g})
+		}
 	}
 	h.init()
-	return lazyRun(obj, h, 0, budget, res)
+	return h
 }
 
 // LazyGreedyMaxResume continues a CELF run from a snapshot up to budget
@@ -258,24 +276,38 @@ func LazyGreedyMaxResume(obj Objective, snap *LazySnapshot, budget int) (Result,
 	return lazyRun(obj, h, snap.Round, budget, res)
 }
 
-// lazyRun is the shared CELF pick loop: up to budget picks starting at the
-// given round, over an already-initialized heap. It owns h from here on.
-func lazyRun(obj Objective, h celfHeap, round, budget int, res Result) (Result, *LazySnapshot, error) {
-	for len(res.Seeds) < budget && len(h) > 0 {
-		top := h.pop()
+// next pops the heap until its top is current and outranks every other
+// item, re-evaluating each stale top on the way: the other items' stale
+// gains bound their current ones from above. A re-evaluated item whose
+// gain fell to ≤ 0 is dropped, since gains never grow and such a candidate
+// can never be picked. ok is false once the heap is empty.
+func (h *celfHeap) next(obj Objective, round int, res *Result) (top LazyItem, ok bool) {
+	for len(*h) > 0 {
+		top = h.pop()
 		if top.Round != round {
 			top.Gain = obj.Gain(top.Node)
 			res.Evaluations++
 			top.Round = round
-			// Re-insert unless it still outranks every other item: their
-			// stale gains bound their current ones from above.
-			if len(h) > 0 && outranks(h[0], top) {
+			if top.Gain <= 0 {
+				continue
+			}
+			if len(*h) > 0 && outranks((*h)[0], top) {
 				h.push(top)
 				continue
 			}
 		}
-		if top.Gain <= 0 {
-			return res, nil, nil
+		return top, true
+	}
+	return top, false
+}
+
+// lazyRun is the shared CELF pick loop: up to budget picks starting at the
+// given round, over an already-initialized heap. It owns h from here on.
+func lazyRun(obj Objective, h celfHeap, round, budget int, res Result) (Result, *LazySnapshot, error) {
+	for len(res.Seeds) < budget {
+		top, ok := h.next(obj, round, &res)
+		if !ok || top.Gain <= 0 {
+			return res, nil, nil // no candidate left can gain
 		}
 		obj.Add(top.Node)
 		res.Seeds = append(res.Seeds, top.Node)
@@ -285,9 +317,6 @@ func lazyRun(obj Objective, h celfHeap, round, budget int, res Result) (Result, 
 			return res, nil, err
 		}
 		round++
-	}
-	if len(h) == 0 {
-		return res, nil, nil
 	}
 	return res, &LazySnapshot{Items: h, Round: round}, nil
 }
@@ -317,36 +346,15 @@ func GreedyCoverInit(obj Objective, candidates []graph.NodeID, target float64, m
 	if obj.Value() >= target {
 		return res, nil
 	}
-	h := make(celfHeap, 0, len(candidates))
-	for i, v := range candidates {
-		var g float64
-		if initial != nil {
-			g = initial[i]
-		} else {
-			g = obj.Gain(v)
-			res.Evaluations++
-		}
-		h = append(h, LazyItem{Node: v, Gain: g, Round: 0})
-	}
-	h.init()
-	round := 0
-	for len(h) > 0 {
+	h := firstPass(obj, candidates, initial, &res)
+	for round := 0; ; round++ {
 		if maxSeeds > 0 && len(res.Seeds) >= maxSeeds {
 			return res, fmt.Errorf("%w: %d seeds reached value %v < target %v",
 				ErrCoverInfeasible, len(res.Seeds), obj.Value(), target)
 		}
-		top := h.pop()
-		if top.Round != round {
-			top.Gain = obj.Gain(top.Node)
-			res.Evaluations++
-			top.Round = round
-			if len(h) > 0 && outranks(h[0], top) {
-				h.push(top)
-				continue
-			}
-		}
-		if top.Gain <= 0 {
-			return res, fmt.Errorf("%w: best marginal gain is 0 at value %v < target %v",
+		top, ok := h.next(obj, round, &res)
+		if !ok || top.Gain <= 0 {
+			return res, fmt.Errorf("%w: no candidate gains at value %v < target %v",
 				ErrCoverInfeasible, obj.Value(), target)
 		}
 		obj.Add(top.Node)
@@ -356,13 +364,10 @@ func GreedyCoverInit(obj Objective, candidates []graph.NodeID, target float64, m
 		if err := stopped(obj); err != nil {
 			return res, err
 		}
-		round++
 		if obj.Value() >= target {
 			return res, nil
 		}
 	}
-	return res, fmt.Errorf("%w: candidates exhausted at value %v < target %v",
-		ErrCoverInfeasible, obj.Value(), target)
 }
 
 // SetValue evaluates an arbitrary seed set from scratch on a freshly
