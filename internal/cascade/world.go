@@ -207,6 +207,10 @@ func sampleCancel[W any](r int, seed int64, parallelism int, cancel <-chan struc
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The compiler cannot see through draw, so its argument escapes.
+			// No sampler keeps the RNG past the call, so each worker
+			// allocates one and overwrites it for every world.
+			rng := new(xrand.RNG)
 			for i := range next {
 				select {
 				case <-cancel:
@@ -214,7 +218,8 @@ func sampleCancel[W any](r int, seed int64, parallelism int, cancel <-chan struc
 					return
 				default:
 				}
-				worlds[i] = draw(root.SplitN(int64(i)))
+				*rng = *root.SplitN(int64(i))
+				worlds[i] = draw(rng)
 			}
 		}()
 	}

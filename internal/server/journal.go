@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -29,8 +30,9 @@ type jobRecord struct {
 // jobJournal is the append-only finished-job log at
 // <state-dir>/jobs.jsonl: one JSON record per line, appended when a job
 // reaches a terminal state. On open, the existing log is replayed (bad
-// lines are skipped, never fatal — a torn final line after a crash must
-// not take the daemon down), trimmed to the retention bound, and
+// lines are skipped, never fatal — neither a torn final line after a
+// crash nor an over-long record may take the daemon down), trimmed to the
+// retention bound, and
 // compacted back to disk. In-process appends keep counting lines, and
 // once the file exceeds ~4× the retention bound maybeCompact rewrites
 // it from the live store's retained history, so a long-running daemon's
@@ -59,7 +61,13 @@ func openJobJournal(path string, retention int) (*jobJournal, []jobRecord, error
 	return j, records, nil
 }
 
-// replay reads every parseable record in file order.
+// maxJournalLine bounds the bytes replay holds for one record. Nothing
+// bounds a record when it is appended, so a longer line (a finished job
+// with a few million seeds) is skipped on replay like a torn one.
+const maxJournalLine = 16 << 20
+
+// replay reads every parseable record in file order, skipping torn,
+// foreign and over-long lines.
 func (j *jobJournal) replay() ([]jobRecord, error) {
 	f, err := os.Open(j.path)
 	if os.IsNotExist(err) {
@@ -69,20 +77,35 @@ func (j *jobJournal) replay() ([]jobRecord, error) {
 		return nil, fmt.Errorf("server: job journal: %w", err)
 	}
 	defer f.Close()
-	var records []jobRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(nil, 16<<20) // result payloads can carry large seed sets
-	for sc.Scan() {
-		var rec jobRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil || rec.ID == "" {
-			continue // torn or foreign line; drop it, keep the rest
+	var (
+		records []jobRecord
+		line    []byte
+		skip    bool // the current line outgrew maxJournalLine
+	)
+	rd := bufio.NewReader(f)
+	for {
+		chunk, err := rd.ReadSlice('\n')
+		if !skip && len(line)+len(chunk) > maxJournalLine {
+			skip, line = true, line[:0]
 		}
-		records = append(records, rec)
+		if !skip {
+			line = append(line, chunk...)
+		}
+		if err == bufio.ErrBufferFull {
+			continue // the line goes on
+		}
+		var rec jobRecord
+		if !skip && json.Unmarshal(line, &rec) == nil && rec.ID != "" {
+			records = append(records, rec)
+		} // else a torn, foreign or over-long line: drop it, keep the rest
+		line, skip = line[:0], false
+		if err == io.EOF {
+			return records, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("server: job journal: %w", err)
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("server: job journal: %w", err)
-	}
-	return records, nil
 }
 
 // compact rewrites the journal to exactly records (atomically, via temp

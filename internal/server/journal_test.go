@@ -77,6 +77,33 @@ func TestJobJournalReplayTrimsAndSkipsGarbage(t *testing.T) {
 	}
 }
 
+// TestJobJournalSkipsOverlongRecord: a record longer than replay holds —
+// here an 18 MB finished job with millions of seeds — is dropped like a
+// torn line, and the records after it still come back.
+func TestJobJournalSkipsOverlongRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.jsonl")
+	huge := `{"id":"huge","graph":"g","problem":"P1","status":"done","result":{"seeds":[` +
+		strings.Repeat("1234567,", 2_250_000) + `0]}}`
+	if len(huge) <= maxJournalLine {
+		t.Fatalf("record of %d bytes is not over-long", len(huge))
+	}
+	body := strings.Join([]string{
+		`{"id":"before","graph":"g","problem":"P1","status":"done","picks":2}`,
+		huge,
+		`{"id":"after","graph":"g","problem":"P4","status":"done","picks":3}`,
+	}, "\n") + "\n"
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, records, err := openJobJournal(path, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 2 || records[0].ID != "before" || records[1].ID != "after" || records[1].Picks != 3 {
+		t.Fatalf("replayed %+v, want the records before and after the over-long one", records)
+	}
+}
+
 // TestJobJournalOpportunisticCompaction: a long-running process must
 // bound its own journal, not just trim it at the next restart. With
 // retention 3, concurrent job completions push the file past the 4×

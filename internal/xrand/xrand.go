@@ -47,9 +47,17 @@ func (r *RNG) Split() *RNG {
 
 // SplitN derives the n'th child without advancing the parent, useful for
 // indexing parallel streams: SplitN(i) is stable for a given parent state.
+// It is a wrapper small enough to inline, so a child the caller keeps
+// local lives on the caller's stack instead of the heap.
 func (r *RNG) SplitN(n int64) *RNG {
+	c := r.splitN(n)
+	return &c
+}
+
+// splitN is SplitN's by-value core.
+func (r *RNG) splitN(n int64) RNG {
 	base := r.state + uint64(n)*r.gamma
-	return &RNG{state: mix64(base), gamma: mixGamma(base + goldenGamma)}
+	return RNG{state: mix64(base), gamma: mixGamma(base + goldenGamma)}
 }
 
 func (r *RNG) next() uint64 {

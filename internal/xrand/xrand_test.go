@@ -68,6 +68,45 @@ func TestSplitNStable(t *testing.T) {
 	}
 }
 
+// TestSplitNPinned pins the first two outputs of SplitN children: every
+// sampler derives item i's stream from SplitN(i), so a change here moves
+// every sampled world and RR set.
+func TestSplitNPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed, n     int64
+		first, next uint64
+	}{
+		{0, 0, 0x98e61d37916ef922, 0x2a1f5373d536b577},
+		{0, 1000, 0xd11c7dcde1850b4d, 0xd262185a47f2de1f},
+		{1, 1, 0x56b7d12de567dd2d, 0xfd149563802d7543},
+		{1, 1 << 40, 0x6f3580e71e43c68c, 0x86ef2e548048b3f0},
+		{42, 2, 0xac3432231919d5ae, 0x525d09fd76149eea},
+		{-7, -3, 0xe287812c68eda2ab, 0x5a1b5297b73669e2},
+	} {
+		child := New(c.seed).SplitN(c.n)
+		if first, next := child.Uint64(), child.Uint64(); first != c.first || next != c.next {
+			t.Errorf("New(%d).SplitN(%d) yields %#x, %#x; want %#x, %#x", c.seed, c.n, first, next, c.first, c.next)
+		}
+	}
+}
+
+// TestSplitNAllocatesNothing: a child the caller keeps local stays on the
+// stack, so deriving one per sampled item costs no allocation.
+func TestSplitNAllocatesNothing(t *testing.T) {
+	parent := New(5)
+	var sink uint64
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range int64(64) {
+			child := parent.SplitN(i)
+			sink += child.Uint64() + uint64(child.Intn(10))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("SplitN allocated %v times per 64 children, want 0", allocs)
+	}
+	_ = sink
+}
+
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 10000; i++ {
