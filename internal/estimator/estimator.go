@@ -79,9 +79,7 @@ type Estimator interface {
 	// current seed set and returns the gains in one flat, row-major buffer
 	// of len(candidates)·G entries, G the group count: row i,
 	// out[i·G:(i+1)·G], is GainPerGroup(candidates[i]). Engines may fill
-	// rows in parallel; parallelism <= 0 means GOMAXPROCS. The RIS engine
-	// computes rows only for nodes that lie in some RR set and leaves
-	// every other row 0, which is exactly such a node's gain.
+	// rows in parallel; parallelism <= 0 means GOMAXPROCS.
 	InitialGains(candidates []graph.NodeID, parallelism int) []float64
 
 	// SampleSize reports the size of the underlying optimization sample:

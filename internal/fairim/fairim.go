@@ -215,7 +215,7 @@ type Result struct {
 	NormPerGroup []float64       // fτ(S;Vᵢ)/|Vᵢ|
 	NormTotal    float64         // fτ(S;V)/|V|
 	Disparity    float64         // Eq. 2
-	Evaluations  int             // marginal-gain queries spent
+	Evaluations  int             // marginal-gain queries spent; a RIS first pass queries only nodes in some RR set
 	Trace        []IterationStat // non-nil iff cfg.Trace
 	// Resolved sampling budgets the solve actually used — interesting when
 	// they were derived from a ProblemSpec accuracy target rather than

@@ -9,8 +9,7 @@ import (
 
 // TestInitialGainsMatchGainPerGroup checks the flat first pass row by row
 // against GainPerGroup, bit for bit, before and after Adds and across
-// parallelism — including the rows of nodes in no RR set, which
-// InitialGains skips and leaves 0.
+// parallelism — including the rows of nodes in no RR set, which are 0.
 func TestInitialGainsMatchGainPerGroup(t *testing.T) {
 	g := testGraph(t, 3)
 	col, err := Sample(g, 2, []int{30, 30}, 5, 1)

@@ -398,22 +398,18 @@ func (e *Estimator) gainPerGroupInto(delta []float64, v graph.NodeID) []float64 
 
 // InitialGains computes GainPerGroup for every candidate into one flat,
 // row-major buffer: row i, out[i·G:(i+1)·G], holds candidates[i]'s
-// per-group gains. Only nodes in the inverted index are evaluated; a node
-// in no RR set covers nothing, so its row stays 0. Rows are filled in
-// parallel chunks straight from the index, with no scratch. It only reads
-// estimator state, so it is safe before/between Adds. parallelism <= 0
-// means GOMAXPROCS.
+// per-group gains. A node in no RR set covers nothing, so its row is 0;
+// solvers pass only IndexedNodes. Rows are filled in parallel chunks
+// straight from the index, with no scratch. It only reads estimator state,
+// so it is safe before/between Adds. parallelism <= 0 means GOMAXPROCS.
 func (e *Estimator) InitialGains(candidates []graph.NodeID, parallelism int) []float64 {
-	c := e.c
-	groups := len(c.poolSize)
+	groups := len(e.c.poolSize)
 	out := make([]float64, len(candidates)*groups)
 	estimator.ParallelChunks(len(candidates), parallelism, func() func(lo, hi int) {
 		return func(lo, hi int) {
 			for i, v := range candidates[lo:hi] {
-				if c.off[v] < c.off[v+1] {
-					row := (lo + i) * groups
-					e.gainPerGroupInto(out[row:row+groups], v)
-				}
+				row := (lo + i) * groups
+				e.gainPerGroupInto(out[row:row+groups], v)
 			}
 		}
 	})

@@ -5,6 +5,12 @@
 // submodularity to skip re-evaluations, greedy submodular cover with the
 // ln(1 + |V|) guarantee, and a brute-force oracle for tests and the tiny
 // Figure-1 instance.
+//
+// Every greedy here picks by one total order: the higher gain, then the
+// lower node ID. So on an exact objective CELF returns the plain greedy's
+// seeds and values whatever the candidate order, cold or resumed from a
+// snapshot, and it can drop every candidate whose gain is ≤ 0 — such a
+// candidate never gains again and never outranks one that does.
 package submodular
 
 import (
