@@ -32,11 +32,11 @@ type jobRecord struct {
 // reaches a terminal state. On open, the existing log is replayed (bad
 // lines are skipped, never fatal — neither a torn final line after a
 // crash nor an over-long record may take the daemon down), trimmed to the
-// retention bound, and
-// compacted back to disk. In-process appends keep counting lines, and
-// once the file exceeds ~4× the retention bound maybeCompact rewrites
-// it from the live store's retained history, so a long-running daemon's
-// journal stays bounded instead of growing until the next restart.
+// retention bound, and compacted back to disk. In-process appends keep
+// counting lines, and once the file exceeds ~4× the retention bound
+// maybeCompact rewrites it from the live store's retained history, so a
+// long-running daemon's journal stays bounded instead of growing until
+// the next restart.
 type jobJournal struct {
 	path      string
 	retention int

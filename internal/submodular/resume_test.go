@@ -122,3 +122,22 @@ func TestResumeValidation(t *testing.T) {
 		t.Error("negative capture budget accepted")
 	}
 }
+
+// TestCaptureAtLastPositivePick: a run that fills its budget with the last
+// candidate that can gain still returns a snapshot, empty, so the prefix
+// stays memoizable; a run that runs out before its budget returns none.
+func TestCaptureAtLastPositivePick(t *testing.T) {
+	sets := [][]int{{0}, {}, {1}}
+	weights := []float64{1, 1}
+	cands := []graph.NodeID{0, 1, 2}
+	res, snap, err := LazyGreedyMaxCapture(newCoverage(sets, weights), cands, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Seeds) != 2 || snap == nil || len(snap.Items) != 0 || snap.Round != 2 {
+		t.Fatalf("budget 2: seeds %v, snapshot %+v; want 2 seeds and an empty snapshot at round 2", res.Seeds, snap)
+	}
+	if res, snap, err = LazyGreedyMaxCapture(newCoverage(sets, weights), cands, 3, nil); err != nil || len(res.Seeds) != 2 || snap != nil {
+		t.Fatalf("budget 3: seeds %v, snapshot %+v, err %v; want 2 seeds and no snapshot", res.Seeds, snap, err)
+	}
+}

@@ -116,9 +116,9 @@ type LazyItem struct {
 }
 
 // LazySnapshot is the complete CELF state after a run: the heap (in valid
-// heap order) and the number of committed picks. The heap holds only the
-// candidates whose first-pass gain was positive; no other candidate can
-// ever be picked. Because the heap after k picks is a function of the
+// heap order) and the number of committed picks. The heap holds only
+// candidates whose last evaluated gain was positive; no other candidate
+// can ever be picked. Because the heap after k picks is a function of the
 // objective and those k picks only — not of the eventual budget — a
 // snapshot from a budget-k run is bit-identical to a larger run's state at
 // pick k, so resuming it extends the solution exactly as the larger cold
@@ -206,8 +206,8 @@ func (h celfHeap) down(i, n int) {
 // total order (higher gain, then lower node ID), so on exact objectives
 // the seeds and values are GreedyMax's whatever the candidate order, cold
 // or captured and resumed, typically with far fewer Gain calls. Under that
-// order a candidate whose first gain is ≤ 0 can never be picked, so only
-// the candidates that can gain enter the heap.
+// order a candidate whose gain falls to ≤ 0 can never be picked, so CELF
+// drops it, from the first pass on.
 func LazyGreedyMax(obj Objective, candidates []graph.NodeID, budget int) (Result, error) {
 	res, _, err := LazyGreedyMaxCapture(obj, candidates, budget, nil)
 	return res, err
@@ -287,9 +287,9 @@ func LazyGreedyMaxResume(obj Objective, snap *LazySnapshot, budget int) (Result,
 // gains bound their current ones from above. A re-evaluated item whose
 // gain fell to ≤ 0 is dropped, since gains never grow and such a candidate
 // can never be picked. ok is false once the heap is empty.
-func (h *celfHeap) next(obj Objective, round int, res *Result) (top LazyItem, ok bool) {
+func (h *celfHeap) next(obj Objective, round int, res *Result) (LazyItem, bool) {
 	for len(*h) > 0 {
-		top = h.pop()
+		top := h.pop()
 		if top.Round != round {
 			top.Gain = obj.Gain(top.Node)
 			res.Evaluations++
@@ -304,7 +304,7 @@ func (h *celfHeap) next(obj Objective, round int, res *Result) (top LazyItem, ok
 		}
 		return top, true
 	}
-	return top, false
+	return LazyItem{}, false
 }
 
 // lazyRun is the shared CELF pick loop: up to budget picks starting at the
