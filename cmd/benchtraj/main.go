@@ -1,8 +1,9 @@
 // Command benchtraj records the serving hot-path benchmark trajectory:
 // it drives the same micro-benchmarks CI gates on — RR-set sampling,
 // world sampling, sketch encode/decode, a delayed forward-MC gain query,
-// a weight-only graph update, cold and prefix-extended solves, and the
-// warm HTTP serve path on both engines — through
+// a weight-only graph update (on the two-block graph and on the instagram
+// stand-in), cold and prefix-extended solves, and the warm HTTP serve
+// path on both engines — through
 // testing.Benchmark and writes the numbers (ns/op, allocs/op, bytes/op,
 // frame sizes, derived ratios) as a BENCH_<n>.json checkpoint. It also
 // drives the batched query planner's sustained-load mix — 16 concurrent
@@ -13,9 +14,10 @@
 //	go run ./cmd/benchtraj -check BENCH_6.json        # CI: fail on regression
 //
 // Check mode re-measures and compares against the committed checkpoint:
-// deterministic metrics (allocs/op, frame bytes) fail the run when they
-// regress more than 10%; ns/op is recorded for the trajectory but never
-// gated, since CI hardware varies. Both modes also enforce the absolute
+// deterministic metrics (allocs/op, frame bytes, and the bytes/op of the
+// graph updates, which use no pool) fail the run when they regress more
+// than 10%; ns/op is recorded for the trajectory but never gated, since
+// CI hardware varies. Both modes also enforce the absolute
 // floors the optimization work claims: pooled RR sampling allocates ≥25%
 // less than the per-set baseline, version-2 frames are ≥2× smaller than
 // the version-1 layout, and a prefix-extended solve beats a cold solve at
@@ -34,6 +36,7 @@ import (
 	"testing"
 
 	"fairtcim/internal/cascade"
+	"fairtcim/internal/datasets"
 	"fairtcim/internal/estimator"
 	"fairtcim/internal/fairim"
 	"fairtcim/internal/generate"
@@ -227,15 +230,26 @@ func measure() (*Trajectory, error) {
 		}
 	})
 
-	// --- graph update: re-weight 8 existing arcs ---
-	update := reweightDelta(g)
-	traj.Metrics["graph_apply_delta"] = bench(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := g.ApplyDelta(update); err != nil {
-				b.Fatal(err)
+	// --- graph update: re-weight 8 existing arcs, on the two-block graph
+	// and on the instagram stand-in (55,363 nodes), which spans enough
+	// pages to show what a weight-only update copies ---
+	insta, err := datasets.Instagram(0.1, 0.06, 1)
+	if err != nil {
+		return nil, err
+	}
+	for _, upd := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"graph_apply_delta", g}, {"graph_apply_delta_instagram", insta}} {
+		update := reweightDelta(upd.g)
+		traj.Metrics[upd.name] = bench(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := upd.g.ApplyDelta(update); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 
 	// --- solve: cold vs prefix-extended ---
 	spec := func() fairim.ProblemSpec {
@@ -323,11 +337,12 @@ func measure() (*Trajectory, error) {
 // g, picked with a fixed seed: the weight-only update a dynamic graph
 // sees most.
 func reweightDelta(g *graph.Graph) graph.Delta {
-	offsets, targets, probs := g.OutCSR()
+	offsets, targets := g.OutCSR()
 	var d graph.Delta
 	for _, pos := range xrand.New(1).Perm(len(targets))[:8] {
-		from := sort.Search(g.N(), func(v int) bool { return int(offsets[v+1]) > pos })
-		d.Edges = append(d.Edges, graph.EdgeDelta{From: graph.NodeID(from), To: targets[pos], P: probs[pos] / 2})
+		from := graph.NodeID(sort.Search(g.N(), func(v int) bool { return int(offsets[v+1]) > pos }))
+		_, probs := g.OutEdges(from)
+		d.Edges = append(d.Edges, graph.EdgeDelta{From: from, To: targets[pos], P: probs[pos-int(offsets[from])] / 2})
 	}
 	return d
 }
@@ -478,8 +493,6 @@ func benchWarmServe(g *graph.Graph, sample string) (Metric, error) {
 // pooled sampler's allocation win stays measurable after the code it
 // replaced is gone (the same pattern bench_test.go uses for the CSR win).
 func baselineRRSample(g *graph.Graph, tau int32, perGroup []int, seed int64) [][]graph.NodeID {
-	inOffsets, inTargets, _ := g.InCSR()
-	thresh := g.InThresholds()
 	root := xrand.New(seed)
 	var sets [][]graph.NodeID
 	flat := int64(0)
@@ -503,8 +516,9 @@ func baselineRRSample(g *graph.Graph, tau int32, perGroup []int, seed int64) [][
 				if d >= tau {
 					continue
 				}
-				for j := inOffsets[v]; j < inOffsets[v+1]; j++ {
-					src := inTargets[j]
+				srcs := g.InNeighbors(v)
+				thresh := g.InThresholds(v)
+				for j, src := range srcs {
 					if visited[src] {
 						continue
 					}
@@ -581,7 +595,9 @@ func absoluteGates(t *Trajectory) []string {
 
 // compare gates the deterministic metrics against a committed checkpoint:
 // allocs/op and frame sizes may grow at most 10% (plus a small absolute
-// slack so single-digit counts aren't flaky). ns/op is never compared.
+// slack so single-digit counts aren't flaky), and so may the bytes/op of
+// the graph_apply_delta* updates: ApplyDelta draws nothing from a pool, so
+// its bytes are as fixed as its allocation count. ns/op is never compared.
 func compare(prev, cur *Trajectory) []string {
 	const headroom = 1.10
 	const slack = 16 // absolute allocs; keeps tiny counts from gating on noise
@@ -594,6 +610,9 @@ func compare(prev, cur *Trajectory) []string {
 		}
 		if float64(c.AllocsOp) > float64(p.AllocsOp)*headroom+slack {
 			errs = append(errs, fmt.Sprintf("%s: %d allocs/op, checkpoint %d", name, c.AllocsOp, p.AllocsOp))
+		}
+		if strings.HasPrefix(name, "graph_apply_delta") && float64(c.BytesOp) > float64(p.BytesOp)*headroom {
+			errs = append(errs, fmt.Sprintf("%s: %d bytes/op, checkpoint %d", name, c.BytesOp, p.BytesOp))
 		}
 	}
 	for name, p := range prev.Sizes {

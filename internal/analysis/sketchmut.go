@@ -12,7 +12,9 @@ import (
 // fresh values via composite literals); everywhere else, assigning to a
 // field of either type through a pointer — or storing into one of their
 // CSR backing slices, including slices obtained from aliasing accessors
-// like Graph.OutCSR — is an error, not a style problem. Inside the
+// like Graph.OutCSR or the per-row Graph.OutThresholds, whose rows are
+// windows into pages that later snapshots share — is an error, not a
+// style problem. Inside the
 // allowlist, an index write through a value copy is an error too: the
 // copy shares its source's arrays, which ApplyDelta relies on.
 var SketchMut = &Analyzer{
@@ -43,8 +45,11 @@ var protectedTypes = []protectedType{
 		pkgPath: "fairtcim/internal/graph",
 		name:    "Graph",
 		allow:   set("Build", "MustBuild", "buildGroupIndex", "WithGroups", "ApplyDelta"),
-		shared: set("OutCSR", "InCSR", "OutThresholds", "InThresholds", "OutEdges",
-			"InEdges", "OutNeighbors", "InNeighbors", "GroupMembers", "GroupSizes"),
+		// Whole arrays (the CSR offsets and targets, the group index) and
+		// per-row windows into the CSR and the probability and threshold
+		// pages.
+		shared: set("OutCSR", "InCSR", "GroupMembers", "GroupSizes",
+			"OutEdges", "InEdges", "OutNeighbors", "InNeighbors", "OutThresholds", "InThresholds"),
 	},
 }
 
@@ -80,28 +85,16 @@ func checkFuncMut(pass *Pass, fn *ast.FuncDecl) {
 		if !ok || len(as.Rhs) != 1 {
 			return true
 		}
-		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := staticCallee(pass.TypesInfo, call)
-		if callee == nil {
-			return true
-		}
-		recv := callee.Type().(*types.Signature).Recv()
-		if recv == nil {
-			return true
-		}
-		p := protectedOf(recv.Type())
-		if p == nil || !p.shared[callee.Name()] {
+		acc := sharedAccessor(pass, as.Rhs[0])
+		if acc == "" {
 			return true
 		}
 		for _, lhs := range as.Lhs {
 			if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" {
 				if obj := pass.TypesInfo.Defs[id]; obj != nil {
-					tainted[obj] = p.name + "." + callee.Name()
+					tainted[obj] = acc
 				} else if obj := pass.TypesInfo.Uses[id]; obj != nil {
-					tainted[obj] = p.name + "." + callee.Name()
+					tainted[obj] = acc
 				}
 			}
 		}
@@ -121,6 +114,28 @@ func checkFuncMut(pass *Pass, fn *ast.FuncDecl) {
 	})
 }
 
+// sharedAccessor names the aliasing accessor x calls, as "Type.Method",
+// or returns "" when x is not such a call.
+func sharedAccessor(pass *Pass, x ast.Expr) string {
+	call, ok := ast.Unparen(x).(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	callee := staticCallee(pass.TypesInfo, call)
+	if callee == nil {
+		return ""
+	}
+	recv := callee.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return ""
+	}
+	p := protectedOf(recv.Type())
+	if p == nil || !p.shared[callee.Name()] {
+		return ""
+	}
+	return p.name + "." + callee.Name()
+}
+
 func checkWriteMut(pass *Pass, fn *ast.FuncDecl, tainted map[types.Object]string, lhs ast.Expr) {
 	lhs = ast.Unparen(lhs)
 	indexWrite := false
@@ -129,7 +144,13 @@ func checkWriteMut(pass *Pass, fn *ast.FuncDecl, tainted map[types.Object]string
 		lhs = ast.Unparen(ix.X)
 	}
 
-	// Index writes through accessor-returned slices.
+	// Index writes through accessor-returned slices, held in a local or
+	// indexed straight off the call.
+	if acc := sharedAccessor(pass, lhs); acc != "" && indexWrite {
+		pass.Reportf(lhs.Pos(),
+			"write to slice returned by %s aliases the snapshot's backing array; copy before modifying", acc)
+		return
+	}
 	if id, ok := lhs.(*ast.Ident); ok && indexWrite {
 		if obj := pass.TypesInfo.Uses[id]; obj != nil {
 			if acc, shared := tainted[obj]; shared {

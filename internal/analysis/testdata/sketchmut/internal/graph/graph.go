@@ -10,6 +10,7 @@ type NodeID int32
 type Graph struct {
 	outOff  []int32
 	targets []NodeID
+	thresh  [][]uint64 // per-arc values in pages of 128 nodes
 	groups  []int32
 }
 
@@ -33,6 +34,13 @@ func (g *Graph) ApplyDelta(off []int32) *Graph {
 
 // OutCSR returns slices aliasing the snapshot's backing arrays.
 func (g *Graph) OutCSR() ([]int32, []NodeID) { return g.outOff, g.targets }
+
+// OutThresholds returns v's row of its page: a window into an array that
+// every snapshot sharing the page sees.
+func (g *Graph) OutThresholds(v NodeID) []uint64 {
+	base := g.outOff[v&^127]
+	return g.thresh[v>>7][g.outOff[v]-base : g.outOff[v+1]-base]
+}
 
 // GroupSizes aliases the group index.
 func (g *Graph) GroupSizes() []int32 { return g.groups }

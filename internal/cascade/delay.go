@@ -111,11 +111,11 @@ func (w *WeightedWorld) Out(v graph.NodeID) ([]graph.NodeID, []int32) {
 
 // SampleDelayedWorld draws one weighted live-edge world: each edge
 // survives with its activation probability and carries a delay from dist.
-// Like SampleICWorld, the trials stream over the flat CSR arrays.
+// Like SampleICWorld, the trials stream over each CSR row beside its
+// threshold row.
 func SampleDelayedWorld(g *graph.Graph, dist DelayDist, rng *xrand.RNG) *WeightedWorld {
 	n := g.N()
-	offsets, targets, _ := g.OutCSR()
-	thresh := g.OutThresholds()
+	offsets, targets := g.OutCSR()
 	capHint := WorldCapacity(g)
 	w := &WeightedWorld{
 		offsets: make([]int32, n+1),
@@ -124,9 +124,10 @@ func SampleDelayedWorld(g *graph.Graph, dist DelayDist, rng *xrand.RNG) *Weighte
 	}
 	for v := 0; v < n; v++ {
 		w.offsets[v] = int32(len(w.targets))
-		for i := offsets[v]; i < offsets[v+1]; i++ {
-			if rng.BernoulliT(thresh[i]) {
-				w.targets = append(w.targets, targets[i])
+		row := targets[offsets[v]:offsets[v+1]]
+		for i, t := range g.OutThresholds(graph.NodeID(v))[:len(row)] {
+			if rng.BernoulliT(t) {
+				w.targets = append(w.targets, row[i])
 				w.delays = append(w.delays, dist.Sample(rng))
 			}
 		}

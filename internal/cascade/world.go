@@ -41,21 +41,21 @@ func WorldCapacity(g *graph.Graph) int {
 }
 
 // SampleICWorld draws one IC live-edge world: every edge survives
-// independently with its activation probability. The trials stream
-// straight over the graph's flat CSR arrays — no per-node slice headers —
-// using the precomputed integer thresholds, so the per-edge cost is one
-// generator step plus one compare.
+// independently with its activation probability. The trials stream over
+// each row of the graph's CSR targets beside its threshold row, using the
+// precomputed integer thresholds, so the per-edge cost is one generator
+// step plus one compare.
 func SampleICWorld(g *graph.Graph, rng *xrand.RNG) *World {
 	n := g.N()
-	offsets, targets, _ := g.OutCSR()
-	thresh := g.OutThresholds()
+	offsets, targets := g.OutCSR()
 	w := &World{offsets: make([]int32, n+1)}
 	w.targets = make([]graph.NodeID, 0, WorldCapacity(g))
 	for v := 0; v < n; v++ {
 		w.offsets[v] = int32(len(w.targets))
-		for i := offsets[v]; i < offsets[v+1]; i++ {
-			if rng.BernoulliT(thresh[i]) {
-				w.targets = append(w.targets, targets[i])
+		row := targets[offsets[v]:offsets[v+1]]
+		for i, t := range g.OutThresholds(graph.NodeID(v))[:len(row)] {
+			if rng.BernoulliT(t) {
+				w.targets = append(w.targets, row[i])
 			}
 		}
 	}

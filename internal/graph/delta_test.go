@@ -80,8 +80,10 @@ func TestApplyDeltaAddUpdateRemove(t *testing.T) {
 	if got := g2.InDegree(0); got != 1 {
 		t.Fatalf("in-degree(0) = %d, want 1", got)
 	}
-	if len(g2.OutThresholds()) != g2.M() || len(g2.InThresholds()) != g2.M() {
-		t.Fatal("threshold arrays not rebuilt to match M")
+	for v := range NodeID(g2.N()) {
+		if len(g2.OutThresholds(v)) != g2.OutDegree(v) || len(g2.InThresholds(v)) != g2.InDegree(v) {
+			t.Fatalf("node %d's threshold rows not rebuilt to match its degrees", v)
+		}
 	}
 }
 

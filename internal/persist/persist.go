@@ -189,15 +189,18 @@ func GraphFingerprint(g *graph.Graph) uint64 {
 	for v := 0; v < g.N(); v++ {
 		mix(uint64(g.Group(graph.NodeID(v))))
 	}
-	offsets, targets, probs := g.OutCSR()
+	offsets, targets := g.OutCSR()
 	for _, o := range offsets {
 		mix(uint64(uint32(o)))
 	}
 	for _, t := range targets {
 		mix(uint64(uint32(t)))
 	}
-	for _, p := range probs {
-		mix(math.Float64bits(p))
+	for v := 0; v < g.N(); v++ {
+		_, probs := g.OutEdges(graph.NodeID(v))
+		for _, p := range probs {
+			mix(math.Float64bits(p))
+		}
 	}
 	return h
 }

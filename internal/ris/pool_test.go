@@ -3,18 +3,56 @@ package ris
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"fairtcim/internal/generate"
+	"fairtcim/internal/graph"
+	"fairtcim/internal/xrand"
 )
+
+// TestScratchEpochWrap: when a scratch's 32-bit epoch wraps, its visited
+// array is cleared, so marks left from the previous cycle of epochs cannot
+// pass for the reissued ones. RR sets drawn across the wrap, on a scratch
+// whose every mark equals the first epoch after it, must equal those a
+// fresh scratch draws. Every arc is live, so each set holds its root's
+// whole 4-hop in-neighbourhood and a stale mark would cut it short.
+func TestScratchEpochWrap(t *testing.T) {
+	const n = 50
+	b := graph.NewBuilder(n)
+	for v := range graph.NodeID(n) {
+		b.AddEdge(v, (v+1)%n, 1)
+		b.AddEdge(v, (v+2)%n, 1)
+	}
+	g := b.MustBuild()
+	draw := func(sc *samplerScratch) [][]graph.NodeID {
+		var sets [][]graph.NodeID
+		for i := range 200 {
+			start := len(sc.arena)
+			reverseBFS(g, graph.NodeID(i%g.N()), 4, xrand.New(int64(i)), sc)
+			sets = append(sets, slices.Clone(sc.arena[start:]))
+		}
+		return sets
+	}
+	want := draw(&samplerScratch{visited: make([]uint32, g.N())})
+	stale := &samplerScratch{visited: make([]uint32, g.N()), epoch: math.MaxUint32}
+	for v := range stale.visited {
+		stale.visited[v] = 1
+	}
+	if got := draw(stale); !reflect.DeepEqual(got, want) {
+		t.Fatal("RR sets drawn across an epoch wrap differ from a fresh scratch's")
+	}
+}
 
 // TestPooledScratchReuseAcrossConcurrentSamples hammers Sample from many
 // goroutines so pooled sampler scratches are handed between concurrent
 // runs (and across distinct graphs mid-flight). Determinism must survive:
 // a pooled visited array carries stale epochs from an unrelated run, and
-// the global epoch counter is what keeps them from ever matching. Run
-// under -race this also proves the pool hand-off itself is clean.
+// the scratch's own epoch counter is what keeps them from ever matching.
+// Run under -race this also proves the pool hand-off itself is clean.
 func TestPooledScratchReuseAcrossConcurrentSamples(t *testing.T) {
 	g1, err := generate.TwoBlock(generate.DefaultTwoBlock(1))
 	if err != nil {

@@ -194,28 +194,8 @@ func (c *Collection) Refresh(newG *graph.Graph, touchedHeads []graph.NodeID, see
 		}
 	}
 
-	// Reassemble the inverted index exactly as SampleCancel does: per-node
-	// counts, prefix sums, then a scatter in ascending flat order so every
-	// node's ref list stays sorted.
-	n := newG.N()
-	off := make([]int32, n+1)
-	for _, set := range sets {
-		for _, v := range set {
-			off[v+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
-	}
-	refs := make([]int32, off[n])
-	next := make([]int32, n)
-	copy(next, off[:n])
-	for flat, set := range sets {
-		for _, v := range set {
-			refs[next[v]] = int32(flat)
-			next[v]++
-		}
-	}
+	// Reassemble the inverted index exactly as SampleCancel does.
+	off, refs := indexRefs(newG.N(), sets)
 	for _, sc := range scratches {
 		samplerPool.Put(sc)
 	}

@@ -72,7 +72,8 @@ func groupOfFlat(base []int32, flat int32) int {
 // doubling rounds of SampleForAccuracy, which resample the whole pool
 // several times per call.
 type samplerScratch struct {
-	visited []int64        // visited[v] == epoch marks v reached in the current BFS
+	visited []uint32       // visited[v] == epoch marks v reached in the current BFS
+	epoch   uint32         // the epoch of this scratch's latest BFS
 	queue   []graph.NodeID // BFS frontier
 	depth   []int32        // parallel hop depths
 	arena   []graph.NodeID // concatenated RR sets of this worker
@@ -87,17 +88,12 @@ type setSpan struct {
 
 var samplerPool = sync.Pool{New: func() any { return &samplerScratch{} }}
 
-// sampleEpoch issues globally unique BFS epochs, so pooled visited arrays
-// never need clearing between jobs, rounds, or graphs: a stale epoch from
-// any previous use can never collide with a fresh one.
-var sampleEpoch atomic.Int64
-
 // grab readies a pooled scratch for an n-node graph. Grown (or fresh)
 // visited memory is zero — epochs start at 1, so zero never matches.
 func grabScratch(n int) *samplerScratch {
 	sc := samplerPool.Get().(*samplerScratch)
 	if cap(sc.visited) < n {
-		sc.visited = make([]int64, n)
+		sc.visited, sc.epoch = make([]uint32, n), 0
 	}
 	sc.visited = sc.visited[:n]
 	sc.arena = sc.arena[:0]
@@ -193,34 +189,13 @@ func SampleCancel(g *graph.Graph, tau int32, perGroup []int, seed int64, paralle
 		return nil, context.Canceled
 	}
 
-	// Assemble the inverted index in two passes over the worker arenas:
-	// count refs per node, prefix-sum into off, then scatter flat ids in
-	// ascending flat order so each node's ref list comes out sorted.
-	n := g.N()
 	sets := make([][]graph.NodeID, total)
 	for _, sc := range scratches {
 		for _, sp := range sc.spans {
 			sets[sp.flat] = sc.arena[sp.start:sp.end]
 		}
 	}
-	off := make([]int32, n+1)
-	for _, set := range sets {
-		for _, v := range set {
-			off[v+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
-	}
-	refs := make([]int32, off[n])
-	next := make([]int32, n)
-	copy(next, off[:n])
-	for flat, set := range sets {
-		for _, v := range set {
-			refs[next[v]] = int32(flat)
-			next[v]++
-		}
-	}
+	off, refs := indexRefs(g.N(), sets)
 	for _, sc := range scratches {
 		samplerPool.Put(sc)
 	}
@@ -235,14 +210,45 @@ func SampleCancel(g *graph.Graph, tau int32, perGroup []int, seed int64, paralle
 	}, nil
 }
 
+// indexRefs builds the inverted index of sets over n nodes: node v's refs
+// are refs[off[v]:off[v+1]], the flat ids of the sets holding v in
+// ascending order. It counts each node's refs into off[v], prefix-sums
+// them so off[v] is row v's end, then scatters flat ids in descending
+// order, each one stepping its node's cursor down, so every cursor ends at
+// its row's start. A set must not hold a node twice.
+func indexRefs(n int, sets [][]graph.NodeID) (off, refs []int32) {
+	off = make([]int32, n+1)
+	for _, set := range sets {
+		for _, v := range set {
+			off[v]++
+		}
+	}
+	for v := 1; v <= n; v++ {
+		off[v] += off[v-1]
+	}
+	refs = make([]int32, off[n])
+	for flat := len(sets) - 1; flat >= 0; flat-- {
+		for _, v := range sets[flat] {
+			off[v]--
+			refs[off[v]] = int32(flat)
+		}
+	}
+	return off, refs
+}
+
 // reverseBFS collects the τ-bounded reverse-reachable set of root into the
 // scratch arena, flipping each incoming edge alive with its probability.
-// A fresh global epoch marks visited nodes, so the pooled visited array is
-// never cleared.
+// Each BFS marks visited nodes with the scratch's next epoch, so a stale
+// mark from any earlier use, job or graph never matches; the visited array
+// is cleared only when the 32-bit epoch wraps, once per 2^32 sets.
 func reverseBFS(g *graph.Graph, root graph.NodeID, tau int32, rng *xrand.RNG, sc *samplerScratch) {
-	inOffsets, inTargets, _ := g.InCSR()
-	thresh := g.InThresholds()
-	epoch := sampleEpoch.Add(1)
+	inOffsets, inTargets := g.InCSR()
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.visited)
+		sc.epoch = 1
+	}
+	epoch := sc.epoch
 	q := sc.queue[:0]
 	depth := sc.depth[:0]
 	sc.visited[root] = epoch
@@ -255,8 +261,9 @@ func reverseBFS(g *graph.Graph, root graph.NodeID, tau int32, rng *xrand.RNG, sc
 		if d >= tau {
 			continue
 		}
-		for i := inOffsets[v]; i < inOffsets[v+1]; i++ {
-			src := inTargets[i]
+		srcs := inTargets[inOffsets[v]:inOffsets[v+1]]
+		thresh := g.InThresholds(v)[:len(srcs)]
+		for i, src := range srcs {
 			if sc.visited[src] == epoch {
 				continue
 			}

@@ -3,10 +3,21 @@ package submodular
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"fairtcim/internal/graph"
 	"fairtcim/internal/xrand"
 )
+
+// TestLazyItemSize pins a CELF heap entry at 16 bytes. Every heap and
+// every memoized LazySnapshot is a []LazyItem, so a field order that
+// pads the item (an int Round after the int32 Node did, to 24 bytes)
+// grows both by half.
+func TestLazyItemSize(t *testing.T) {
+	if size := unsafe.Sizeof(LazyItem{}); size != 16 {
+		t.Fatalf("LazyItem is %d bytes, want 16", size)
+	}
+}
 
 // canonicalMax returns the index of the item that outranks every other:
 // the highest gain, the lowest node ID among equal gains. It is the
@@ -37,7 +48,7 @@ func TestCELFHeapPopsInCanonicalOrder(t *testing.T) {
 		item := func() LazyItem {
 			v := ids[0]
 			ids = ids[1:]
-			return LazyItem{Node: graph.NodeID(v), Gain: float64(rng.Intn(levels)), Round: rng.Intn(3)}
+			return LazyItem{Node: graph.NodeID(v), Gain: float64(rng.Intn(levels)), Round: int32(rng.Intn(3))}
 		}
 		h := make(celfHeap, 0, n)
 		for range n {

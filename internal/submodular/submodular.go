@@ -108,11 +108,12 @@ func GreedyMax(obj Objective, candidates []graph.NodeID, budget int) (Result, er
 
 // LazyItem is a candidate with a possibly stale upper bound on its gain —
 // one entry of a CELF heap. Exported so a finished run's heap can be
-// snapshotted and resumed (see LazyGreedyMaxCapture).
+// snapshotted and resumed (see LazyGreedyMaxCapture). The two 4-byte
+// fields come first so an item packs into 16 bytes.
 type LazyItem struct {
 	Node  graph.NodeID
+	Round int32 // the pick-round in which Gain was computed
 	Gain  float64
-	Round int // the pick-round in which Gain was computed
 }
 
 // LazySnapshot is the complete CELF state after a run: the heap (in valid
@@ -290,10 +291,10 @@ func LazyGreedyMaxResume(obj Objective, snap *LazySnapshot, budget int) (Result,
 func (h *celfHeap) next(obj Objective, round int, res *Result) (LazyItem, bool) {
 	for len(*h) > 0 {
 		top := h.pop()
-		if top.Round != round {
+		if top.Round != int32(round) {
 			top.Gain = obj.Gain(top.Node)
 			res.Evaluations++
-			top.Round = round
+			top.Round = int32(round)
 			if top.Gain <= 0 {
 				continue
 			}
