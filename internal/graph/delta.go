@@ -255,7 +255,7 @@ func locate(offsets []int32, targets []NodeID, row, col NodeID) (int32, bool) {
 // pages. Copying a batch's pages into one shared buffer would make a
 // single current page keep its superseded neighbours alive: under steady
 // churn of 8-arc re-weights on the instagram stand-in, the current
-// snapshot then pinned ~2.7 times the flat arrays.
+// snapshot then pinned about three times the flat arrays.
 func reweightPages(offsets []int32, pages []arcPage, edits []arcChange) []arcPage {
 	out := slices.Clone(pages)
 	for i, c := range edits {

@@ -278,7 +278,7 @@ func TestReweightChainUndoes(t *testing.T) {
 // TestReweightChurnKeepsPagesCompact: under long churn of 8-arc
 // re-weights, the current snapshot keeps alive little more than one copy
 // of each page. When a batch's pages shared one buffer, each current page
-// kept its superseded neighbours alive, about 2.7 times the flat arrays.
+// kept its superseded neighbours alive, about three times the flat arrays.
 func TestReweightChurnKeepsPagesCompact(t *testing.T) {
 	live := func() uint64 {
 		runtime.GC()
