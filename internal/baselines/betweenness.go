@@ -1,12 +1,16 @@
 package baselines
 
 import (
-	"runtime"
-	"sync"
-
 	"fairtcim/internal/graph"
+	"fairtcim/internal/par"
 	"fairtcim/internal/xrand"
 )
+
+// betweennessBlocks is the number of contiguous source blocks Betweenness
+// sums separately, each into its own row of n floats. It is fixed rather
+// than tied to parallelism, so the sums come out bit-identical at every
+// worker count, and small, since every block holds a row.
+const betweennessBlocks = 16
 
 // Betweenness computes (unweighted, directed) betweenness centrality with
 // Brandes' algorithm (2001): one BFS plus a dependency back-propagation
@@ -17,7 +21,7 @@ import (
 // sampleSources > 0 estimates centrality from that many uniformly chosen
 // sources (scaled to the full-source value), the standard approximation
 // for large graphs; <= 0 uses every node as a source. parallelism <= 0
-// means GOMAXPROCS.
+// means GOMAXPROCS; the scores are bit-identical at every parallelism.
 func Betweenness(g *graph.Graph, sampleSources int, seed int64, parallelism int) []float64 {
 	n := g.N()
 	sources := make([]graph.NodeID, 0, n)
@@ -29,41 +33,26 @@ func Betweenness(g *graph.Graph, sampleSources int, seed int64, parallelism int)
 	} else {
 		sources = g.Nodes()
 	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(sources) {
-		parallelism = len(sources)
-	}
-	if parallelism < 1 {
-		parallelism = 1
-	}
-
+	// Block b sums its sources in source order into row b, and the rows
+	// are added in block order.
+	blocks := min(betweennessBlocks, len(sources))
+	rows := make([]float64, blocks*n)
+	// A nil cancel never fires, so For cannot fail.
+	_ = par.For(blocks, parallelism, nil, func() func(int) {
+		st := newBrandesState(n)
+		return func(b int) {
+			row := rows[b*n : (b+1)*n]
+			for _, s := range sources[b*len(sources)/blocks : (b+1)*len(sources)/blocks] {
+				st.accumulate(g, s, row)
+			}
+		}
+	})
 	scores := make([]float64, n)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	work := make(chan graph.NodeID, len(sources))
-	for _, s := range sources {
-		work <- s
+	for b := range blocks {
+		for v, x := range rows[b*n : (b+1)*n] {
+			scores[v] += x
+		}
 	}
-	close(work)
-	for p := 0; p < parallelism; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			local := make([]float64, n)
-			st := newBrandesState(n)
-			for s := range work {
-				st.accumulate(g, s, local)
-			}
-			mu.Lock()
-			for v := range scores {
-				scores[v] += local[v]
-			}
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
 
 	if len(sources) < n && len(sources) > 0 {
 		scale := float64(n) / float64(len(sources))

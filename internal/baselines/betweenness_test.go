@@ -71,11 +71,17 @@ func TestBetweennessParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Betweenness(g, 0, 0, 1)
-	b := Betweenness(g, 0, 0, 4)
-	for v := range a {
-		if math.Abs(a[v]-b[v]) > 1e-6 {
-			t.Fatalf("node %d differs across parallelism: %v vs %v", v, a[v], b[v])
+	// The scores are bit-identical across parallelism and repeated runs:
+	// no float sum depends on which worker finishes first.
+	want := Betweenness(g, 0, 0, 1)
+	for run := 0; run < 10; run++ {
+		for _, parallelism := range []int{1, 2, 4} {
+			got := Betweenness(g, 0, 0, parallelism)
+			for v := range want {
+				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+					t.Fatalf("run %d, parallelism %d: node %d scores %v, want %v bit for bit", run, parallelism, v, got[v], want[v])
+				}
+			}
 		}
 	}
 }

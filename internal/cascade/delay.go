@@ -144,8 +144,8 @@ func SampleDelayedWorlds(g *graph.Graph, dist DelayDist, r int, seed int64, para
 }
 
 // SampleDelayedWorldsCancel is SampleDelayedWorlds with cooperative
-// cancellation, through the same worker pool as SampleWorldsCancel: once
-// cancel is closed, workers stop between worlds and the call returns
+// cancellation, through the same loop as SampleWorldsCancel: once cancel
+// is closed, workers stop between chunks of worlds and the call returns
 // context.Canceled. A nil cancel never fires.
 func SampleDelayedWorldsCancel(g *graph.Graph, dist DelayDist, r int, seed int64, parallelism int, cancel <-chan struct{}) ([]*WeightedWorld, error) {
 	return sampleCancel(r, seed, parallelism, cancel, func(rng *xrand.RNG) *WeightedWorld { return SampleDelayedWorld(g, dist, rng) })

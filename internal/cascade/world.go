@@ -1,13 +1,11 @@
 package cascade
 
 import (
-	"context"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"fairtcim/internal/graph"
+	"fairtcim/internal/par"
 	"fairtcim/internal/xrand"
 )
 
@@ -173,9 +171,9 @@ func SampleWorlds(g *graph.Graph, model Model, r int, seed int64, parallelism in
 }
 
 // SampleWorldsCancel is SampleWorlds with cooperative cancellation: once
-// cancel is closed, workers stop between worlds and the call returns
-// context.Canceled. A nil cancel never fires, making this the common
-// implementation for both entry points.
+// cancel is closed, workers stop between chunks of worlds and the call
+// returns context.Canceled. A nil cancel never fires, making this the
+// common implementation for both entry points.
 func SampleWorldsCancel(g *graph.Graph, model Model, r int, seed int64, parallelism int, cancel <-chan struct{}) ([]*World, error) {
 	sample := SampleICWorld
 	if model == LT {
@@ -184,48 +182,32 @@ func SampleWorldsCancel(g *graph.Graph, model Model, r int, seed int64, parallel
 	return sampleCancel(r, seed, parallelism, cancel, func(rng *xrand.RNG) *World { return sample(g, rng) })
 }
 
-// sampleCancel is the worker pool behind every world sampler: up to
-// parallelism workers (<= 0 means GOMAXPROCS) draw r worlds, world i always
-// from the i'th split of the seed stream, so the result does not depend on
-// scheduling. Each worker polls cancel before every world; once it is
-// closed the call returns context.Canceled. A nil cancel never fires.
+// sampleCancel is the loop behind every world sampler: up to parallelism
+// workers (<= 0 means GOMAXPROCS) draw r worlds through par.For, world i
+// always from the i'th split of the seed stream, so the result does not
+// depend on scheduling. Once cancel is closed the workers stop between
+// chunks of worlds and the call returns context.Canceled. A nil cancel
+// never fires.
 func sampleCancel[W any](r int, seed int64, parallelism int, cancel <-chan struct{}, draw func(*xrand.RNG) W) ([]W, error) {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	parallelism = max(1, min(parallelism, r))
 	root := xrand.New(seed)
 	worlds := make([]W, r)
-	var canceled atomic.Bool
-	var wg sync.WaitGroup
-	next := make(chan int, r)
-	for i := 0; i < r; i++ {
-		next <- i
-	}
-	close(next)
-	for p := 0; p < parallelism; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// The compiler cannot see through draw, so its argument escapes.
-			// No sampler keeps the RNG past the call, so each worker
-			// allocates one and overwrites it for every world.
-			rng := new(xrand.RNG)
-			for i := range next {
-				select {
-				case <-cancel:
-					canceled.Store(true)
-					return
-				default:
-				}
-				*rng = *root.SplitN(int64(i))
-				worlds[i] = draw(rng)
-			}
-		}()
-	}
-	wg.Wait()
-	if canceled.Load() {
-		return nil, context.Canceled
+	err := par.For(r, parallelism, cancel, func() func(int) {
+		// The compiler cannot see through draw, so its argument escapes.
+		// No sampler keeps the RNG past the call, so each worker
+		// allocates one and overwrites it for every world. Every edge
+		// trial writes it, so it fills a 64-byte block of its own: two
+		// workers' RNGs on one cache line would contend.
+		rng := &new(struct {
+			xrand.RNG
+			_ [48]byte
+		}).RNG
+		return func(i int) {
+			*rng = *root.SplitN(int64(i))
+			worlds[i] = draw(rng)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return worlds, nil
 }

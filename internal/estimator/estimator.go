@@ -20,7 +20,7 @@
 // returns all of its gains in one flat, row-major buffer rather than one
 // slice per candidate: a cold solve allocates a constant number of
 // objects for it, not one per node. Engines that evaluate candidates in
-// parallel split the rows with ParallelChunks.
+// parallel split the rows with par.For.
 //
 // Concurrency: an Estimator instance is single-goroutine (except
 // InitialGains), but the sample it is built from — a []*cascade.World set
@@ -30,13 +30,13 @@
 // (internal/server) amortizes sampling across requests.
 package estimator
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
+import "fairtcim/internal/graph"
 
-	"fairtcim/internal/graph"
-)
+// MaxSamples caps every sample count an engine draws: forward-MC worlds,
+// fresh report worlds and RR sets per group alike. An accuracy target that
+// demands more is refused rather than sampled unboundedly, and the serving
+// layer refuses an explicit count above it before building anything.
+const MaxSamples = 1 << 20
 
 // Estimator estimates the per-group time-critical influence fτ(S;Vᵢ) of a
 // growing seed set S. Implementations are deterministic for a fixed
@@ -92,57 +92,4 @@ type Estimator interface {
 	// Reset clears the seed set, returning the estimator to its initial
 	// state on the same sample.
 	Reset()
-}
-
-// chunkSize is how many consecutive rows a ParallelChunks worker claims at
-// a time: small enough that uneven per-candidate costs (a hub's BFS versus
-// a leaf's) still balance across workers, large enough that claiming is
-// free next to evaluating.
-const chunkSize = 64
-
-// ParallelChunks processes [0,n) in contiguous chunks of a fixed size. Up
-// to parallelism workers (<= 0 means GOMAXPROCS), the calling goroutine
-// among them, claim chunks in ascending order from one atomic counter.
-// newWorker runs once per worker, on that worker's goroutine, so per-worker
-// scratch is built once rather than once per chunk; the function it
-// returns processes one chunk [lo, hi). With one chunk or one worker the
-// whole range runs inline as a single chunk. ParallelChunks returns when
-// every chunk is done.
-func ParallelChunks(n, parallelism int, newWorker func() func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	chunks := (n + chunkSize - 1) / chunkSize
-	if parallelism > chunks {
-		parallelism = chunks
-	}
-	if parallelism <= 1 {
-		newWorker()(0, n)
-		return
-	}
-	var next atomic.Int64
-	work := func() {
-		process := newWorker()
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			lo := c * chunkSize
-			process(lo, min(lo+chunkSize, n))
-		}
-	}
-	var wg sync.WaitGroup
-	wg.Add(parallelism - 1)
-	for p := 1; p < parallelism; p++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
 }

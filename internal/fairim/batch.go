@@ -110,20 +110,7 @@ func (s ProblemSpec) shareable(g *graph.Graph) (shareKey, bool) {
 			return shareKey{}, false
 		}
 	}
-	samples := s.Sampling.Samples
-	if samples == 0 {
-		samples = c.Samples
-	}
-	if samples == 0 {
-		samples = DefaultSamples
-	}
-	rpg := s.Sampling.RISPerGroup
-	if rpg == 0 {
-		rpg = c.RISPerGroup
-	}
-	if rpg == 0 {
-		rpg = 20 * samples
-	}
+	samples, rpg := s.Counts()
 	k := shareKey{
 		problem:     s.Problem,
 		engine:      c.Engine,

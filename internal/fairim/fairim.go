@@ -113,9 +113,9 @@ type Config struct {
 	// OnIteration — once the channel is closed, the solve aborts after the
 	// current pick and returns ErrCanceled — and inside the sampling loops:
 	// optimization world sampling (IC, LT and delayed), RR-pool sampling,
-	// and the accuracy sizer's doubling rounds all stop between samples,
-	// so a multi-second sampling phase is interruptible too. Only the
-	// parallel first gain pass and the fresh-world report run to
+	// and the accuracy sizer's doubling rounds all stop between chunks of
+	// samples, so a multi-second sampling phase is interruptible too. Only
+	// the parallel first gain pass and the fresh-world report run to
 	// completion. The serving layer wires a job's cancellation context
 	// here.
 	Cancel <-chan struct{}
@@ -345,10 +345,8 @@ func (c *Config) maxSeeds(g *graph.Graph) int {
 
 // risPerGroup resolves the per-group RR pool size.
 func (c *Config) risPerGroup() int {
-	if c.RISPerGroup > 0 {
-		return c.RISPerGroup
-	}
-	return 20 * c.Samples
+	_, n := ProblemSpec{Config: *c}.Counts()
+	return n
 }
 
 // newEstimator returns the injected warm estimator if one is configured,

@@ -90,7 +90,7 @@ func (a Accuracy) validate() error {
 // Hoeffding-based world count for forward MC (HoeffdingWorlds). Setting
 // both explicit counts and an Accuracy target is an error. The zero value
 // falls back to the embedded Config's Samples/RISPerGroup fields, then to
-// DefaultSamples.
+// the defaults ProblemSpec.Counts documents.
 type Sampling struct {
 	Samples     int       // explicit forward-MC world count
 	RISPerGroup int       // explicit RR sets per group (RIS engine)
@@ -101,10 +101,6 @@ type Sampling struct {
 // explicit budget nor an accuracy target is given (the paper's §6.1
 // synthetic-experiment default).
 const DefaultSamples = 200
-
-// maxAutoSamples caps budgets derived from accuracy targets; demanding
-// more is reported as an error rather than sampled unboundedly.
-const maxAutoSamples = 1 << 20
 
 // ProblemSpec is the one request type every solve goes through: the
 // problem kind with its constraint value, the sampling budget (explicit or
@@ -123,6 +119,29 @@ type ProblemSpec struct {
 	// Config carries the remaining solver options: deadline, diffusion
 	// model, engine, seeds, objective options, parallelism, eval policy.
 	Config
+}
+
+// Counts returns the forward-MC world count and the RR sets per group the
+// spec's explicit budgets resolve to. A positive Sampling count takes
+// precedence over the embedded Config's; a world count still unset is
+// DefaultSamples, and an unset pool holds 20 RR sets per world. The solve,
+// the batch planner's share key and the serving layer's request decoding
+// all derive the counts here, so they cannot disagree.
+func (s ProblemSpec) Counts() (samples, risPerGroup int) {
+	samples, risPerGroup = s.Config.Samples, s.Config.RISPerGroup
+	if s.Sampling.Samples > 0 {
+		samples = s.Sampling.Samples
+	}
+	if s.Sampling.RISPerGroup > 0 {
+		risPerGroup = s.Sampling.RISPerGroup
+	}
+	if samples == 0 {
+		samples = DefaultSamples
+	}
+	if risPerGroup == 0 {
+		risPerGroup = 20 * samples
+	}
+	return samples, risPerGroup
 }
 
 // SizingSeeds returns the seed-set size the accuracy machinery unions
@@ -158,8 +177,8 @@ func HoeffdingWorlds(eps, delta float64, k, n, groups int) (int, error) {
 		return 0, fmt.Errorf("fairim: HoeffdingWorlds needs positive k, n and groups")
 	}
 	need := (float64(k)*math.Log(float64(n)) + math.Log(2*float64(groups)/delta)) / (2 * eps * eps)
-	if need > maxAutoSamples {
-		return 0, fmt.Errorf("fairim: accuracy target (ε=%v, δ=%v) demands %.0f worlds (cap %d); relax the target or set explicit budgets", eps, delta, need, maxAutoSamples)
+	if need > estimator.MaxSamples {
+		return 0, fmt.Errorf("fairim: accuracy target (ε=%v, δ=%v) demands %.0f worlds (cap %d); relax the target or set explicit budgets", eps, delta, need, estimator.MaxSamples)
 	}
 	if need < 1 {
 		return 1, nil
@@ -175,8 +194,8 @@ func HoeffdingWorlds(eps, delta float64, k, n, groups int) (int, error) {
 // auto-sizing cap is an error — never a silently degraded guarantee.
 func EvalWorlds(a Accuracy, groups int) (int, error) {
 	need := math.Log(2*float64(groups)/a.Delta) / (2 * a.Epsilon * a.Epsilon)
-	if need > maxAutoSamples {
-		return 0, fmt.Errorf("fairim: accuracy target (ε=%v, δ=%v) demands %.0f eval worlds (cap %d); relax the target or set explicit budgets", a.Epsilon, a.Delta, need, maxAutoSamples)
+	if need > estimator.MaxSamples {
+		return 0, fmt.Errorf("fairim: accuracy target (ε=%v, δ=%v) demands %.0f eval worlds (cap %d); relax the target or set explicit budgets", a.Epsilon, a.Delta, need, estimator.MaxSamples)
 	}
 	if need < 1 {
 		return 1, nil
@@ -227,15 +246,7 @@ func (s ProblemSpec) resolve(g *graph.Graph, k int, mode resolveMode) (Config, e
 			return cfg, err
 		}
 	}
-	if s.Sampling.Samples > 0 {
-		cfg.Samples = s.Sampling.Samples
-	}
-	if s.Sampling.RISPerGroup > 0 {
-		cfg.RISPerGroup = s.Sampling.RISPerGroup
-	}
-	if cfg.Samples == 0 {
-		cfg.Samples = DefaultSamples
-	}
+	cfg.Samples, cfg.RISPerGroup = s.Counts()
 	if err := cfg.validate(g); err != nil {
 		return cfg, err
 	}

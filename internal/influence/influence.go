@@ -27,8 +27,8 @@ import (
 	"math"
 
 	"fairtcim/internal/cascade"
-	"fairtcim/internal/estimator"
 	"fairtcim/internal/graph"
+	"fairtcim/internal/par"
 )
 
 // unreached is the internal "activation time" of an inactive node. It must
@@ -301,19 +301,18 @@ func (e *Evaluator) Reset() {
 
 // InitialGains computes GainPerGroup for every candidate into one flat,
 // row-major buffer: row i, out[i·G:(i+1)·G], holds candidates[i]'s
-// per-group gains. Workers claim chunks of rows, each with its own
-// scratch. It only reads evaluator state, so it is safe before/between
-// Adds. parallelism <= 0 means GOMAXPROCS. This accelerates the expensive
-// first CELF pass.
+// per-group gains. Workers claim chunks of rows through par.For, each
+// with its own scratch. It only reads evaluator state, so it is safe
+// before/between Adds. parallelism <= 0 means GOMAXPROCS. This accelerates
+// the expensive first CELF pass.
 func (e *Evaluator) InitialGains(candidates []graph.NodeID, parallelism int) []float64 {
 	groups := e.g.NumGroups()
 	out := make([]float64, len(candidates)*groups)
-	estimator.ParallelChunks(len(candidates), parallelism, func() func(lo, hi int) {
+	// A nil cancel never fires, so For cannot fail.
+	_ = par.For(len(candidates), parallelism, nil, func() func(int) {
 		s := e.newScratch()
-		return func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				copy(out[i*groups:(i+1)*groups], e.gainPerGroup(s, candidates[i]))
-			}
+		return func(i int) {
+			copy(out[i*groups:(i+1)*groups], e.gainPerGroup(s, candidates[i]))
 		}
 	})
 	return out

@@ -110,7 +110,8 @@ func TestPooledScratchReuseAcrossConcurrentSamples(t *testing.T) {
 }
 
 // TestSampleCancel: a closed cancel channel stops sampling between RR sets
-// with context.Canceled, and a nil channel never interferes.
+// with context.Canceled — a fresh pool, an accuracy-sized one and a
+// partial refresh alike — and a nil channel never interferes.
 func TestSampleCancel(t *testing.T) {
 	g, err := generate.TwoBlock(generate.DefaultTwoBlock(2))
 	if err != nil {
@@ -126,5 +127,23 @@ func TestSampleCancel(t *testing.T) {
 	}
 	if _, err := SampleCancel(g, 4, []int{50, 50}, 3, 2, nil); err != nil {
 		t.Fatalf("nil cancel: %v", err)
+	}
+
+	// The delta of TestRefreshPartialParity dirties half the pool, under
+	// the full-rebuild threshold, so Refresh resamples only the dirty sets.
+	stars := generate.TwoStars()
+	col, err := Sample(stars, 3, []int{40, 40}, 7, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, res, err := stars.ApplyDelta(graph.Delta{Edges: []graph.EdgeDelta{{From: 1, To: 0, P: 0.05}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := col.Refresh(g2, res.TouchedHeads, 9, 2, 0, cancel); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-canceled partial refresh: got %v, want context.Canceled", err)
+	}
+	if _, stats, err := col.Refresh(g2, res.TouchedHeads, 9, 2, 0, nil); err != nil || stats.FullRebuild {
+		t.Fatalf("nil-cancel refresh: stats %+v, err %v; want a partial refresh", stats, err)
 	}
 }

@@ -1,14 +1,6 @@
 package ris
 
-import (
-	"context"
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"fairtcim/internal/graph"
-	"fairtcim/internal/xrand"
-)
+import "fairtcim/internal/graph"
 
 // DefaultRefreshThreshold is the dirty fraction above which Refresh gives
 // up on incremental maintenance and rebuilds the whole pool: past this
@@ -125,79 +117,20 @@ func (c *Collection) Refresh(newG *graph.Graph, touchedHeads []graph.NodeID, see
 		}
 	}
 	sets := make([][]graph.NodeID, total)
-	for i := 0; i < total; i++ {
-		if dirty[uint32(i)>>6]&(1<<(uint32(i)&63)) == 0 {
+	dirtyIDs := make([]int32, 0, dirtyCount)
+	for i := range int32(total) {
+		if dirty[uint32(i)>>6]&(1<<(uint32(i)&63)) != 0 {
+			dirtyIDs = append(dirtyIDs, i)
+		} else {
 			sets[i] = arena[starts[i]:starts[i+1]]
 		}
 	}
 
-	// Resample the dirty sets under newG with fresh roots and coins.
-	dirtyIDs := make([]int32, 0, dirtyCount)
-	for i := int32(0); int(i) < total; i++ {
-		if dirty[uint32(i)>>6]&(1<<(uint32(i)&63)) != 0 {
-			dirtyIDs = append(dirtyIDs, i)
-		}
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(dirtyIDs) {
-		parallelism = len(dirtyIDs)
-	}
-	members := make([][]graph.NodeID, newG.NumGroups())
-	for i := range members {
-		members[i] = newG.GroupMembers(i)
-	}
-	root := xrand.New(seed)
-	scratches := make([]*samplerScratch, parallelism)
-	var canceled atomic.Bool
-	var wg sync.WaitGroup
-	work := make(chan int32, len(dirtyIDs))
-	for _, id := range dirtyIDs {
-		work <- id
-	}
-	close(work)
-	for p := 0; p < parallelism; p++ {
-		sc := grabScratch(newG.N())
-		scratches[p] = sc
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for flat := range work {
-				if cancel != nil {
-					select {
-					case <-cancel:
-						canceled.Store(true)
-						return
-					default:
-					}
-				}
-				rng := root.SplitN(int64(flat))
-				pool := members[groupOfFlat(c.base, flat)]
-				rootNode := pool[rng.Intn(len(pool))]
-				start := int32(len(sc.arena))
-				reverseBFS(newG, rootNode, c.tau, rng, sc)
-				sc.spans = append(sc.spans, setSpan{flat: flat, start: start, end: int32(len(sc.arena))})
-			}
-		}()
-	}
-	wg.Wait()
-	if canceled.Load() {
-		for _, sc := range scratches {
-			samplerPool.Put(sc)
-		}
-		return nil, RefreshStats{}, context.Canceled
-	}
-	for _, sc := range scratches {
-		for _, sp := range sc.spans {
-			sets[sp.flat] = sc.arena[sp.start:sp.end]
-		}
-	}
-
-	// Reassemble the inverted index exactly as SampleCancel does.
-	off, refs := indexRefs(newG.N(), sets)
-	for _, sc := range scratches {
-		samplerPool.Put(sc)
+	// Resample the dirty sets under newG with fresh roots and coins, then
+	// reassemble the inverted index exactly as SampleCancel does.
+	off, refs, err := drawAndIndex(newG, c.tau, c.base, sets, dirtyIDs, seed, parallelism, cancel)
+	if err != nil {
+		return nil, RefreshStats{}, err
 	}
 
 	return &Collection{

@@ -17,15 +17,12 @@
 package ris
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
-	"fairtcim/internal/estimator"
 	"fairtcim/internal/graph"
+	"fairtcim/internal/par"
 	"fairtcim/internal/xrand"
 )
 
@@ -108,7 +105,7 @@ func Sample(g *graph.Graph, tau int32, perGroup []int, seed int64, parallelism i
 }
 
 // SampleCancel is Sample with cooperative cancellation: once cancel is
-// closed, workers stop between RR sets and the call returns
+// closed, workers stop between chunks of RR sets and the call returns
 // context.Canceled. A nil cancel never fires. Sampling a multi-second pool
 // is therefore interruptible, not just the greedy loop that follows it.
 func SampleCancel(g *graph.Graph, tau int32, perGroup []int, seed int64, parallelism int, cancel <-chan struct{}) (*Collection, error) {
@@ -129,77 +126,10 @@ func SampleCancel(g *graph.Graph, tau int32, perGroup []int, seed int64, paralle
 		total += c
 	}
 	base := groupBases(perGroup)
-
-	members := make([][]graph.NodeID, g.NumGroups())
-	for i := range members {
-		members[i] = g.GroupMembers(i)
+	off, refs, err := drawAndIndex(g, tau, base, make([][]graph.NodeID, total), nil, seed, parallelism, cancel)
+	if err != nil {
+		return nil, err
 	}
-
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > total {
-		parallelism = total
-	}
-	root := xrand.New(seed)
-	// Each worker samples into its own pooled arena and records spans; the
-	// per-set RNG is derived from the flat id, so the result is independent
-	// of which worker draws which set.
-	scratches := make([]*samplerScratch, parallelism)
-	var canceled atomic.Bool
-	var wg sync.WaitGroup
-	work := make(chan int32, total)
-	for i := int32(0); i < int32(total); i++ {
-		work <- i
-	}
-	close(work)
-	for p := 0; p < parallelism; p++ {
-		sc := grabScratch(g.N())
-		scratches[p] = sc
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			grp := 0
-			for flat := range work {
-				if cancel != nil {
-					select {
-					case <-cancel:
-						canceled.Store(true)
-						return
-					default:
-					}
-				}
-				// work drains in ascending flat order per receiver only
-				// loosely; recompute the owning group each time.
-				grp = groupOfFlat(base, flat)
-				rng := root.SplitN(int64(flat))
-				pool := members[grp]
-				rootNode := pool[rng.Intn(len(pool))]
-				start := int32(len(sc.arena))
-				reverseBFS(g, rootNode, tau, rng, sc)
-				sc.spans = append(sc.spans, setSpan{flat: flat, start: start, end: int32(len(sc.arena))})
-			}
-		}()
-	}
-	wg.Wait()
-	if canceled.Load() {
-		for _, sc := range scratches {
-			samplerPool.Put(sc)
-		}
-		return nil, context.Canceled
-	}
-
-	sets := make([][]graph.NodeID, total)
-	for _, sc := range scratches {
-		for _, sp := range sc.spans {
-			sets[sp.flat] = sc.arena[sp.start:sp.end]
-		}
-	}
-	off, refs := indexRefs(g.N(), sets)
-	for _, sc := range scratches {
-		samplerPool.Put(sc)
-	}
-
 	return &Collection{
 		g:        g,
 		tau:      tau,
@@ -208,6 +138,61 @@ func SampleCancel(g *graph.Graph, tau int32, perGroup []int, seed int64, paralle
 		off:      off,
 		refs:     refs,
 	}, nil
+}
+
+// drawAndIndex draws a fresh τ-bounded RR set under g into sets[flat] for
+// every flat id in ids — for every set when ids is nil — and then indexes
+// all of sets over g's nodes (see indexRefs). Set flat draws its root
+// uniformly from its group's members (base maps flat ids to groups) and
+// its coins from the flat id's split of seed, so a set does not depend on
+// which worker draws it. Each worker samples into its own pooled arena and
+// records spans, which are resolved into sets once every worker is done.
+// Once cancel is closed the workers stop between chunks of sets and the
+// call returns context.Canceled.
+func drawAndIndex(g *graph.Graph, tau int32, base []int32, sets [][]graph.NodeID, ids []int32, seed int64, parallelism int, cancel <-chan struct{}) (off, refs []int32, err error) {
+	draws := len(ids)
+	if ids == nil {
+		draws = len(sets)
+	}
+	members := make([][]graph.NodeID, g.NumGroups())
+	for i := range members {
+		members[i] = g.GroupMembers(i)
+	}
+	root := xrand.New(seed)
+	var mu sync.Mutex
+	var scratches []*samplerScratch
+	defer func() {
+		for _, sc := range scratches {
+			samplerPool.Put(sc)
+		}
+	}()
+	err = par.For(draws, parallelism, cancel, func() func(int) {
+		sc := grabScratch(g.N())
+		mu.Lock()
+		scratches = append(scratches, sc)
+		mu.Unlock()
+		return func(i int) {
+			flat := int32(i)
+			if ids != nil {
+				flat = ids[i]
+			}
+			rng := root.SplitN(int64(flat))
+			pool := members[groupOfFlat(base, flat)]
+			start := int32(len(sc.arena))
+			reverseBFS(g, pool[rng.Intn(len(pool))], tau, rng, sc)
+			sc.spans = append(sc.spans, setSpan{flat: flat, start: start, end: int32(len(sc.arena))})
+		}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, sc := range scratches {
+		for _, sp := range sc.spans {
+			sets[sp.flat] = sc.arena[sp.start:sp.end]
+		}
+	}
+	off, refs = indexRefs(g.N(), sets)
+	return off, refs, nil
 }
 
 // indexRefs builds the inverted index of sets over n nodes: node v's refs
@@ -412,12 +397,10 @@ func (e *Estimator) gainPerGroupInto(delta []float64, v graph.NodeID) []float64 
 func (e *Estimator) InitialGains(candidates []graph.NodeID, parallelism int) []float64 {
 	groups := len(e.c.poolSize)
 	out := make([]float64, len(candidates)*groups)
-	estimator.ParallelChunks(len(candidates), parallelism, func() func(lo, hi int) {
-		return func(lo, hi int) {
-			for i, v := range candidates[lo:hi] {
-				row := (lo + i) * groups
-				e.gainPerGroupInto(out[row:row+groups], v)
-			}
+	// A nil cancel never fires, so For cannot fail.
+	_ = par.For(len(candidates), parallelism, nil, func() func(int) {
+		return func(i int) {
+			e.gainPerGroupInto(out[i*groups:(i+1)*groups], candidates[i])
 		}
 	})
 	return out

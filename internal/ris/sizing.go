@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"fairtcim/internal/estimator"
 	"fairtcim/internal/graph"
 	"fairtcim/internal/submodular"
 )
@@ -30,11 +31,6 @@ import (
 const (
 	// sizingStartPool is the pilot pool size the doubling starts from.
 	sizingStartPool = 256
-	// sizingMaxPool caps the per-group pool; a target whose rule demands
-	// more is rejected with an error (matching the forward-MC
-	// HoeffdingWorlds cap) rather than silently served with a pool that
-	// does not satisfy the advertised (ε,δ) guarantee.
-	sizingMaxPool = 1 << 20
 	// sizingMaxRounds bounds the doubling loop; the δ budget is split
 	// uniformly across rounds.
 	sizingMaxRounds = 16
@@ -43,16 +39,17 @@ const (
 // RequiredPoolSize returns the per-group RR-pool size the (ε,δ) stopping
 // rule demands, given a lower bound lb on the normalized coverage a size-k
 // solution achieves in the group (lb in (0,1]). n is the number of nodes,
-// groups the number of groups. The result is clamped to sizingMaxPool.
+// groups the number of groups. The result is clamped to
+// estimator.MaxSamples.
 func RequiredPoolSize(eps, delta float64, k, n, groups int, lb float64) int {
 	if lb <= 0 {
-		return sizingMaxPool
+		return estimator.MaxSamples
 	}
 	logUnion := float64(k)*math.Log(float64(n)) +
 		math.Log(2*float64(groups)*float64(sizingMaxRounds)/delta)
 	req := (2 + 2*eps/3) * logUnion / (eps * eps * lb)
-	if req > float64(sizingMaxPool) {
-		return sizingMaxPool
+	if req > float64(estimator.MaxSamples) {
+		return estimator.MaxSamples
 	}
 	if req < 1 {
 		return 1
@@ -73,8 +70,8 @@ func SampleForAccuracy(g *graph.Graph, tau int32, k int, eps, delta float64, see
 
 // SampleForAccuracyCancel is SampleForAccuracy with cooperative
 // cancellation threaded into every doubling round's sampling pass: once
-// cancel is closed the in-flight round stops between RR sets and the call
-// returns context.Canceled. A nil cancel never fires.
+// cancel is closed the in-flight round stops between chunks of RR sets and
+// the call returns context.Canceled. A nil cancel never fires.
 func SampleForAccuracyCancel(g *graph.Graph, tau int32, k int, eps, delta float64, seed int64, parallelism int, cancel <-chan struct{}) (*Collection, error) {
 	if eps <= 0 || eps >= 1 {
 		return nil, fmt.Errorf("ris: epsilon %v outside (0,1)", eps)
@@ -114,8 +111,8 @@ func SampleForAccuracyCancel(g *graph.Graph, tau int32, k int, eps, delta float6
 		if theta >= required {
 			return col, nil
 		}
-		if required >= sizingMaxPool {
-			return nil, fmt.Errorf("ris: accuracy target (ε=%v, δ=%v) demands %d RR sets per group (cap %d); relax the target or set explicit budgets", eps, delta, required, sizingMaxPool)
+		if required >= estimator.MaxSamples {
+			return nil, fmt.Errorf("ris: accuracy target (ε=%v, δ=%v) demands %d RR sets per group (cap %d); relax the target or set explicit budgets", eps, delta, required, estimator.MaxSamples)
 		}
 		if round >= sizingMaxRounds-1 {
 			return nil, fmt.Errorf("ris: accuracy sizing did not converge in %d rounds (pool %d, required %d); relax the target or set explicit budgets", sizingMaxRounds, theta, required)
@@ -124,8 +121,8 @@ func SampleForAccuracyCancel(g *graph.Graph, tau int32, k int, eps, delta float6
 		if required > theta {
 			theta = required
 		}
-		if theta > sizingMaxPool {
-			theta = sizingMaxPool
+		if theta > estimator.MaxSamples {
+			theta = estimator.MaxSamples
 		}
 	}
 }

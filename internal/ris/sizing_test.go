@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"fairtcim/internal/estimator"
 	"fairtcim/internal/generate"
 	"fairtcim/internal/graph"
 )
@@ -27,7 +28,7 @@ func TestRequiredPoolSizeMonotone(t *testing.T) {
 	if r := RequiredPoolSize(0.2, 0.05, 5, 200, 2, 0.1); r <= base {
 		t.Errorf("lower coverage did not grow the pool: %d vs %d", r, base)
 	}
-	if r := RequiredPoolSize(0.2, 0.05, 5, 200, 2, 0); r != sizingMaxPool {
+	if r := RequiredPoolSize(0.2, 0.05, 5, 200, 2, 0); r != estimator.MaxSamples {
 		t.Errorf("zero coverage bound should clamp to the max pool, got %d", r)
 	}
 }

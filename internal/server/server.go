@@ -15,6 +15,7 @@ import (
 	"fairtcim/internal/cascade"
 	"fairtcim/internal/cluster"
 	"fairtcim/internal/concave"
+	"fairtcim/internal/estimator"
 	"fairtcim/internal/fairim"
 	"fairtcim/internal/graph"
 )
@@ -240,7 +241,9 @@ type SolveRequest struct {
 	Model   string  `json:"model,omitempty"`   // ic | lt; default ic
 	Samples int     `json:"samples,omitempty"` // MC worlds; default 200
 	// RISPerGroup is the RR-pool size per group for engine "ris";
-	// 0 derives 20·samples.
+	// 0 derives 20·samples. Every sample count the request draws —
+	// samples, this pool, eval_samples — is capped at
+	// estimator.MaxSamples (2^20).
 	RISPerGroup int `json:"ris_per_group,omitempty"`
 	// Accuracy, if set, replaces the explicit budgets: the server derives
 	// the pool size from the (ε,δ) stopping rule (IMM-style doubling for
@@ -469,11 +472,11 @@ func decodeCommon(graphName, engineName, modelName string, tau *int32, samples, 
 			spec.Tau = *tau
 		}
 	}
-	if samples < 0 {
-		return spec, fmt.Errorf("negative samples %d", samples)
+	if err := checkCount("samples", samples); err != nil {
+		return spec, err
 	}
-	if risPool < 0 {
-		return spec, fmt.Errorf("negative ris_per_group %d", risPool)
+	if err := checkCount("ris_per_group", risPool); err != nil {
+		return spec, err
 	}
 	if acc != nil {
 		if samples > 0 || risPool > 0 {
@@ -489,14 +492,13 @@ func decodeCommon(graphName, engineName, modelName string, tau *int32, samples, 
 	} else {
 		// Materialize the documented defaults so the cache key and the
 		// solver agree on the effective budgets.
-		if samples == 0 {
-			samples = fairim.DefaultSamples
+		spec.Sampling = fairim.Sampling{Samples: samples, RISPerGroup: risPool}
+		spec.Sampling.Samples, spec.Sampling.RISPerGroup = spec.Counts()
+		// samples met the cap, but its default RR pool, 20·samples, may
+		// not.
+		if spec.Engine == fairim.EngineRIS && spec.Sampling.RISPerGroup > estimator.MaxSamples {
+			return spec, fmt.Errorf("ris_per_group defaults to 20·samples = %d, above the cap of %d; set ris_per_group", spec.Sampling.RISPerGroup, estimator.MaxSamples)
 		}
-		if risPool == 0 {
-			risPool = 20 * samples
-		}
-		spec.Sampling.Samples = samples
-		spec.Sampling.RISPerGroup = risPool
 	}
 	spec.Seed = seed
 	if spec.Seed == 0 {
@@ -519,6 +521,19 @@ func decodeCommon(graphName, engineName, modelName string, tau *int32, samples, 
 		return spec, fmt.Errorf("the ris engine supports only the ic model")
 	}
 	return spec, nil
+}
+
+// checkCount refuses a negative sample count, and one above the cap every
+// engine samples within: a request may not ask for a sample that would
+// take the daemon's memory, however long it is willing to wait.
+func checkCount(field string, n int) error {
+	if n < 0 {
+		return fmt.Errorf("negative %s %d", field, n)
+	}
+	if n > estimator.MaxSamples {
+		return fmt.Errorf("%s %d above the cap of %d", field, n, estimator.MaxSamples)
+	}
+	return nil
 }
 
 // toSpec decodes the full solve request into a fairim.ProblemSpec.
@@ -549,8 +564,8 @@ func (req SolveRequest) toSpec() (fairim.ProblemSpec, error) {
 	} else if spec.Quota <= 0 || spec.Quota > 1 {
 		return spec, fmt.Errorf("quota %v outside (0,1]", spec.Quota)
 	}
-	if req.EvalSamples < 0 {
-		return spec, fmt.Errorf("negative eval_samples %d", req.EvalSamples)
+	if err := checkCount("eval_samples", req.EvalSamples); err != nil {
+		return spec, err
 	}
 	spec.EvalSamples = req.EvalSamples
 	if req.MaxSeeds < 0 {

@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"fairtcim/internal/estimator"
+	"fairtcim/internal/fairim"
 	"fairtcim/internal/generate"
 	"fairtcim/internal/graph"
 )
@@ -184,6 +186,79 @@ func TestSelectErrorPaths(t *testing.T) {
 			t.Errorf("%s: no JSON error envelope in %s", tc.name, body)
 		}
 	}
+}
+
+// oversizedBodies each ask for more than estimator.MaxSamples samples. The
+// first three once took the daemon down with a fatal out-of-memory: the
+// forward-MC worlds, the RR pool and the fresh report's worlds. The last
+// asks for the default RIS pool, 20·samples, above the cap.
+var oversizedBodies = []string{
+	`{"graph":"twoblock","engine":"forward-mc","samples":400000000,"eval":"sample"}`,
+	`{"graph":"twoblock","engine":"ris","ris_per_group":1200000000,"eval":"sample"}`,
+	`{"graph":"twoblock","samples":200,"eval":"fresh","eval_samples":400000000}`,
+	`{"graph":"twoblock","engine":"ris","samples":60000,"eval":"sample"}`,
+}
+
+// TestOversizedCountsRefused: every oversized body gets a 400 bad_spec on
+// select and estimate before any sample is built, while the same 60,000
+// worlds stay acceptable to forward MC, which draws no RR pool.
+func TestOversizedCountsRefused(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, body := range oversizedBodies {
+		requests := [][2]string{{"/v1/select", body}}
+		if !strings.Contains(body, "eval_samples") { // not an estimate field
+			requests = append(requests, [2]string{"/v1/estimate", strings.Replace(body, "{", `{"seeds":[0],`, 1)})
+		}
+		for _, r := range requests {
+			resp, out := postJSON(t, ts.URL+r[0], r[1])
+			var e errorResponse
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(out, &e) != nil || e.Error.Code != CodeBadSpec {
+				t.Errorf("%s %s: status %d body %s, want 400 %s", r[0], r[1], resp.StatusCode, out, CodeBadSpec)
+			}
+		}
+	}
+	if st := s.CacheStats(); st.Builds != 0 {
+		t.Fatalf("refused requests built %d samples", st.Builds)
+	}
+	if _, err := (SolveRequest{Graph: "twoblock", Engine: "forward-mc", Samples: 60000}).toSpec(); err != nil {
+		t.Fatalf("forward MC with 60,000 worlds refused: %v", err)
+	}
+}
+
+// FuzzSolveRequestSpec feeds arbitrary bodies through the strict decode
+// and toSpec. Nothing may panic, and a spec toSpec accepts draws no sample
+// count above the cap: its worlds, its RR pool when the RIS engine runs,
+// and its fresh report's worlds (eval_samples, else samples).
+func FuzzSolveRequestSpec(f *testing.F) {
+	for _, body := range append([]string{
+		clusterSelectBody,
+		`{"graph":"g","engine":"ris","samples":52428,"eval_samples":1048576}`,
+		`{"graph":"g","samples":1048576,"ris_per_group":1048577}`,
+		`{"graph":"g","accuracy":{"epsilon":0.2,"delta":0.05},"eval":"fresh"}`,
+		`{"graph":"g","samples":-1}`,
+		`{"graph":"g","bogus":1}`,
+	}, oversizedBodies...) {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req SolveRequest
+		if !decodeStrict(httptest.NewRecorder(), body, &req) {
+			return
+		}
+		spec, err := req.toSpec()
+		if err != nil {
+			return
+		}
+		within := func(n int) bool { return n >= 0 && n <= estimator.MaxSamples }
+		worlds, pool := spec.Sampling.Samples, spec.Sampling.RISPerGroup
+		report := spec.EvalSamples
+		if report == 0 {
+			report = worlds
+		}
+		if !within(worlds) || !within(report) || (spec.Engine == fairim.EngineRIS && !within(pool)) {
+			t.Fatalf("accepted %s with samples %d, ris_per_group %d, eval_samples %d", body, worlds, pool, spec.EvalSamples)
+		}
+	})
 }
 
 func TestEstimate(t *testing.T) {
