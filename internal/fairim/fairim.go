@@ -457,7 +457,7 @@ func maximize(obj *objective, cfg Config, g *graph.Graph, budget int) (submodula
 		return res, snap, err
 	}
 	cands := obj.candidates(cfg)
-	initial := obj.initialGains(cands, cfg.Parallelism)
+	initial := obj.eval.InitialGains(cands, cfg.Parallelism)
 	res, snap, err := submodular.LazyGreedyMaxCapture(obj, cands, budget, initial)
 	res.Evaluations += len(cands) // the parallel first pass
 	for i := range res.EvalsAt {
@@ -485,7 +485,7 @@ func captureWarm(res submodular.Result, snap *submodular.LazySnapshot, obj *obje
 
 func cover(obj *objective, cfg Config, g *graph.Graph, target float64) (submodular.Result, error) {
 	cands := obj.candidates(cfg)
-	initial := obj.initialGains(cands, cfg.Parallelism)
+	initial := obj.eval.InitialGains(cands, cfg.Parallelism)
 	res, err := submodular.GreedyCoverInit(obj, cands, target, cfg.maxSeeds(g), initial)
 	res.Evaluations += len(cands)
 	return res, err

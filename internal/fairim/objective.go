@@ -11,7 +11,10 @@ import (
 // optimizes. Every implementation must be monotone in each coordinate and
 // concave along coordinate-increasing directions, which keeps the composed
 // set function monotone submodular (Lin & Bilmes composition, plus
-// closure of submodularity under truncation and addition).
+// closure of submodularity under truncation and addition). Monotonicity
+// alone is what makes a candidate's stale per-group gains bound its gain
+// (submodular.GroupObjective): H is non-decreasing, group weights are
+// validated positive, and min(·, Q) never decreases.
 type valueFn interface {
 	value(util []float64, g *graph.Graph) float64
 }
@@ -157,11 +160,34 @@ func (o *objective) Stopped() error { return o.stopErr }
 // Gain returns the objective's exact marginal for adding v to the current
 // set (exact w.r.t. the fixed Monte-Carlo worlds).
 func (o *objective) Gain(v graph.NodeID) float64 {
+	g, _ := o.GainRow(v)
+	return g
+}
+
+// GainRow implements submodular.GroupObjective: Gain(v) and the
+// estimator's per-group gains behind it, valid until the next query.
+func (o *objective) GainRow(v graph.NodeID) (float64, []float64) {
 	delta := o.eval.GainPerGroup(v)
 	for i := range o.next {
 		o.next[i] = o.cur[i] + delta[i]
 	}
-	return o.vf.value(o.next, o.g) - o.vf.value(o.cur, o.g)
+	return o.vf.value(o.next, o.g) - o.vf.value(o.cur, o.g), delta
+}
+
+// Utilities implements submodular.GroupObjective: the group utilities at
+// the current set.
+func (o *objective) Utilities() []float64 { return o.cur }
+
+// ValueAt implements submodular.GroupObjective: the value function at any
+// group utilities.
+func (o *objective) ValueAt(util []float64) float64 { return o.vf.value(util, o.g) }
+
+// Linear implements submodular.GroupObjective. Only P1's sum is linear;
+// for it a per-group row bounds a gain no tighter than the stale gain, so
+// CELF keeps no rows.
+func (o *objective) Linear() bool {
+	_, ok := o.vf.(totalValue)
+	return ok
 }
 
 // Add commits v and records the utilities it leaves.
@@ -225,23 +251,4 @@ func (o *objective) candidates(cfg Config) []graph.NodeID {
 		return e.Collection().IndexedNodes(cfg.Candidates)
 	}
 	return cfg.candidates(o.g)
-}
-
-// initialGains evaluates Gain for every candidate on the empty (current)
-// set, reading the per-group gains from the estimator's flat first-pass
-// buffer (filled in parallel where the engine supports it) one row at a
-// time.
-func (o *objective) initialGains(candidates []graph.NodeID, parallelism int) []float64 {
-	rows := o.eval.InitialGains(candidates, parallelism)
-	groups := len(o.cur)
-	out := make([]float64, len(candidates))
-	base := o.vf.value(o.cur, o.g)
-	for i := range out {
-		delta := rows[i*groups : (i+1)*groups]
-		for j := range o.next {
-			o.next[j] = o.cur[j] + delta[j]
-		}
-		out[i] = o.vf.value(o.next, o.g) - base
-	}
-	return out
 }

@@ -95,6 +95,12 @@ func TestWarmExtensionMatchesColdSolve(t *testing.T) {
 			if ext.Evaluations >= cold.Evaluations {
 				t.Fatalf("%v/%v: warm solve spent %d evaluations, cold %d", engine, problem, ext.Evaluations, cold.Evaluations)
 			}
+			// Exactly the cold run's: the snapshot carries each item's key
+			// and, for P4, its gain row, so the extension prunes and
+			// re-evaluates what the cold run did past the prefix.
+			if first.Evaluations+ext.Evaluations != cold.Evaluations {
+				t.Fatalf("%v/%v: prefix %d + extension %d evaluations, cold run %d", engine, problem, first.Evaluations, ext.Evaluations, cold.Evaluations)
+			}
 			// And the new warm state must cover the larger budget.
 			if ext.Warm == nil || len(ext.Warm.Seeds) != big {
 				t.Fatalf("%v/%v: extended warm state not recaptured", engine, problem)

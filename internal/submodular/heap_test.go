@@ -33,52 +33,56 @@ func canonicalMax(items []LazyItem) int {
 }
 
 // TestCELFHeapPopsInCanonicalOrder drives the typed CELF heap through
-// init/push/pop sequences over heavily tied gains and checks every pop
-// against a linear scan: the item with the highest gain, the lowest node
-// ID on a tie. Under that total order the popped item does not depend on
-// the heap's array layout, which is what lets CELF drop items or resume
-// from a snapshot without changing a pick.
+// init, pop and in-place re-key sequences over heavily tied gains and
+// checks the top and the runner-up at every step against a linear scan:
+// the item with the highest gain, the lowest node ID on a tie. Under that
+// total order neither depends on the heap's array layout, which is what
+// lets CELF drop items or resume from a snapshot without changing a pick.
+// Each item's row must travel with it through every sift.
 func TestCELFHeapPopsInCanonicalOrder(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := xrand.New(seed)
 		n := rng.Intn(80)
 		levels := 1 + rng.Intn(4) // at most 4 distinct gains: ties everywhere
 		// Node IDs come shuffled, so array position and node order disagree.
-		ids := rng.Perm(5*n + 10)
-		item := func() LazyItem {
-			v := ids[0]
-			ids = ids[1:]
-			return LazyItem{Node: graph.NodeID(v), Gain: float64(rng.Intn(levels)), Round: int32(rng.Intn(3))}
+		h := &celfHeap{width: 2}
+		ref := make([]LazyItem, 0, n)
+		for _, v := range rng.Perm(5*n + 10)[:n] {
+			it := LazyItem{Node: graph.NodeID(v), Gain: float64(rng.Intn(levels)), Round: int32(rng.Intn(3))}
+			h.add(it, []float64{float64(v), float64(v) + 0.5})
+			ref = append(ref, it)
 		}
-		h := make(celfHeap, 0, n)
-		for range n {
-			h = append(h, item())
-		}
-		ref := slices.Clone([]LazyItem(h))
 		h.init()
-		for step := 0; step < 4*n+10; step++ {
-			if len(h) > 0 && rng.Intn(3) > 0 {
-				i := canonicalMax(ref)
-				want := ref[i]
-				ref = slices.Delete(ref, i, i+1)
-				got := h.pop()
-				if got != want {
-					t.Fatalf("seed %d step %d: pop = %v, want %v", seed, step, got, want)
-				}
-				if rng.Intn(2) == 0 {
-					// CELF's re-insert: the popped item returns with a
-					// refreshed, no larger gain.
-					got.Gain = float64(rng.Intn(int(got.Gain) + 1))
-					h.push(got)
-					ref = append(ref, got)
-				}
-			} else {
-				it := item()
-				h.push(it)
-				ref = append(ref, it)
+		for step := 0; len(h.items) > 0; step++ {
+			i := canonicalMax(ref)
+			top := h.items[0]
+			if top != ref[i] {
+				t.Fatalf("seed %d step %d: top = %v, want %v", seed, step, top, ref[i])
 			}
-			if len(h) != len(ref) {
-				t.Fatalf("seed %d step %d: heap holds %d items, want %d", seed, step, len(h), len(ref))
+			if row := h.rows[:2]; row[0] != float32(top.Node) || row[1] != float32(top.Node)+0.5 {
+				t.Fatalf("seed %d step %d: top %v carries row %v", seed, step, top, row)
+			}
+			if len(ref) > 1 {
+				rest := slices.Delete(slices.Clone(ref), i, i+1)
+				if got, want := h.runnerUp(), rest[canonicalMax(rest)]; got != want {
+					t.Fatalf("seed %d step %d: runner-up = %v, want %v", seed, step, got, want)
+				}
+			}
+			if rng.Intn(3) == 0 {
+				// CELF's re-key in place: a re-evaluation or a row bound,
+				// never larger than the key it replaces.
+				h.items[0].Gain = float64(rng.Intn(int(top.Gain) + 1))
+				h.items[0].Round++
+				ref[i] = h.items[0]
+				h.down(0, len(h.items))
+				continue
+			}
+			if got := h.pop(); got != top {
+				t.Fatalf("seed %d step %d: pop = %v, want %v", seed, step, got, top)
+			}
+			ref = slices.Delete(ref, i, i+1)
+			if len(h.items) != len(ref) || len(h.rows) != 2*len(ref) {
+				t.Fatalf("seed %d step %d: heap holds %d items and %d row entries, want %d items", seed, step, len(h.items), len(h.rows), len(ref))
 			}
 		}
 	}

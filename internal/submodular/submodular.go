@@ -16,6 +16,7 @@ package submodular
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"fairtcim/internal/graph"
 )
@@ -106,28 +107,67 @@ func GreedyMax(obj Objective, candidates []graph.NodeID, budget int) (Result, er
 	return res, nil
 }
 
-// LazyItem is a candidate with a possibly stale upper bound on its gain —
-// one entry of a CELF heap. Exported so a finished run's heap can be
-// snapshotted and resumed (see LazyGreedyMaxCapture). The two 4-byte
-// fields come first so an item packs into 16 bytes.
+// GroupObjective is an optional Objective extension for an objective
+// F(S) = vf(u(S)) over G group utilities u(S) = (u₁(S), …, u_G(S)), each
+// monotone submodular, with vf non-decreasing in every coordinate: the
+// shape of every fair objective in the paper. A candidate's per-group
+// gain row Δ from an earlier round then bounds its gain now, since its
+// current row is at most Δ in every group:
+//
+//	Gain(v) ≤ vf(u + Δ) − vf(u).
+//
+// For a concave vf (P4's Σᵢ H) or a truncated one (P2/P6) that bound
+// shrinks as u grows, while the stale gain CELF keys the item by does
+// not, so CELF keeps each heap item's last row and evaluates a stale top
+// only when its bound still ranks first. For a linear vf the bound is the
+// stale gain, and no rows are kept.
+type GroupObjective interface {
+	Objective
+	// GainRow returns Gain(v) and v's per-group gain row Δᵥ; the row is
+	// shared and valid until the next GainRow or Gain call.
+	GainRow(v graph.NodeID) (float64, []float64)
+	// Utilities returns u(S) at the current set, G entries; read only and
+	// valid until the next Add.
+	Utilities() []float64
+	// ValueAt returns vf(x) for any G utilities x. Value() must equal
+	// ValueAt(Utilities()), and Gain(v) must equal ValueAt(y) − Value()
+	// bit for bit, where yᵢ = Utilities()ᵢ + Δᵥᵢ.
+	ValueAt(x []float64) float64
+	// Linear reports whether vf is linear, so that a row bounds nothing
+	// its stale gain does not.
+	Linear() bool
+}
+
+// LazyItem is a candidate with an upper bound on its gain — one entry of
+// a CELF heap. Exported so a finished run's heap can be snapshotted and
+// resumed (see LazyGreedyMaxCapture). The two 4-byte fields come first so
+// an item packs into 16 bytes.
 type LazyItem struct {
 	Node  graph.NodeID
-	Round int32 // the pick-round in which Gain was computed
-	Gain  float64
+	Round int32 // the pick-round of the last evaluation
+	// Gain is the gain evaluated in Round, or the smaller bound the item's
+	// row gave in a later round; either bounds its current gain from above.
+	Gain float64
 }
 
 // LazySnapshot is the complete CELF state after a run: the heap (in valid
-// heap order) and the number of committed picks. The heap holds only
-// candidates whose last evaluated gain was positive; no other candidate
-// can ever be picked. Because the heap after k picks is a function of the
-// objective and those k picks only — not of the eventual budget — a
-// snapshot from a budget-k run is bit-identical to a larger run's state at
-// pick k, so resuming it extends the solution exactly as the larger cold
-// run would have continued. Snapshots are immutable once captured; Resume
+// heap order), each item's last per-group gain row, and the number of
+// committed picks. The heap holds only candidates whose gain bound is
+// positive; no other candidate can ever be picked. Because this state
+// after k picks is a function of the objective and those k picks only —
+// not of the eventual budget — a snapshot from a budget-k run is
+// bit-identical to a larger run's state at pick k, so resuming it extends
+// the solution, evaluation for evaluation, exactly as the larger cold run
+// would have continued. Snapshots are immutable once captured; Resume
 // copies before mutating, so one snapshot can serve any number of
 // extensions.
 type LazySnapshot struct {
 	Items []LazyItem
+	// Rows holds G float32s per item, aligned with Items: row i is
+	// Items[i]'s per-group gain row from its last evaluation, rounded
+	// toward +∞ so that it still bounds the float64 row. Nil unless the
+	// objective is a non-linear GroupObjective.
+	Rows  []float32
 	Round int
 }
 
@@ -139,50 +179,82 @@ func outranks(a, b LazyItem) bool {
 	return a.Gain > b.Gain || a.Gain == b.Gain && a.Node < b.Node
 }
 
-// celfHeap is a max-heap of LazyItems in outranks order. Its sift steps
+// celfHeap is a max-heap of LazyItems in outranks order, each with its
+// last per-group gain row when the objective keeps rows. Its sift steps
 // are container/heap's; being typed, it moves items without boxing each
 // one in an interface.
-type celfHeap []LazyItem
+type celfHeap struct {
+	items []LazyItem
+	rows  []float32      // width entries per item, aligned with items
+	width int            // G when rows are kept, else 0
+	group GroupObjective // obj's row view when rows are kept
+	x     []float64      // scratch: u + row, for a bound
+}
 
-func (h celfHeap) less(i, j int) bool { return outranks(h[i], h[j]) }
+// newHeap returns an empty heap for obj with room for n items; it keeps
+// rows when obj is a non-linear GroupObjective.
+func newHeap(obj Objective, n int) *celfHeap {
+	h := &celfHeap{items: make([]LazyItem, 0, n)}
+	if g, ok := obj.(GroupObjective); ok && !g.Linear() {
+		h.group, h.width = g, len(g.Utilities())
+		h.rows = make([]float32, 0, n*h.width)
+		h.x = make([]float64, h.width)
+	}
+	return h
+}
+
+// add appends an item and its float64 row, rounded up; init must follow.
+func (h *celfHeap) add(it LazyItem, row []float64) {
+	h.items = append(h.items, it)
+	for _, d := range row[:h.width] {
+		h.rows = append(h.rows, up32(d))
+	}
+}
+
+// up32 returns the least float32 that is ≥ x, so a stored row never
+// undercuts the float64 row it stands for.
+func up32(x float64) float32 {
+	f := float32(x)
+	if float64(f) < x {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
+}
+
+func (h *celfHeap) less(i, j int) bool { return outranks(h.items[i], h.items[j]) }
+
+func (h *celfHeap) swap(i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	w := h.width
+	if w == 0 {
+		return
+	}
+	a, b := h.rows[i*w:i*w+w], h.rows[j*w:j*w+w]
+	for k := range a {
+		a[k], b[k] = b[k], a[k]
+	}
+}
 
 // init establishes the heap invariant (container/heap.Init).
-func (h celfHeap) init() {
-	n := len(h)
+func (h *celfHeap) init() {
+	n := len(h.items)
 	for i := n/2 - 1; i >= 0; i-- {
 		h.down(i, n)
 	}
 }
 
-// push adds it to the heap (container/heap.Push).
-func (h *celfHeap) push(it LazyItem) {
-	*h = append(*h, it)
-	h.up(len(*h) - 1)
-}
-
 // pop removes and returns the item that outranks every other
-// (container/heap.Pop).
+// (container/heap.Pop); its row goes with it.
 func (h *celfHeap) pop() LazyItem {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old.down(0, n)
-	*h = old[:n]
-	return old[n]
+	n := len(h.items) - 1
+	h.swap(0, n)
+	h.down(0, n)
+	it := h.items[n]
+	h.items, h.rows = h.items[:n], h.rows[:n*h.width]
+	return it
 }
 
-func (h celfHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (h celfHeap) down(i, n int) {
+func (h *celfHeap) down(i, n int) {
 	for {
 		j1 := 2*i + 1
 		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
@@ -195,9 +267,18 @@ func (h celfHeap) down(i, n int) {
 		if !h.less(j, i) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h.swap(i, j)
 		i = j
 	}
+}
+
+// runnerUp returns the item that outranks every other but the top; the
+// heap holds at least two items.
+func (h *celfHeap) runnerUp() LazyItem {
+	if len(h.items) > 2 && h.less(2, 1) {
+		return h.items[2]
+	}
+	return h.items[1]
 }
 
 // LazyGreedyMax runs CELF (Leskovec et al. 2007): because marginal gains
@@ -208,65 +289,98 @@ func (h celfHeap) down(i, n int) {
 // the seeds and values are GreedyMax's whatever the candidate order, cold
 // or captured and resumed, typically with far fewer Gain calls. Under that
 // order a candidate whose gain falls to ≤ 0 can never be picked, so CELF
-// drops it, from the first pass on.
+// drops it, from the first pass on. For a non-linear GroupObjective, CELF
+// also keeps each item's last per-group gain row and skips a stale top
+// whose row bound ranks below the next item; the picks stay GreedyMax's,
+// only the Gain calls fall.
 func LazyGreedyMax(obj Objective, candidates []graph.NodeID, budget int) (Result, error) {
 	res, _, err := LazyGreedyMaxCapture(obj, candidates, budget, nil)
 	return res, err
 }
 
-// LazyGreedyMaxCapture is LazyGreedyMax with optionally precomputed
-// initial gains (initial[i] = obj.Gain(candidates[i]) on the current set,
-// letting callers parallelize the expensive first pass; nil computes them
-// here) that additionally returns the final CELF state, so a later call
-// can extend the run to a larger budget without redoing the committed
-// picks (seed-set prefix memoization). The snapshot is nil when the run
-// ended before its budget — error, exhausted candidates, or zero best gain
-// — because such a run has nothing useful to extend; a run that fills its
-// budget returns one even when no candidate is left in it.
+// LazyGreedyMaxCapture is LazyGreedyMax with an optionally precomputed
+// first pass that additionally returns the final CELF state, so a later
+// call can extend the run to a larger budget without redoing the
+// committed picks (seed-set prefix memoization). initial, when non-nil,
+// holds what the first pass would evaluate on the current set, letting
+// callers parallelize it: for a GroupObjective with G groups, the flat
+// row-major buffer of len(candidates)·G per-group gains (row i is
+// candidates[i]'s, as estimator.InitialGains returns them); for any other
+// Objective, initial[i] = obj.Gain(candidates[i]). The snapshot is nil
+// when the run ended before its budget — error, exhausted candidates, or
+// zero best gain — because such a run has nothing useful to extend; a run
+// that fills its budget returns one even when no candidate is left in it.
 func LazyGreedyMaxCapture(obj Objective, candidates []graph.NodeID, budget int, initial []float64) (Result, *LazySnapshot, error) {
 	if budget < 0 {
 		return Result{}, nil, fmt.Errorf("submodular: negative budget %d", budget)
-	}
-	if initial != nil && len(initial) != len(candidates) {
-		return Result{}, nil, fmt.Errorf("submodular: %d initial gains for %d candidates", len(initial), len(candidates))
 	}
 	var res Result
 	if err := stopped(obj); err != nil {
 		return res, nil, err
 	}
-	h := firstPass(obj, candidates, initial, &res)
+	h, err := firstPass(obj, candidates, initial, &res)
+	if err != nil {
+		return res, nil, err
+	}
 	return lazyRun(obj, h, 0, budget, res)
 }
 
 // firstPass heaps the candidates that can gain: each one's gain on the
-// current set is read from initial, or evaluated and counted in res when
-// initial is nil, and only positive gains enter the heap. Dropping the
-// rest is exact. Gains never grow as the set does, so a candidate at ≤ 0
-// can never be picked, and under the total order it never outranks a
-// positive item, so no decision about another candidate depends on it.
-func firstPass(obj Objective, candidates []graph.NodeID, initial []float64, res *Result) celfHeap {
-	h := make(celfHeap, 0, len(candidates))
+// current set comes from its initial row (or gain), or is evaluated and
+// counted in res when initial is nil, and only positive gains enter the
+// heap, with their rows when the heap keeps rows. Dropping the rest is
+// exact. Gains never grow as the set does, so a candidate at ≤ 0 can
+// never be picked, and under the total order it never outranks a positive
+// item, so no decision about another candidate depends on it.
+func firstPass(obj Objective, candidates []graph.NodeID, initial []float64, res *Result) (*celfHeap, error) {
+	group, _ := obj.(GroupObjective)
+	width := 1
+	if group != nil {
+		width = len(group.Utilities())
+	}
+	if initial != nil && len(initial) != len(candidates)*width {
+		return nil, fmt.Errorf("submodular: %d initial gains for %d candidates of %d groups", len(initial), len(candidates), width)
+	}
+	h := newHeap(obj, len(candidates))
+	var cur, x []float64
+	var base float64
+	if group != nil {
+		cur, x, base = group.Utilities(), make([]float64, width), group.Value()
+	}
 	for i, v := range candidates {
 		var g float64
-		if initial != nil {
-			g = initial[i]
-		} else {
+		var row []float64
+		switch {
+		case initial == nil && group != nil:
+			g, row = group.GainRow(v)
+			res.Evaluations++
+		case initial == nil:
 			g = obj.Gain(v)
 			res.Evaluations++
+		case group != nil:
+			row = initial[i*width : (i+1)*width]
+			for j, d := range row {
+				x[j] = cur[j] + d
+			}
+			g = group.ValueAt(x) - base
+		default:
+			g = initial[i]
 		}
 		if g > 0 {
-			h = append(h, LazyItem{Node: v, Gain: g})
+			h.add(LazyItem{Node: v, Gain: g}, row)
 		}
 	}
 	h.init()
-	return h
+	return h, nil
 }
 
 // LazyGreedyMaxResume continues a CELF run from a snapshot up to budget
 // additional picks. obj must already reflect the snapshot's committed
-// picks (the caller replays them via Add); the returned Result covers only
-// the extension. The snapshot is not modified, and the run it came from
-// plus this extension together equal one cold run at the larger budget.
+// picks (the caller replays them via Add), and the snapshot must come
+// from a run over the same kind of objective, rows included; the returned
+// Result covers only the extension. The snapshot is not modified, and the
+// run it came from plus this extension together equal one cold run at the
+// larger budget, Gain calls included.
 func LazyGreedyMaxResume(obj Objective, snap *LazySnapshot, budget int) (Result, *LazySnapshot, error) {
 	if budget < 0 {
 		return Result{}, nil, fmt.Errorf("submodular: negative budget %d", budget)
@@ -278,39 +392,90 @@ func LazyGreedyMaxResume(obj Objective, snap *LazySnapshot, budget int) (Result,
 	if err := stopped(obj); err != nil {
 		return res, nil, err
 	}
-	h := make(celfHeap, len(snap.Items))
-	copy(h, snap.Items)
+	h := newHeap(obj, len(snap.Items))
+	if len(snap.Rows) != len(snap.Items)*h.width {
+		return res, nil, fmt.Errorf("submodular: snapshot has %d row entries for %d items of %d groups", len(snap.Rows), len(snap.Items), h.width)
+	}
+	h.items = append(h.items, snap.Items...)
+	h.rows = append(h.rows, snap.Rows...)
 	return lazyRun(obj, h, snap.Round, budget, res)
 }
 
 // next pops the heap until its top is current and outranks every other
-// item, re-evaluating each stale top on the way: the other items' stale
-// gains bound their current ones from above. A re-evaluated item whose
-// gain fell to ≤ 0 is dropped, since gains never grow and such a candidate
-// can never be picked. ok is false once the heap is empty.
+// item, and returns it: the other items' keys bound their current gains
+// from above. A stale top is first checked against its row bound, when
+// the heap keeps rows: a bound ≤ 0 drops it, and a bound that ranks below
+// the next item becomes its key, unevaluated. Otherwise it is
+// re-evaluated, and dropped if its gain fell to ≤ 0, since gains never
+// grow and such a candidate can never be picked. ok is false once the
+// heap is empty.
 func (h *celfHeap) next(obj Objective, round int, res *Result) (LazyItem, bool) {
-	for len(*h) > 0 {
-		top := h.pop()
-		if top.Round != int32(round) {
-			top.Gain = obj.Gain(top.Node)
+	var cur []float64
+	var base float64
+	if h.width > 0 {
+		// The current set's utilities; they change only between calls.
+		cur, base = h.group.Utilities(), h.group.Value()
+	}
+	r := int32(round)
+	for len(h.items) > 0 {
+		top := &h.items[0]
+		if top.Round != r {
+			if h.width > 0 && len(h.items) > 1 {
+				b := h.bound(cur, base)
+				if b <= 0 {
+					h.pop()
+					continue
+				}
+				if bounded := (LazyItem{Node: top.Node, Gain: b}); outranks(h.runnerUp(), bounded) {
+					top.Gain = b
+					h.down(0, len(h.items))
+					continue
+				}
+			}
+			h.evaluate(obj, r)
 			res.Evaluations++
-			top.Round = int32(round)
 			if top.Gain <= 0 {
+				h.pop()
 				continue
 			}
-			if len(*h) > 0 && outranks((*h)[0], top) {
-				h.push(top)
+			if len(h.items) > 1 && outranks(h.runnerUp(), *top) {
+				h.down(0, len(h.items))
 				continue
 			}
 		}
-		return top, true
+		return h.pop(), true
 	}
 	return LazyItem{}, false
 }
 
+// bound returns vf(cur + row) − vf(cur) for the top's row, base being
+// vf(cur): an upper bound on the top's gain at the current set.
+func (h *celfHeap) bound(cur []float64, base float64) float64 {
+	for j, d := range h.rows[:h.width] {
+		h.x[j] = cur[j] + float64(d)
+	}
+	return h.group.ValueAt(h.x) - base
+}
+
+// evaluate re-evaluates the top on the current set, in round r, keeping
+// its new row when the heap keeps rows.
+func (h *celfHeap) evaluate(obj Objective, r int32) {
+	top := &h.items[0]
+	top.Round = r
+	if h.width == 0 {
+		top.Gain = obj.Gain(top.Node)
+		return
+	}
+	g, row := h.group.GainRow(top.Node)
+	top.Gain = g
+	for j, d := range row {
+		h.rows[j] = up32(d)
+	}
+}
+
 // lazyRun is the shared CELF pick loop: up to budget picks starting at the
 // given round, over an already-initialized heap. It owns h from here on.
-func lazyRun(obj Objective, h celfHeap, round, budget int, res Result) (Result, *LazySnapshot, error) {
+func lazyRun(obj Objective, h *celfHeap, round, budget int, res Result) (Result, *LazySnapshot, error) {
 	for len(res.Seeds) < budget {
 		top, ok := h.next(obj, round, &res)
 		if !ok || top.Gain <= 0 {
@@ -325,7 +490,7 @@ func lazyRun(obj Objective, h celfHeap, round, budget int, res Result) (Result, 
 		}
 		round++
 	}
-	return res, &LazySnapshot{Items: h, Round: round}, nil
+	return res, &LazySnapshot{Items: h.items, Rows: h.rows, Round: round}, nil
 }
 
 // ErrCoverInfeasible is returned when the target value cannot be reached
@@ -340,12 +505,9 @@ func GreedyCover(obj Objective, candidates []graph.NodeID, target float64, maxSe
 	return GreedyCoverInit(obj, candidates, target, maxSeeds, nil)
 }
 
-// GreedyCoverInit is GreedyCover with optionally precomputed initial gains;
-// see LazyGreedyMaxCapture.
+// GreedyCoverInit is GreedyCover with an optionally precomputed first
+// pass; see LazyGreedyMaxCapture for initial's layout.
 func GreedyCoverInit(obj Objective, candidates []graph.NodeID, target float64, maxSeeds int, initial []float64) (Result, error) {
-	if initial != nil && len(initial) != len(candidates) {
-		return Result{}, fmt.Errorf("submodular: %d initial gains for %d candidates", len(initial), len(candidates))
-	}
 	var res Result
 	if err := stopped(obj); err != nil {
 		return res, err
@@ -353,7 +515,10 @@ func GreedyCoverInit(obj Objective, candidates []graph.NodeID, target float64, m
 	if obj.Value() >= target {
 		return res, nil
 	}
-	h := firstPass(obj, candidates, initial, &res)
+	h, err := firstPass(obj, candidates, initial, &res)
+	if err != nil {
+		return res, err
+	}
 	for round := 0; ; round++ {
 		if maxSeeds > 0 && len(res.Seeds) >= maxSeeds {
 			return res, fmt.Errorf("%w: %d seeds reached value %v < target %v",
