@@ -12,8 +12,9 @@ import (
 // fresh values via composite literals); everywhere else, assigning to a
 // field of either type through a pointer — or storing into one of their
 // CSR backing slices, including slices obtained from aliasing accessors
-// like Graph.OutCSR or the per-row Graph.OutThresholds, whose rows are
-// windows into pages that later snapshots share — is an error, not a
+// like Graph.OutCSR, the per-row Graph.OutThresholds or the per-page
+// Graph.OutPageThresholds, whose slices are windows into pages that later
+// snapshots share — is an error, not a
 // style problem. Inside the
 // allowlist, an index write through a value copy is an error too: the
 // copy shares its source's arrays, which ApplyDelta relies on.
@@ -45,11 +46,12 @@ var protectedTypes = []protectedType{
 		pkgPath: "fairtcim/internal/graph",
 		name:    "Graph",
 		allow:   set("Build", "MustBuild", "buildGroupIndex", "WithGroups", "ApplyDelta"),
-		// Whole arrays (the CSR offsets and targets, the group index) and
+		// Whole arrays (the CSR offsets and targets, the group index),
 		// per-row windows into the CSR and the probability and threshold
-		// pages.
+		// pages, and the tail of a threshold page.
 		shared: set("OutCSR", "InCSR", "GroupMembers", "GroupSizes",
-			"OutEdges", "InEdges", "OutNeighbors", "InNeighbors", "OutThresholds", "InThresholds"),
+			"OutEdges", "InEdges", "OutNeighbors", "InNeighbors", "OutThresholds", "InThresholds",
+			"OutPageThresholds"),
 	},
 }
 

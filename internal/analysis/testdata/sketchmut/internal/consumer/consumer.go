@@ -17,13 +17,15 @@ func clobber(g *graph.Graph, c *ris.Collection) {
 	sizes[0]++ // want `write to slice returned by Collection\.PoolSizes aliases the snapshot's backing array`
 }
 
-// clobberRow writes through a per-row accessor, held in a local and
-// indexed straight off the call: the row is a window into a page that
-// every snapshot derived from g shares.
+// clobberRow writes through a per-row and a per-page accessor, held in a
+// local and indexed straight off the call: the row and the page's tail
+// are windows into a page that every snapshot derived from g shares.
 func clobberRow(g *graph.Graph) {
 	th := g.OutThresholds(3)
 	th[0] = 7               // want `write to slice returned by Graph\.OutThresholds aliases the snapshot's backing array`
 	g.OutThresholds(4)[1]++ // want `write to slice returned by Graph\.OutThresholds aliases the snapshot's backing array`
+	page, _ := g.OutPageThresholds(5)
+	page[2] = 7 // want `write to slice returned by Graph\.OutPageThresholds aliases the snapshot's backing array`
 }
 
 // safe copies before modifying and only reads the aliases.

@@ -42,6 +42,12 @@ func (g *Graph) OutThresholds(v NodeID) []uint64 {
 	return g.thresh[v>>7][g.outOff[v]-base : g.outOff[v+1]-base]
 }
 
+// OutPageThresholds returns the page holding v from v's first arc on,
+// and the first node past that page.
+func (g *Graph) OutPageThresholds(v NodeID) ([]uint64, NodeID) {
+	return g.thresh[v>>7][g.outOff[v]-g.outOff[v&^127]:], v | 127 + 1
+}
+
 // GroupSizes aliases the group index.
 func (g *Graph) GroupSizes() []int32 { return g.groups }
 

@@ -111,8 +111,8 @@ func (w *WeightedWorld) Out(v graph.NodeID) ([]graph.NodeID, []int32) {
 
 // SampleDelayedWorld draws one weighted live-edge world: each edge
 // survives with its activation probability and carries a delay from dist.
-// Like SampleICWorld, the trials stream over each CSR row beside its
-// threshold row.
+// Like SampleICWorld, the trials stream over the CSR targets beside each
+// page's thresholds.
 func SampleDelayedWorld(g *graph.Graph, dist DelayDist, rng *xrand.RNG) *WeightedWorld {
 	n := g.N()
 	offsets, targets := g.OutCSR()
@@ -122,13 +122,16 @@ func SampleDelayedWorld(g *graph.Graph, dist DelayDist, rng *xrand.RNG) *Weighte
 		targets: make([]graph.NodeID, 0, capHint),
 		delays:  make([]int32, 0, capHint),
 	}
-	for v := 0; v < n; v++ {
-		w.offsets[v] = int32(len(w.targets))
-		row := targets[offsets[v]:offsets[v+1]]
-		for i, t := range g.OutThresholds(graph.NodeID(v))[:len(row)] {
-			if rng.BernoulliT(t) {
-				w.targets = append(w.targets, row[i])
-				w.delays = append(w.delays, dist.Sample(rng))
+	for v := 0; v < n; {
+		thr, end := g.OutPageThresholds(graph.NodeID(v))
+		base := offsets[v]
+		for ; v < int(end); v++ {
+			w.offsets[v] = int32(len(w.targets))
+			for a := offsets[v]; a < offsets[v+1]; a++ {
+				if rng.BernoulliT(thr[a-base]) {
+					w.targets = append(w.targets, targets[a])
+					w.delays = append(w.delays, dist.Sample(rng))
+				}
 			}
 		}
 	}

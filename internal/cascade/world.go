@@ -40,7 +40,7 @@ func WorldCapacity(g *graph.Graph) int {
 
 // SampleICWorld draws one IC live-edge world: every edge survives
 // independently with its activation probability. The trials stream over
-// each row of the graph's CSR targets beside its threshold row, using the
+// the graph's CSR targets beside each page's thresholds, using the
 // precomputed integer thresholds, so the per-edge cost is one generator
 // step plus one compare.
 func SampleICWorld(g *graph.Graph, rng *xrand.RNG) *World {
@@ -48,12 +48,15 @@ func SampleICWorld(g *graph.Graph, rng *xrand.RNG) *World {
 	offsets, targets := g.OutCSR()
 	w := &World{offsets: make([]int32, n+1)}
 	w.targets = make([]graph.NodeID, 0, WorldCapacity(g))
-	for v := 0; v < n; v++ {
-		w.offsets[v] = int32(len(w.targets))
-		row := targets[offsets[v]:offsets[v+1]]
-		for i, t := range g.OutThresholds(graph.NodeID(v))[:len(row)] {
-			if rng.BernoulliT(t) {
-				w.targets = append(w.targets, row[i])
+	for v := 0; v < n; {
+		thr, end := g.OutPageThresholds(graph.NodeID(v))
+		base := offsets[v]
+		for ; v < int(end); v++ {
+			w.offsets[v] = int32(len(w.targets))
+			for a := offsets[v]; a < offsets[v+1]; a++ {
+				if rng.BernoulliT(thr[a-base]) {
+					w.targets = append(w.targets, targets[a])
+				}
 			}
 		}
 	}

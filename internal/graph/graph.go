@@ -148,6 +148,18 @@ func (g *Graph) OutThresholds(v NodeID) []uint64 {
 	return g.outPages[v>>pageShift].thresh[lo:hi]
 }
 
+// OutPageThresholds returns the thresholds of the out-edges of the nodes
+// v, v+1, …, end−1, where end is the first node past the page holding v,
+// as one slice in CSR order: entry i belongs to the arc at OutCSR offset
+// offsets[v]+i. A loop over every node walks a page's thresholds
+// contiguously, with one lookup per page instead of one per row. Shared;
+// callers must not modify.
+func (g *Graph) OutPageThresholds(v NodeID) (thresh []uint64, end NodeID) {
+	p := v >> pageShift
+	lo, _ := pageRow(g.outOffsets, v)
+	return g.outPages[p].thresh[lo:], min((p+1)<<pageShift, NodeID(g.N()))
+}
+
 // InThresholds returns the thresholds of v's incoming edges, aligned with
 // InNeighbors(v); see OutThresholds.
 func (g *Graph) InThresholds(v NodeID) []uint64 {

@@ -304,3 +304,30 @@ func TestReweightChurnKeepsPagesCompact(t *testing.T) {
 	}
 	runtime.KeepAlive(g)
 }
+
+// TestOutPageThresholdsMatchRows walks every node through the page
+// accessor, as the world samplers do, and checks each row against the
+// per-row OutThresholds, on a multi-page graph with a ragged last page
+// and on a re-weighted snapshot whose touched pages were copied.
+func TestOutPageThresholdsMatchRows(t *testing.T) {
+	g := pagedGraph(3*pageNodes+37, 3, 5)
+	ng, _, err := g.ApplyDelta(reweight(g, arcsInDistinctPages(g, 4, xrand.New(9))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*Graph{g, ng} {
+		offsets, _ := h.OutCSR()
+		for v := NodeID(0); int(v) < h.N(); {
+			thr, end := h.OutPageThresholds(v)
+			if want := min(v|(pageNodes-1)+1, NodeID(h.N())); end != want {
+				t.Fatalf("page of node %d ends at %d, want %d", v, end, want)
+			}
+			base := offsets[v]
+			for ; v < end; v++ {
+				if got, want := thr[offsets[v]-base:offsets[v+1]-base], h.OutThresholds(v); !slices.Equal(got, want) {
+					t.Fatalf("node %d: page walk reads %v, row accessor %v", v, got, want)
+				}
+			}
+		}
+	}
+}

@@ -187,18 +187,20 @@ type celfHeap struct {
 	items []LazyItem
 	rows  []float32      // width entries per item, aligned with items
 	width int            // G when rows are kept, else 0
-	group GroupObjective // obj's row view when rows are kept
-	x     []float64      // scratch: u + row, for a bound
+	group GroupObjective // obj's row view; nil for a plain Objective
+	x     []float64      // scratch: u + row, G entries
 }
 
 // newHeap returns an empty heap for obj with room for n items; it keeps
 // rows when obj is a non-linear GroupObjective.
 func newHeap(obj Objective, n int) *celfHeap {
 	h := &celfHeap{items: make([]LazyItem, 0, n)}
-	if g, ok := obj.(GroupObjective); ok && !g.Linear() {
-		h.group, h.width = g, len(g.Utilities())
-		h.rows = make([]float32, 0, n*h.width)
-		h.x = make([]float64, h.width)
+	if g, ok := obj.(GroupObjective); ok {
+		h.group, h.x = g, make([]float64, len(g.Utilities()))
+		if !g.Linear() {
+			h.width = len(h.x)
+			h.rows = make([]float32, 0, n*h.width)
+		}
 	}
 	return h
 }
@@ -333,19 +335,16 @@ func LazyGreedyMaxCapture(obj Objective, candidates []graph.NodeID, budget int, 
 // never be picked, and under the total order it never outranks a positive
 // item, so no decision about another candidate depends on it.
 func firstPass(obj Objective, candidates []graph.NodeID, initial []float64, res *Result) (*celfHeap, error) {
-	group, _ := obj.(GroupObjective)
+	h := newHeap(obj, len(candidates))
+	group, x := h.group, h.x
 	width := 1
+	var cur []float64
+	var base float64
 	if group != nil {
-		width = len(group.Utilities())
+		width, cur, base = len(x), group.Utilities(), group.Value()
 	}
 	if initial != nil && len(initial) != len(candidates)*width {
 		return nil, fmt.Errorf("submodular: %d initial gains for %d candidates of %d groups", len(initial), len(candidates), width)
-	}
-	h := newHeap(obj, len(candidates))
-	var cur, x []float64
-	var base float64
-	if group != nil {
-		cur, x, base = group.Utilities(), make([]float64, width), group.Value()
 	}
 	for i, v := range candidates {
 		var g float64
