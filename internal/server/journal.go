@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -40,6 +41,7 @@ type jobRecord struct {
 type jobJournal struct {
 	path      string
 	retention int
+	dropped   int64 // lines the replay at open skipped
 	mu        sync.Mutex
 	lines     int // records in the file: compacted base + appends since
 }
@@ -48,10 +50,11 @@ type jobJournal struct {
 // returns the retained records, oldest first.
 func openJobJournal(path string, retention int) (*jobJournal, []jobRecord, error) {
 	j := &jobJournal{path: path, retention: retention}
-	records, err := j.replay()
+	records, dropped, err := j.replay()
 	if err != nil {
 		return nil, nil, err
 	}
+	j.dropped = dropped
 	if len(records) > retention {
 		records = records[len(records)-retention:]
 	}
@@ -67,18 +70,21 @@ func openJobJournal(path string, retention int) (*jobJournal, []jobRecord, error
 const maxJournalLine = 16 << 20
 
 // replay reads every parseable record in file order, skipping torn,
-// foreign and over-long lines.
-func (j *jobJournal) replay() ([]jobRecord, error) {
+// foreign and over-long lines, and counts the lines it skipped. A line
+// with nothing on it, such as the empty chunk after the final newline, is
+// no record and is not counted.
+func (j *jobJournal) replay() ([]jobRecord, int64, error) {
 	f, err := os.Open(j.path)
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("server: job journal: %w", err)
+		return nil, 0, fmt.Errorf("server: job journal: %w", err)
 	}
 	defer f.Close()
 	var (
 		records []jobRecord
+		dropped int64
 		line    []byte
 		skip    bool // the current line outgrew maxJournalLine
 	)
@@ -95,17 +101,31 @@ func (j *jobJournal) replay() ([]jobRecord, error) {
 			continue // the line goes on
 		}
 		var rec jobRecord
-		if !skip && json.Unmarshal(line, &rec) == nil && rec.ID != "" {
+		switch {
+		case !skip && len(bytes.TrimSpace(line)) == 0:
+			// no record on this line
+		case !skip && json.Unmarshal(line, &rec) == nil && rec.ID != "":
 			records = append(records, rec)
-		} // else a torn, foreign or over-long line: drop it, keep the rest
+		default:
+			dropped++ // a torn, foreign or over-long line: drop it, keep the rest
+		}
 		line, skip = line[:0], false
 		if err == io.EOF {
-			return records, nil
+			return records, dropped, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("server: job journal: %w", err)
+			return nil, 0, fmt.Errorf("server: job journal: %w", err)
 		}
 	}
+}
+
+// droppedLines reports how many lines the replay at open skipped; 0
+// without a journal.
+func (j *jobJournal) droppedLines() int64 {
+	if j == nil {
+		return 0
+	}
+	return j.dropped
 }
 
 // compact rewrites the journal to exactly records (atomically, via temp

@@ -2,6 +2,8 @@ package server
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,6 +35,9 @@ func TestJobJournalReplayTrimsAndSkipsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if journal.dropped != 2 {
+		t.Errorf("replay counted %d dropped lines, want 2 (the foreign and the torn one)", journal.dropped)
+	}
 	// 7 parseable records, trimmed to the last 4: job3, job4, jobC, jobQ.
 	if len(records) != 4 || records[0].ID != "job3" || records[3].ID != "jobQ" {
 		t.Fatalf("retained records: %+v", records)
@@ -61,12 +66,12 @@ func TestJobJournalReplayTrimsAndSkipsGarbage(t *testing.T) {
 	if err := journal.append(jobRecord{ID: "new", Status: JobDone, Created: time.Now(), Finished: time.Now()}); err != nil {
 		t.Fatal(err)
 	}
-	again, err := journal.replay()
+	again, dropped, err := journal.replay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again) != 5 || again[4].ID != "new" {
-		t.Fatalf("post-compact replay: %+v", again)
+	if len(again) != 5 || again[4].ID != "new" || dropped != 0 {
+		t.Fatalf("post-compact replay: %+v, %d dropped", again, dropped)
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -79,7 +84,8 @@ func TestJobJournalReplayTrimsAndSkipsGarbage(t *testing.T) {
 
 // TestJobJournalSkipsOverlongRecord: a record longer than replay holds —
 // here an 18 MB finished job with millions of seeds — is dropped like a
-// torn line, and the records after it still come back.
+// torn line, and the records after it still come back. Both dropped
+// lines are counted; the empty chunk after the final newline is not.
 func TestJobJournalSkipsOverlongRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jobs.jsonl")
 	huge := `{"id":"huge","graph":"g","problem":"P1","status":"done","result":{"seeds":[` +
@@ -90,17 +96,48 @@ func TestJobJournalSkipsOverlongRecord(t *testing.T) {
 	body := strings.Join([]string{
 		`{"id":"before","graph":"g","problem":"P1","status":"done","picks":2}`,
 		huge,
+		`{"id":"torn","graph":"g","prob`,
 		`{"id":"after","graph":"g","problem":"P4","status":"done","picks":3}`,
 	}, "\n") + "\n"
 	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, records, err := openJobJournal(path, 10)
+	journal, records, err := openJobJournal(path, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(records) != 2 || records[0].ID != "before" || records[1].ID != "after" || records[1].Picks != 3 {
 		t.Fatalf("replayed %+v, want the records before and after the over-long one", records)
+	}
+	if journal.dropped != 2 {
+		t.Fatalf("replay counted %d dropped lines, want 2", journal.dropped)
+	}
+}
+
+// TestJournalDroppedReported: the lines the startup replay dropped reach
+// /v1/stats as journal_dropped and /metrics as
+// fairtcim_jobs_journal_dropped_total.
+func TestJournalDroppedReported(t *testing.T) {
+	dir := t.TempDir()
+	body := `{"id":"kept","graph":"g","problem":"P1","status":"done","picks":1}` + "\n" + `{"id":"torn",` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "jobs.jsonl"), []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newTestServer(t, Config{StateDir: dir})
+	if got := s.Stats().JournalDropped; got != 1 {
+		t.Fatalf("stats journal_dropped = %d, want 1", got)
+	}
+	res, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	text, err := io.ReadAll(res.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(text), "\nfairtcim_jobs_journal_dropped_total 1\n") {
+		t.Fatalf("/metrics lacks the dropped-line counter:\n%s", text)
 	}
 }
 
@@ -173,7 +210,7 @@ func TestJobJournalOpportunisticCompaction(t *testing.T) {
 	if lineCount > 4*retention {
 		t.Errorf("journal settled at %d lines, want <= %d", lineCount, 4*retention)
 	}
-	records, err := journal.replay()
+	records, _, err := journal.replay()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +243,7 @@ func TestJobJournalEmptyDir(t *testing.T) {
 	if err := journal.append(jobRecord{ID: "a", Status: JobFailed}); err != nil {
 		t.Fatal(err)
 	}
-	again, err := journal.replay()
+	again, _, err := journal.replay()
 	if err != nil || len(again) != 1 {
 		t.Fatalf("replay after first append: %v, %+v", err, again)
 	}

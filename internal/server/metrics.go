@@ -264,6 +264,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	promCounter(w, "fairtcim_jobs_failed_total", st.Jobs.Failed)
 	promCounter(w, "fairtcim_jobs_canceled_total", st.Jobs.Canceled)
 	promCounter(w, "fairtcim_jobs_journal_errors_total", st.JournalErrors)
+	promCounter(w, "fairtcim_jobs_journal_dropped_total", st.JournalDropped)
 	promCounter(w, "fairtcim_planner_batches_total", st.Planner.Batches)
 	promCounter(w, "fairtcim_planner_groups_total", st.Planner.Groups)
 	promCounter(w, "fairtcim_planner_singletons_total", st.Planner.Singletons)

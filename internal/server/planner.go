@@ -251,6 +251,24 @@ func errItem(err error) BatchItem {
 	return BatchItem{Error: &apiError{Code: code, Message: msg}}
 }
 
+// decodeBatch strictly decodes a POST /v1/select/batch body and refuses
+// an empty batch or one over maxBatchRequests, writing the error envelope;
+// ok is false once it has answered.
+func decodeBatch(w http.ResponseWriter, body []byte) (req BatchSolveRequest, ok bool) {
+	if !decodeStrict(w, body, &req) {
+		return req, false
+	}
+	if len(req.Requests) == 0 {
+		writeError(w, http.StatusBadRequest, CodeBadSpec, "empty batch")
+		return req, false
+	}
+	if len(req.Requests) > maxBatchRequests {
+		writeError(w, http.StatusBadRequest, CodeBadSpec, "batch of %d exceeds the %d-request limit", len(req.Requests), maxBatchRequests)
+		return req, false
+	}
+	return req, true
+}
+
 // handleSelectBatch is POST /v1/select/batch. The response is
 // positional: items[i] answers requests[i], each item carrying either a
 // full SolveResponse or its own error envelope, so one bad spec never
@@ -262,16 +280,8 @@ func (s *Server) handleSelectBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req BatchSolveRequest
-	if !decodeStrict(w, body, &req) {
-		return
-	}
-	if len(req.Requests) == 0 {
-		writeError(w, http.StatusBadRequest, CodeBadSpec, "empty batch")
-		return
-	}
-	if len(req.Requests) > maxBatchRequests {
-		writeError(w, http.StatusBadRequest, CodeBadSpec, "batch of %d exceeds the %d-request limit", len(req.Requests), maxBatchRequests)
+	req, ok := decodeBatch(w, body)
+	if !ok {
 		return
 	}
 	// A batch whose requests all route to the same owner is proxied as a

@@ -797,7 +797,8 @@ type WorkerStats struct {
 // StateDir names the warm-restart persistence root (absent when the
 // daemon runs purely in-memory); JournalErrors counts finished jobs whose
 // journal append failed — non-zero means history would not survive a
-// restart.
+// restart — and JournalDropped the torn, foreign or over-long journal
+// lines the replay at startup skipped.
 type StatsResponse struct {
 	Cache   CacheStats   `json:"cache"`
 	Workers WorkerStats  `json:"workers"`
@@ -806,9 +807,10 @@ type StatsResponse struct {
 	// Cluster carries the cluster_* counter family (peer fetches,
 	// proxied requests, failovers, fleet liveness); absent unless the
 	// replica runs with peers.
-	Cluster       *cluster.Stats `json:"cluster,omitempty"`
-	StateDir      string         `json:"state_dir,omitempty"`
-	JournalErrors int64          `json:"journal_errors,omitempty"`
+	Cluster        *cluster.Stats `json:"cluster,omitempty"`
+	StateDir       string         `json:"state_dir,omitempty"`
+	JournalErrors  int64          `json:"journal_errors,omitempty"`
+	JournalDropped int64          `json:"journal_dropped,omitempty"`
 }
 
 // Stats snapshots all server counters (also served at GET /v1/stats).
@@ -829,8 +831,9 @@ func (s *Server) Stats() StatsResponse {
 			Singletons: s.plannerSingletons.Load(),
 			Coalesced:  s.plannerCoalesced.Load(),
 		},
-		StateDir:      s.stateDir,
-		JournalErrors: s.jobs.journalErrors.Load(),
+		StateDir:       s.stateDir,
+		JournalErrors:  s.jobs.journalErrors.Load(),
+		JournalDropped: s.jobs.journal.droppedLines(),
 	}
 }
 

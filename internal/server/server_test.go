@@ -245,18 +245,59 @@ func FuzzSolveRequestSpec(f *testing.F) {
 		if !decodeStrict(httptest.NewRecorder(), body, &req) {
 			return
 		}
-		spec, err := req.toSpec()
-		if err != nil {
+		if spec, err := req.toSpec(); err == nil {
+			checkSpecCounts(t, body, spec)
+		}
+	})
+}
+
+// checkSpecCounts fails t unless an accepted spec draws every sample
+// count within the cap.
+func checkSpecCounts(t *testing.T, body []byte, spec fairim.ProblemSpec) {
+	t.Helper()
+	within := func(n int) bool { return n >= 0 && n <= estimator.MaxSamples }
+	worlds, pool := spec.Sampling.Samples, spec.Sampling.RISPerGroup
+	report := spec.EvalSamples
+	if report == 0 {
+		report = worlds
+	}
+	if !within(worlds) || !within(report) || (spec.Engine == fairim.EngineRIS && !within(pool)) {
+		t.Fatalf("accepted %s with samples %d, ris_per_group %d, eval_samples %d", body, worlds, pool, spec.EvalSamples)
+	}
+}
+
+// FuzzBatchSolveRequest feeds arbitrary bodies through the batch
+// endpoint's decode and toSpec per item. Nothing may panic, an empty
+// batch or one over maxBatchRequests is refused, and every item toSpec
+// accepts draws no sample count above the cap.
+func FuzzBatchSolveRequest(f *testing.F) {
+	items := func(n int, item string) string {
+		return `{"requests":[` + strings.TrimSuffix(strings.Repeat(item+",", n), ",") + `]}`
+	}
+	for _, body := range []string{
+		items(3, `{"graph":"twostars","problem":"p4","budget":2,"tau":3,"engine":"ris","ris_per_group":40,"seed":7}`),
+		items(2, `{"graph":"g","engine":"ris","samples":52428,"eval_samples":1048576}`),
+		`{"requests":[{"graph":"g","samples":1048577},{"graph":"g","bogus":1},{"graph":"g","samples":-1}]}`,
+		items(maxBatchRequests, `{"graph":"g"}`),
+		items(maxBatchRequests+1, `{"graph":"g"}`),
+		`{"requests":[]}`,
+		`{"requests":null}`,
+		`{"requests":[{}],"extra":1}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, ok := decodeBatch(httptest.NewRecorder(), body)
+		if !ok {
 			return
 		}
-		within := func(n int) bool { return n >= 0 && n <= estimator.MaxSamples }
-		worlds, pool := spec.Sampling.Samples, spec.Sampling.RISPerGroup
-		report := spec.EvalSamples
-		if report == 0 {
-			report = worlds
+		if n := len(req.Requests); n == 0 || n > maxBatchRequests {
+			t.Fatalf("accepted a batch of %d requests", n)
 		}
-		if !within(worlds) || !within(report) || (spec.Engine == fairim.EngineRIS && !within(pool)) {
-			t.Fatalf("accepted %s with samples %d, ris_per_group %d, eval_samples %d", body, worlds, pool, spec.EvalSamples)
+		for _, sub := range req.Requests {
+			if spec, err := sub.toSpec(); err == nil {
+				checkSpecCounts(t, body, spec)
+			}
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"sync"
@@ -458,4 +459,53 @@ func TestPinnedSelectAfterSupersession(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzGraphUpdateRequest feeds arbitrary bodies through the update
+// endpoint's strict decode and Registry.ApplyUpdate on the built-in
+// 17-node two-star graph. Nothing may panic; a rejected delta leaves the
+// graph at its version and snapshot, and an applied one moves it one
+// version on, over the same nodes.
+func FuzzGraphUpdateRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"expect_version":1,"edges":[{"from":1,"to":0,"p":0.05}]}`,
+		`{"edges":[{"from":0,"to":16,"p":1},{"from":16,"to":0,"remove":true}]}`,
+		`{"groups":[{"node":3,"group":1}]}`,
+		`{"expect_version":7,"edges":[{"from":1,"to":0,"p":0.5}]}`,
+		`{"edges":[{"from":-1,"to":99,"p":2}]}`,
+		`{"edges":[{"from":1,"to":0,"p":0.5},{"from":1,"to":0,"p":0.25}]}`,
+		`{"groups":[{"node":0,"group":-3}]}`,
+		`{}`,
+	} {
+		f.Add([]byte(body))
+	}
+	base := generate.TwoStars()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req GraphUpdateRequest
+		if !decodeStrict(httptest.NewRecorder(), body, &req) {
+			return
+		}
+		reg := NewRegistry()
+		if err := reg.RegisterGraph("twostars", "synthetic:twostars", base); err != nil {
+			t.Fatal(err)
+		}
+		d := graph.Delta{Edges: req.Edges, Groups: req.Groups}
+		if d.Empty() {
+			return // the handler refuses it before the registry
+		}
+		ng, version, _, err := reg.ApplyUpdate("twostars", req.ExpectVersion, d)
+		g, v, gerr := reg.GetVersioned("twostars")
+		if gerr != nil {
+			t.Fatal(gerr)
+		}
+		if err != nil {
+			if v != 1 || g != base {
+				t.Fatalf("rejected %s (%v), yet the graph moved to version %d", body, err, v)
+			}
+			return
+		}
+		if version != 2 || v != 2 || g != ng || ng.N() != base.N() {
+			t.Fatalf("applied %s: version %d (registry %d), %d nodes", body, version, v, ng.N())
+		}
+	})
 }
