@@ -14,8 +14,9 @@
 //	go run ./cmd/benchtraj -check BENCH_6.json        # CI: fail on regression
 //
 // Check mode re-measures and compares against the committed checkpoint:
-// deterministic metrics (allocs/op, frame bytes, and the bytes/op of the
-// graph updates, which use no pool) fail the run when they regress more
+// deterministic metrics (allocs/op, frame bytes, the bytes/op of the
+// graph updates, which use no pool, and the marginal-gain evaluations of
+// a cold P4 solve on each engine) fail the run when they regress more
 // than 10%; ns/op is recorded for the trajectory but never gated, since
 // CI hardware varies. Both modes also enforce the absolute
 // floors the optimization work claims: pooled RR sampling allocates ≥25%
@@ -68,12 +69,15 @@ type Metric struct {
 	BytesOp  int64 `json:"bytes_op"`
 }
 
-// Trajectory is the BENCH_<n>.json schema.
+// Trajectory is the BENCH_<n>.json schema. Evaluations holds the
+// marginal-gain queries of fixed solves: deterministic, and gated like
+// frame sizes, so a CELF change that evaluates more fails check mode.
 type Trajectory struct {
-	Workload string             `json:"workload"`
-	Metrics  map[string]Metric  `json:"metrics"`
-	Sizes    map[string]int64   `json:"sizes"`
-	Derived  map[string]float64 `json:"derived"`
+	Workload    string             `json:"workload"`
+	Metrics     map[string]Metric  `json:"metrics"`
+	Sizes       map[string]int64   `json:"sizes"`
+	Evaluations map[string]int64   `json:"evaluations,omitempty"`
+	Derived     map[string]float64 `json:"derived"`
 }
 
 func main() {
@@ -151,10 +155,11 @@ func measure() (*Trajectory, error) {
 		perGroup[i] = benchPool
 	}
 	traj := &Trajectory{
-		Workload: workloadLabel,
-		Metrics:  map[string]Metric{},
-		Sizes:    map[string]int64{},
-		Derived:  map[string]float64{},
+		Workload:    workloadLabel,
+		Metrics:     map[string]Metric{},
+		Sizes:       map[string]int64{},
+		Evaluations: map[string]int64{},
+		Derived:     map[string]float64{},
 	}
 
 	// --- sampling ---
@@ -290,6 +295,21 @@ func measure() (*Trajectory, error) {
 	if fmt.Sprint(warmRes.Seeds) != fmt.Sprint(coldRes.Seeds) {
 		return nil, fmt.Errorf("prefix-extended seeds %v diverge from cold %v", warmRes.Seeds, coldRes.Seeds)
 	}
+	traj.Evaluations["solve_cold_k50"] = int64(coldRes.Evaluations)
+	// The same P4 solve on the forward-MC engine, over the codec's 200
+	// worlds: P4's concave wrapper is where CELF's per-group bounds prune.
+	mcEval, err := influence.NewEvaluator(g, worlds, benchTau)
+	if err != nil {
+		return nil, err
+	}
+	mcSpec := spec()
+	mcSpec.Engine, mcSpec.Estimator = fairim.EngineForwardMC, mcEval
+	mcSpec.Sampling = fairim.Sampling{Samples: benchWorlds}
+	mcRes, err := fairim.Solve(g, mcSpec)
+	if err != nil {
+		return nil, err
+	}
+	traj.Evaluations["solve_mc_k50"] = int64(mcRes.Evaluations)
 	traj.Metrics["solve_cold_k50"] = bench(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := fairim.Solve(g, spec()); err != nil {
@@ -594,10 +614,11 @@ func absoluteGates(t *Trajectory) []string {
 }
 
 // compare gates the deterministic metrics against a committed checkpoint:
-// allocs/op and frame sizes may grow at most 10% (plus a small absolute
-// slack so single-digit counts aren't flaky), and so may the bytes/op of
-// the graph_apply_delta* updates: ApplyDelta draws nothing from a pool, so
-// its bytes are as fixed as its allocation count. ns/op is never compared.
+// allocs/op, frame sizes and the fixed solves' evaluation counts may grow
+// at most 10% (allocs/op plus a small absolute slack so single-digit
+// counts aren't flaky), and so may the bytes/op of the graph_apply_delta*
+// updates: ApplyDelta draws nothing from a pool, so its bytes are as fixed
+// as its allocation count. ns/op is never compared.
 func compare(prev, cur *Trajectory) []string {
 	const headroom = 1.10
 	const slack = 16 // absolute allocs; keeps tiny counts from gating on noise
@@ -623,6 +644,16 @@ func compare(prev, cur *Trajectory) []string {
 		}
 		if float64(c) > float64(p)*headroom {
 			errs = append(errs, fmt.Sprintf("%s: %d bytes, checkpoint %d", name, c, p))
+		}
+	}
+	for name, p := range prev.Evaluations {
+		c, ok := cur.Evaluations[name]
+		if !ok {
+			errs = append(errs, fmt.Sprintf("evaluation count %q disappeared from the suite", name))
+			continue
+		}
+		if float64(c) > float64(p)*headroom {
+			errs = append(errs, fmt.Sprintf("%s: %d evaluations, checkpoint %d", name, c, p))
 		}
 	}
 	// Derived ratios are dimensionless (same-machine numerator and
