@@ -127,9 +127,11 @@ func SampleDelayedWorld(g *graph.Graph, dist DelayDist, rng *xrand.RNG) *Weighte
 		base := offsets[v]
 		for ; v < int(end); v++ {
 			w.offsets[v] = int32(len(w.targets))
-			for a := offsets[v]; a < offsets[v+1]; a++ {
-				if rng.BernoulliT(thr[a-base]) {
-					w.targets = append(w.targets, targets[a])
+			lo, hi := offsets[v], offsets[v+1]
+			row := targets[lo:hi]
+			for i, t := range thr[lo-base : hi-base] {
+				if rng.BernoulliT(t) {
+					w.targets = append(w.targets, row[i])
 					w.delays = append(w.delays, dist.Sample(rng))
 				}
 			}

@@ -53,9 +53,11 @@ func SampleICWorld(g *graph.Graph, rng *xrand.RNG) *World {
 		base := offsets[v]
 		for ; v < int(end); v++ {
 			w.offsets[v] = int32(len(w.targets))
-			for a := offsets[v]; a < offsets[v+1]; a++ {
-				if rng.BernoulliT(thr[a-base]) {
-					w.targets = append(w.targets, targets[a])
+			lo, hi := offsets[v], offsets[v+1]
+			row := targets[lo:hi]
+			for i, t := range thr[lo-base : hi-base] {
+				if rng.BernoulliT(t) {
+					w.targets = append(w.targets, row[i])
 				}
 			}
 		}

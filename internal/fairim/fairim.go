@@ -208,15 +208,20 @@ type IterationStat struct {
 
 // Result reports a solved instance. Utility fields come from fresh worlds.
 type Result struct {
-	Problem      string          // "P1", "P2", "P4", "P6"
-	Seeds        []graph.NodeID  //
-	Total        float64         // fτ(S;V)
-	PerGroup     []float64       // fτ(S;Vᵢ)
-	NormPerGroup []float64       // fτ(S;Vᵢ)/|Vᵢ|
-	NormTotal    float64         // fτ(S;V)/|V|
-	Disparity    float64         // Eq. 2
-	Evaluations  int             // marginal-gain queries spent; a RIS first pass queries only nodes in some RR set
-	Trace        []IterationStat // non-nil iff cfg.Trace
+	Problem      string         // "P1", "P2", "P4", "P6"
+	Seeds        []graph.NodeID //
+	Total        float64        // fτ(S;V)
+	PerGroup     []float64      // fτ(S;Vᵢ)
+	NormPerGroup []float64      // fτ(S;Vᵢ)/|Vᵢ|
+	NormTotal    float64        // fτ(S;V)/|V|
+	Disparity    float64        // Eq. 2
+	// Evaluations counts the marginal-gain queries spent: the first pass
+	// (under RIS only over nodes in some RR set) plus CELF's
+	// re-evaluations. For P2, P4 and P6 CELF skips a stale candidate
+	// whose per-group gain row bounds it below the next one, so those
+	// count only the candidates a bound could not rule out.
+	Evaluations int
+	Trace       []IterationStat // non-nil iff cfg.Trace
 	// Resolved sampling budgets the solve actually used — interesting when
 	// they were derived from a ProblemSpec accuracy target rather than
 	// configured explicitly.

@@ -11,6 +11,16 @@
 // seeds and values whatever the candidate order, cold or resumed from a
 // snapshot, and it can drop every candidate whose gain is ≤ 0 — such a
 // candidate never gains again and never outranks one that does.
+//
+// CELF keys each candidate by an upper bound on its gain. Plain CELF uses
+// the last evaluated gain. An objective that is a non-decreasing function
+// of per-group submodular utilities (GroupObjective, the shape of all the
+// paper's fair objectives) gives a tighter one: the value function at the
+// current utilities plus the candidate's last per-group gain row, minus
+// the current value. CELF keeps that row per heap item, in float32
+// rounded up, and evaluates a stale top only when its bound still ranks
+// first. Any valid bound leaves the picks unchanged under the total
+// order, so only the number of evaluations falls.
 package submodular
 
 import (
@@ -223,20 +233,6 @@ func up32(x float64) float32 {
 	return f
 }
 
-func (h *celfHeap) less(i, j int) bool { return outranks(h.items[i], h.items[j]) }
-
-func (h *celfHeap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	w := h.width
-	if w == 0 {
-		return
-	}
-	a, b := h.rows[i*w:i*w+w], h.rows[j*w:j*w+w]
-	for k := range a {
-		a[k], b[k] = b[k], a[k]
-	}
-}
-
 // init establishes the heap invariant (container/heap.Init).
 func (h *celfHeap) init() {
 	n := len(h.items)
@@ -251,22 +247,37 @@ func (h *celfHeap) pop() LazyItem {
 	n := len(h.items) - 1
 	h.swap(0, n)
 	h.down(0, n)
-	it := h.items[n]
+	top := h.items[n]
 	h.items, h.rows = h.items[:n], h.rows[:n*h.width]
-	return it
+	return top
 }
 
+// swap exchanges items i and j, rows included.
+func (h *celfHeap) swap(i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	if w := h.width; w > 0 {
+		a, b := h.rows[i*w:i*w+w], h.rows[j*w:j*w+w]
+		for k := range a {
+			a[k], b[k] = b[k], a[k]
+		}
+	}
+}
+
+// down is container/heap's down over the first n items. It reads the
+// items through a local slice, which keeps them in registers across the
+// swaps.
 func (h *celfHeap) down(i, n int) {
+	items := h.items
 	for {
 		j1 := 2*i + 1
 		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
 			break
 		}
 		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+		if j2 := j1 + 1; j2 < n && outranks(items[j2], items[j1]) {
 			j = j2 // right child
 		}
-		if !h.less(j, i) {
+		if !outranks(items[j], items[i]) {
 			break
 		}
 		h.swap(i, j)
@@ -277,7 +288,7 @@ func (h *celfHeap) down(i, n int) {
 // runnerUp returns the item that outranks every other but the top; the
 // heap holds at least two items.
 func (h *celfHeap) runnerUp() LazyItem {
-	if len(h.items) > 2 && h.less(2, 1) {
+	if len(h.items) > 2 && outranks(h.items[2], h.items[1]) {
 		return h.items[2]
 	}
 	return h.items[1]
