@@ -12,7 +12,7 @@ import (
 // fresh values via composite literals); everywhere else, assigning to a
 // field of either type through a pointer — or storing into one of their
 // CSR backing slices, including slices obtained from aliasing accessors
-// like Graph.OutCSR, the per-row Graph.OutThresholds or the per-page
+// like Graph.OutCSR, the per-row Graph.InThresholds or the per-page
 // Graph.OutPageThresholds, whose slices are windows into pages that later
 // snapshots share — is an error, not a
 // style problem. Inside the
@@ -50,8 +50,7 @@ var protectedTypes = []protectedType{
 		// per-row windows into the CSR and the probability and threshold
 		// pages, and the tail of a threshold page.
 		shared: set("OutCSR", "InCSR", "GroupMembers", "GroupSizes",
-			"OutEdges", "InEdges", "OutNeighbors", "InNeighbors", "OutThresholds", "InThresholds",
-			"OutPageThresholds"),
+			"OutEdges", "InEdges", "OutNeighbors", "InNeighbors", "InThresholds", "OutPageThresholds"),
 	},
 }
 

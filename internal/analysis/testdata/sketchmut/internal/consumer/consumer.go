@@ -21,9 +21,9 @@ func clobber(g *graph.Graph, c *ris.Collection) {
 // local and indexed straight off the call: the row and the page's tail
 // are windows into a page that every snapshot derived from g shares.
 func clobberRow(g *graph.Graph) {
-	th := g.OutThresholds(3)
-	th[0] = 7               // want `write to slice returned by Graph\.OutThresholds aliases the snapshot's backing array`
-	g.OutThresholds(4)[1]++ // want `write to slice returned by Graph\.OutThresholds aliases the snapshot's backing array`
+	th := g.InThresholds(3)
+	th[0] = 7              // want `write to slice returned by Graph\.InThresholds aliases the snapshot's backing array`
+	g.InThresholds(4)[1]++ // want `write to slice returned by Graph\.InThresholds aliases the snapshot's backing array`
 	page, _ := g.OutPageThresholds(5)
 	page[2] = 7 // want `write to slice returned by Graph\.OutPageThresholds aliases the snapshot's backing array`
 }

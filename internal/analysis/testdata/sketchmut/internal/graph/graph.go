@@ -35,9 +35,9 @@ func (g *Graph) ApplyDelta(off []int32) *Graph {
 // OutCSR returns slices aliasing the snapshot's backing arrays.
 func (g *Graph) OutCSR() ([]int32, []NodeID) { return g.outOff, g.targets }
 
-// OutThresholds returns v's row of its page: a window into an array that
+// InThresholds returns v's row of its page: a window into an array that
 // every snapshot sharing the page sees.
-func (g *Graph) OutThresholds(v NodeID) []uint64 {
+func (g *Graph) InThresholds(v NodeID) []uint64 {
 	base := g.outOff[v&^127]
 	return g.thresh[v>>7][g.outOff[v]-base : g.outOff[v+1]-base]
 }

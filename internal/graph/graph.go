@@ -14,7 +14,7 @@
 // node. Each arc's activation probability and its precomputed Bernoulli
 // threshold live in pages over fixed node ranges: page p holds the values
 // of the arcs of nodes [p·128, (p+1)·128), in CSR order, so every row lies
-// inside one page and is read as one subslice (OutEdges, OutThresholds).
+// inside one page and is read as one subslice (OutEdges, InThresholds).
 // Group membership is indexed as a CSR too (group→members), making
 // GroupMembers an O(1) subslice instead of an O(N) scan. Accessors return
 // subslices of the shared arrays; callers must not modify them.
@@ -140,28 +140,22 @@ func (g *Graph) InCSR() ([]int32, []NodeID) {
 	return g.inOffsets, g.inTargets
 }
 
-// OutThresholds returns the xrand.Threshold53 of each of v's out-edges,
-// aligned with OutNeighbors(v), for integer-only Bernoulli trials in
-// sampling hot loops. Shared; callers must not modify.
-func (g *Graph) OutThresholds(v NodeID) []uint64 {
-	lo, hi := pageRow(g.outOffsets, v)
-	return g.outPages[v>>pageShift].thresh[lo:hi]
-}
-
-// OutPageThresholds returns the thresholds of the out-edges of the nodes
-// v, v+1, …, end−1, where end is the first node past the page holding v,
-// as one slice in CSR order: entry i belongs to the arc at OutCSR offset
-// offsets[v]+i. A loop over every node walks a page's thresholds
-// contiguously, with one lookup per page instead of one per row. Shared;
-// callers must not modify.
+// OutPageThresholds returns the xrand.Threshold53 of the out-edges of the
+// nodes v, v+1, …, end−1, where end is the first node past the page
+// holding v, as one slice in CSR order: entry i belongs to the arc at
+// OutCSR offset offsets[v]+i. They drive integer-only Bernoulli trials in
+// the world samplers, which walk every node and so read a page's
+// thresholds contiguously, with one lookup per page instead of one per
+// row. Shared; callers must not modify.
 func (g *Graph) OutPageThresholds(v NodeID) (thresh []uint64, end NodeID) {
 	p := v >> pageShift
 	lo, _ := pageRow(g.outOffsets, v)
 	return g.outPages[p].thresh[lo:], min((p+1)<<pageShift, NodeID(g.N()))
 }
 
-// InThresholds returns the thresholds of v's incoming edges, aligned with
-// InNeighbors(v); see OutThresholds.
+// InThresholds returns the xrand.Threshold53 of each of v's incoming
+// edges, aligned with InNeighbors(v), for integer-only Bernoulli trials in
+// reverse sampling. Shared; callers must not modify.
 func (g *Graph) InThresholds(v NodeID) []uint64 {
 	lo, hi := pageRow(g.inOffsets, v)
 	return g.inPages[v>>pageShift].thresh[lo:hi]

@@ -307,8 +307,9 @@ func TestReweightChurnKeepsPagesCompact(t *testing.T) {
 
 // TestOutPageThresholdsMatchRows walks every node through the page
 // accessor, as the world samplers do, and checks each row against the
-// per-row OutThresholds, on a multi-page graph with a ragged last page
-// and on a re-weighted snapshot whose touched pages were copied.
+// thresholds of its arcs' probabilities, on a multi-page graph with a
+// ragged last page and on a re-weighted snapshot whose touched pages were
+// copied.
 func TestOutPageThresholdsMatchRows(t *testing.T) {
 	g := pagedGraph(3*pageNodes+37, 3, 5)
 	ng, _, err := g.ApplyDelta(reweight(g, arcsInDistinctPages(g, 4, xrand.New(9))))
@@ -324,8 +325,13 @@ func TestOutPageThresholdsMatchRows(t *testing.T) {
 			}
 			base := offsets[v]
 			for ; v < end; v++ {
-				if got, want := thr[offsets[v]-base:offsets[v+1]-base], h.OutThresholds(v); !slices.Equal(got, want) {
-					t.Fatalf("node %d: page walk reads %v, row accessor %v", v, got, want)
+				_, probs := h.OutEdges(v)
+				want := make([]uint64, len(probs))
+				for i, p := range probs {
+					want[i] = xrand.Threshold53(p)
+				}
+				if got := thr[offsets[v]-base : offsets[v+1]-base]; !slices.Equal(got, want) {
+					t.Fatalf("node %d: page walk reads %v, its arcs' thresholds are %v", v, got, want)
 				}
 			}
 		}
