@@ -263,9 +263,7 @@ func (h *celfHeap) swap(i, j int) {
 	}
 }
 
-// down is container/heap's down over the first n items. It reads the
-// items through a local slice, which keeps them in registers across the
-// swaps.
+// down is container/heap's down over the first n items.
 func (h *celfHeap) down(i, n int) {
 	items := h.items
 	for {
