@@ -170,8 +170,10 @@ func TestWarmUnboundedBudget(t *testing.T) {
 // TestRISFirstPassSkipsUncoveredNodes: on a graph where most nodes lie in
 // no RR set, a RIS solve's first pass evaluates only the nodes that do —
 // within Config.Candidates when that is set — and the snapshot it
-// memoizes holds only indexed candidates with a positive gain. The seeds
-// are still those of the plain greedy ablation, which scans every node.
+// memoizes holds only indexed candidates with a positive gain, in arrays
+// sized to those candidates, not to the graph: a prefix memo keeps the
+// snapshot as captured. The seeds are still those of the plain greedy
+// ablation, which scans every node.
 func TestRISFirstPassSkipsUncoveredNodes(t *testing.T) {
 	g := warmTestGraph(t)
 	col, err := ris.Sample(g, 2, []int{10, 10}, 5, 1)
@@ -221,9 +223,14 @@ func TestRISFirstPassSkipsUncoveredNodes(t *testing.T) {
 	if res.Warm == nil {
 		t.Fatal("no warm state captured")
 	}
-	items := res.Warm.Snapshot.Items
+	items, rows := res.Warm.Snapshot.Items, res.Warm.Snapshot.Rows
 	if len(items)+len(res.Seeds) > len(indexed) {
 		t.Errorf("snapshot holds %d items beside %d picks; only %d nodes are indexed", len(items), len(res.Seeds), len(indexed))
+	}
+	groups := g.NumGroups()
+	if len(rows) != groups*len(items) || cap(items) > len(indexed) || cap(rows) > groups*len(indexed) {
+		t.Errorf("snapshot of %d items keeps capacity for %d items and %d of %d row entries; %d nodes are indexed, %d groups",
+			len(items), cap(items), cap(rows), len(rows), len(indexed), groups)
 	}
 	for _, it := range items {
 		if it.Gain <= 0 || !slices.Contains(indexed, it.Node) {

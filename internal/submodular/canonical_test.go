@@ -133,9 +133,12 @@ func shuffledNodes(rng *xrand.RNG, n int) []graph.NodeID {
 // gain and, for a non-linear GroupObjective, each item's row, one that
 // bounds the item's current row and gain; the resumed run must spend,
 // pick for pick, the evaluations the cold run spent. Cold CELF without
-// rows must pick the same seeds too. Finally a cover targeting the cold
-// run's value after each pick must stop on the cold run's seeds up to
-// that pick. It returns the Gain calls of cold CELF with and without rows.
+// rows must pick the same seeds too, and for a GroupObjective so must
+// CELF fed a precomputed first pass of per-group gains, spending the cold
+// run's evaluations less the n of that pass. Finally a cover targeting
+// the cold run's value after each pick must stop on the cold run's seeds
+// up to that pick. It returns the Gain calls of cold CELF with and
+// without rows.
 func checkCanonical(t *testing.T, factory func() Objective, n, budget, split int, rng *xrand.RNG) (rowEvals, plainEvals int) {
 	t.Helper()
 	plainGreedy, err := GreedyMax(factory(), shuffledNodes(rng, n), budget)
@@ -155,6 +158,10 @@ func checkCanonical(t *testing.T, factory func() Objective, n, budget, split int
 	}
 	if !slices.Equal(rowless.Seeds, cold.Seeds) || !slices.Equal(rowless.Values, cold.Values) {
 		t.Fatalf("CELF without rows picked %v (values %v)\nwith rows %v (values %v)", rowless.Seeds, rowless.Values, cold.Seeds, cold.Values)
+	}
+
+	if _, ok := factory().(GroupObjective); ok {
+		checkPrecomputedPass(t, factory, shuffledNodes(rng, n), budget, cold)
 	}
 
 	head, snap, err := LazyGreedyMaxCapture(factory(), shuffledNodes(rng, n), split, nil)
@@ -199,6 +206,32 @@ func checkCanonical(t *testing.T, factory func() Objective, n, budget, split int
 		}
 	}
 	return cold.Evaluations, rowless.Evaluations
+}
+
+// checkPrecomputedPass runs CELF over cands with its first pass read from
+// a flat buffer of per-group gains, laid out as estimator.InitialGains
+// lays it out, and asserts that it picks the cold run's seeds and values
+// and spends, pick for pick, the cold run's evaluations less the pass.
+func checkPrecomputedPass(t *testing.T, factory func() Objective, cands []graph.NodeID, budget int, cold Result) {
+	t.Helper()
+	obj := factory().(GroupObjective)
+	var initial []float64
+	for _, v := range cands {
+		_, row := obj.GainRow(v)
+		initial = append(initial, row...)
+	}
+	res, _, err := LazyGreedyMaxCapture(obj, cands, budget, initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Seeds, cold.Seeds) || !slices.Equal(res.Values, cold.Values) {
+		t.Fatalf("CELF on a precomputed pass picked %v (values %v)\ncold CELF picked %v (values %v)", res.Seeds, res.Values, cold.Seeds, cold.Values)
+	}
+	for i, e := range res.EvalsAt {
+		if e+len(cands) != cold.EvalsAt[i] {
+			t.Fatalf("CELF on a precomputed pass spent %d evaluations by pick %d beside a %d-node pass, cold run %d", e, i, len(cands), cold.EvalsAt[i])
+		}
+	}
 }
 
 // checkSnapshotRows asserts that snap carries one row per item exactly

@@ -45,7 +45,7 @@ func TestCELFHeapPopsInCanonicalOrder(t *testing.T) {
 		n := rng.Intn(80)
 		levels := 1 + rng.Intn(4) // at most 4 distinct gains: ties everywhere
 		// Node IDs come shuffled, so array position and node order disagree.
-		h := &celfHeap{width: 2}
+		h := &celfHeap{width: 2, row: make([]float32, 2)}
 		ref := make([]LazyItem, 0, n)
 		for _, v := range rng.Perm(5*n + 10)[:n] {
 			it := LazyItem{Node: graph.NodeID(v), Gain: float64(rng.Intn(levels)), Round: int32(rng.Intn(3))}

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"fairtcim/internal/graph"
+	"fairtcim/internal/xrand"
 )
 
 // TestCaptureResumeMatchesColdRun is the prefix-extension parity pin at
@@ -120,6 +121,19 @@ func TestResumeValidation(t *testing.T) {
 	}
 	if _, _, err := LazyGreedyMaxCapture(factory(), cands, -1, nil); err == nil {
 		t.Error("negative capture budget accepted")
+	}
+	// A precomputed first pass holds per-group gains, so only a
+	// GroupObjective takes one, and only at len(candidates)·G entries.
+	if _, _, err := LazyGreedyMaxCapture(factory(), cands, 2, make([]float64, len(cands))); err == nil {
+		t.Error("initial gains accepted for an objective without groups")
+	}
+	if _, err := GreedyCoverInit(factory(), cands, 1, 0, make([]float64, len(cands))); err == nil {
+		t.Error("cover accepted initial gains for an objective without groups")
+	}
+	grouped := tieGroupCoverage(xrand.New(3), len(cands), 12)
+	width := len(grouped().(GroupObjective).Utilities())
+	if _, _, err := LazyGreedyMaxCapture(grouped(), cands, 2, make([]float64, len(cands)*width+1)); err == nil {
+		t.Error("initial gains of the wrong length accepted")
 	}
 }
 

@@ -190,15 +190,16 @@ func outranks(a, b LazyItem) bool {
 }
 
 // celfHeap is a max-heap of LazyItems in outranks order, each with its
-// last per-group gain row when the objective keeps rows. Its sift steps
-// are container/heap's; being typed, it moves items without boxing each
-// one in an interface.
+// last per-group gain row when the objective keeps rows. Its sift visits
+// container/heap's positions; being typed, it moves items without boxing
+// each one in an interface.
 type celfHeap struct {
 	items []LazyItem
 	rows  []float32      // width entries per item, aligned with items
 	width int            // G when rows are kept, else 0
 	group GroupObjective // obj's row view; nil for a plain Objective
 	x     []float64      // scratch: u + row, G entries
+	row   []float32      // scratch: the row of the item down sifts
 }
 
 // newHeap returns an empty heap for obj with room for n items; it keeps
@@ -210,6 +211,7 @@ func newHeap(obj Objective, n int) *celfHeap {
 		if !g.Linear() {
 			h.width = len(h.x)
 			h.rows = make([]float32, 0, n*h.width)
+			h.row = make([]float32, h.width)
 		}
 	}
 	return h
@@ -242,45 +244,46 @@ func (h *celfHeap) init() {
 }
 
 // pop removes and returns the item that outranks every other
-// (container/heap.Pop); its row goes with it.
+// (container/heap.Pop), dropping its row.
 func (h *celfHeap) pop() LazyItem {
-	n := len(h.items) - 1
-	h.swap(0, n)
-	h.down(0, n)
-	top := h.items[n]
-	h.items, h.rows = h.items[:n], h.rows[:n*h.width]
+	n, w := len(h.items)-1, h.width
+	top := h.items[0]
+	h.items[0] = h.items[n]
+	copy(h.rows[:w], h.rows[n*w:])
+	h.items, h.rows = h.items[:n], h.rows[:n*w]
+	if n > 0 {
+		h.down(0, n)
+	}
 	return top
 }
 
-// swap exchanges items i and j, rows included.
-func (h *celfHeap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	if w := h.width; w > 0 {
-		a, b := h.rows[i*w:i*w+w], h.rows[j*w:j*w+w]
-		for k := range a {
-			a[k], b[k] = b[k], a[k]
-		}
-	}
-}
-
-// down is container/heap's down over the first n items.
+// down sifts item i down among the first n items to where
+// container/heap's down would leave it, but through a hole: each child
+// that outranks the item moves up a level, row and all, and the item and
+// its row are written once, into the last hole.
 func (h *celfHeap) down(i, n int) {
-	items := h.items
+	items, rows, w := h.items, h.rows, h.width
+	it := items[i]
+	copy(h.row, rows[i*w:])
 	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+		j := 2*i + 1
+		if j >= n || j < 0 { // j < 0 after int overflow
 			break
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && outranks(items[j2], items[j1]) {
+		if j2 := j + 1; j2 < n && outranks(items[j2], items[j]) {
 			j = j2 // right child
 		}
-		if !outranks(items[j], items[i]) {
+		if !outranks(items[j], it) {
 			break
 		}
-		h.swap(i, j)
+		items[i] = items[j]
+		for k := range w {
+			rows[i*w+k] = rows[j*w+k]
+		}
 		i = j
 	}
+	items[i] = it
+	copy(rows[i*w:i*w+w], h.row)
 }
 
 // runnerUp returns the item that outranks every other but the top; the
@@ -313,14 +316,14 @@ func LazyGreedyMax(obj Objective, candidates []graph.NodeID, budget int) (Result
 // first pass that additionally returns the final CELF state, so a later
 // call can extend the run to a larger budget without redoing the
 // committed picks (seed-set prefix memoization). initial, when non-nil,
-// holds what the first pass would evaluate on the current set, letting
-// callers parallelize it: for a GroupObjective with G groups, the flat
-// row-major buffer of len(candidates)·G per-group gains (row i is
-// candidates[i]'s, as estimator.InitialGains returns them); for any other
-// Objective, initial[i] = obj.Gain(candidates[i]). The snapshot is nil
-// when the run ended before its budget — error, exhausted candidates, or
-// zero best gain — because such a run has nothing useful to extend; a run
-// that fills its budget returns one even when no candidate is left in it.
+// holds the per-group gains the first pass would evaluate on the current
+// set, letting callers parallelize it: obj must be a GroupObjective with
+// G groups, and initial the flat row-major buffer of len(candidates)·G
+// entries whose row i is candidates[i]'s, as estimator.InitialGains
+// returns it. The snapshot is nil when the run ended before its budget —
+// error, exhausted candidates, or zero best gain — because such a run has
+// nothing useful to extend; a run that fills its budget returns one even
+// when no candidate is left in it.
 func LazyGreedyMaxCapture(obj Objective, candidates []graph.NodeID, budget int, initial []float64) (Result, *LazySnapshot, error) {
 	if budget < 0 {
 		return Result{}, nil, fmt.Errorf("submodular: negative budget %d", budget)
@@ -337,42 +340,42 @@ func LazyGreedyMaxCapture(obj Objective, candidates []graph.NodeID, budget int, 
 }
 
 // firstPass heaps the candidates that can gain: each one's gain on the
-// current set comes from its initial row (or gain), or is evaluated and
-// counted in res when initial is nil, and only positive gains enter the
-// heap, with their rows when the heap keeps rows. Dropping the rest is
-// exact. Gains never grow as the set does, so a candidate at ≤ 0 can
-// never be picked, and under the total order it never outranks a positive
-// item, so no decision about another candidate depends on it.
+// current set comes from its initial row, or is evaluated and counted in
+// res when initial is nil, and only positive gains enter the heap, with
+// their rows when the heap keeps rows. Dropping the rest is exact. Gains
+// never grow as the set does, so a candidate at ≤ 0 can never be picked,
+// and under the total order it never outranks a positive item, so no
+// decision about another candidate depends on it.
 func firstPass(obj Objective, candidates []graph.NodeID, initial []float64, res *Result) (*celfHeap, error) {
 	h := newHeap(obj, len(candidates))
 	group, x := h.group, h.x
-	width := 1
 	var cur []float64
 	var base float64
-	if group != nil {
-		width, cur, base = len(x), group.Utilities(), group.Value()
-	}
-	if initial != nil && len(initial) != len(candidates)*width {
-		return nil, fmt.Errorf("submodular: %d initial gains for %d candidates of %d groups", len(initial), len(candidates), width)
+	if initial != nil {
+		if group == nil {
+			return nil, errors.New("submodular: initial gains need a GroupObjective")
+		}
+		if len(initial) != len(candidates)*len(x) {
+			return nil, fmt.Errorf("submodular: %d initial gains for %d candidates of %d groups", len(initial), len(candidates), len(x))
+		}
+		cur, base = group.Utilities(), group.Value()
 	}
 	for i, v := range candidates {
 		var g float64
 		var row []float64
 		switch {
-		case initial == nil && group != nil:
-			g, row = group.GainRow(v)
-			res.Evaluations++
-		case initial == nil:
-			g = obj.Gain(v)
-			res.Evaluations++
-		case group != nil:
-			row = initial[i*width : (i+1)*width]
+		case initial != nil:
+			row = initial[i*len(x) : (i+1)*len(x)]
 			for j, d := range row {
 				x[j] = cur[j] + d
 			}
 			g = group.ValueAt(x) - base
+		case group != nil:
+			g, row = group.GainRow(v)
+			res.Evaluations++
 		default:
-			g = initial[i]
+			g = obj.Gain(v)
+			res.Evaluations++
 		}
 		if g > 0 {
 			h.add(LazyItem{Node: v, Gain: g}, row)
@@ -514,7 +517,7 @@ func GreedyCover(obj Objective, candidates []graph.NodeID, target float64, maxSe
 }
 
 // GreedyCoverInit is GreedyCover with an optionally precomputed first
-// pass; see LazyGreedyMaxCapture for initial's layout.
+// pass of per-group gains; see LazyGreedyMaxCapture for initial's layout.
 func GreedyCoverInit(obj Objective, candidates []graph.NodeID, target float64, maxSeeds int, initial []float64) (Result, error) {
 	var res Result
 	if err := stopped(obj); err != nil {
