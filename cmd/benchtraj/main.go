@@ -2,8 +2,8 @@
 // it drives the same micro-benchmarks CI gates on — RR-set sampling,
 // world sampling, sketch encode/decode, a delayed forward-MC gain query,
 // a weight-only graph update (on the two-block graph and on the instagram
-// stand-in), cold and prefix-extended solves, and the warm HTTP serve
-// path on both engines — through
+// stand-in), cold and prefix-extended solves, a fresh-world report of a
+// solve's seeds, and the warm HTTP serve path on both engines — through
 // testing.Benchmark and writes the numbers (ns/op, allocs/op, bytes/op,
 // frame sizes, derived ratios) as a BENCH_<n>.json checkpoint. It also
 // drives the batched query planner's sustained-load mix — 16 concurrent
@@ -15,9 +15,10 @@
 //
 // Check mode re-measures and compares against the committed checkpoint:
 // deterministic metrics (allocs/op, frame bytes, the bytes/op of the
-// graph updates, which use no pool, and the marginal-gain evaluations of
-// a cold P4 solve on each engine) fail the run when they regress more
-// than 10%; ns/op is recorded for the trajectory but never gated, since
+// graph updates, payload encoders and fresh report, which use no pool,
+// and the marginal-gain evaluations of a cold P4 solve on each engine)
+// fail the run when they regress more than 10%; ns/op is recorded for
+// the trajectory but never gated, since
 // CI hardware varies. Both modes also enforce the absolute
 // floors the optimization work claims: pooled RR sampling allocates ≥25%
 // less than the per-set baseline, version-2 frames are ≥2× smaller than
@@ -57,7 +58,7 @@ const (
 	benchWorlds   = 200
 	benchPrefixK  = 25
 	benchExtendK  = 50
-	workloadLabel = "twoblock n=500 tau=5 ris=2000/group worlds=200 solve k=25->50 planner=16q"
+	workloadLabel = "twoblock n=500 tau=5 ris=2000/group worlds=200 solve k=25->50 report k=25 planner=16q"
 )
 
 // Metric is one benchmark's measurement. AllocsOp and BytesOp are
@@ -322,6 +323,22 @@ func measure() (*Trajectory, error) {
 			s := spec()
 			s.Warm = capRes.Warm
 			if _, err := fairim.Solve(g, s); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	// --- fresh report: the k=25 seeds re-estimated on 200 fresh IC
+	// worlds, the report a default select runs. Two workers, not
+	// GOMAXPROCS: the report's bytes are per-worker scratch, so a fixed
+	// count keeps them comparable across machines. ---
+	reportSpec := fairim.ProblemSpec{
+		Sampling: fairim.Sampling{Samples: benchWorlds},
+		Config:   fairim.Config{Tau: benchTau, Seed: 1, Parallelism: 2},
+	}
+	traj.Metrics["fresh_report"] = bench(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := fairim.Evaluate(g, capRes.Seeds, reportSpec); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -613,12 +630,19 @@ func absoluteGates(t *Trajectory) []string {
 	return errs
 }
 
+// bytesGated reports whether a metric's bytes/op is gated beside its
+// allocs/op: the graph_apply_delta* updates, the *_encode payload writers
+// and the fresh report draw nothing from a pool, so their bytes are as
+// fixed as their allocation counts.
+func bytesGated(name string) bool {
+	return strings.HasPrefix(name, "graph_apply_delta") || strings.HasSuffix(name, "_encode") || name == "fresh_report"
+}
+
 // compare gates the deterministic metrics against a committed checkpoint:
 // allocs/op, frame sizes and the fixed solves' evaluation counts may grow
 // at most 10% (allocs/op plus a small absolute slack so single-digit
-// counts aren't flaky), and so may the bytes/op of the graph_apply_delta*
-// updates: ApplyDelta draws nothing from a pool, so its bytes are as fixed
-// as its allocation count. ns/op is never compared.
+// counts aren't flaky), and so may the bytes/op of the metrics bytesGated
+// names. ns/op is never compared.
 func compare(prev, cur *Trajectory) []string {
 	const headroom = 1.10
 	const slack = 16 // absolute allocs; keeps tiny counts from gating on noise
@@ -632,7 +656,7 @@ func compare(prev, cur *Trajectory) []string {
 		if float64(c.AllocsOp) > float64(p.AllocsOp)*headroom+slack {
 			errs = append(errs, fmt.Sprintf("%s: %d allocs/op, checkpoint %d", name, c.AllocsOp, p.AllocsOp))
 		}
-		if strings.HasPrefix(name, "graph_apply_delta") && float64(c.BytesOp) > float64(p.BytesOp)*headroom {
+		if bytesGated(name) && float64(c.BytesOp) > float64(p.BytesOp)*headroom {
 			errs = append(errs, fmt.Sprintf("%s: %d bytes/op, checkpoint %d", name, c.BytesOp, p.BytesOp))
 		}
 	}

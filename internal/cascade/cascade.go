@@ -13,7 +13,9 @@
 // expected number of Y-nodes within distance τ of S, estimated by
 // averaging over R sampled worlds. On a fixed set of worlds the estimate
 // is an exact monotone submodular set function of S, which is what makes
-// greedy/CELF guarantees apply to the estimated objective.
+// greedy/CELF guarantees apply to the estimated objective. An IC world's
+// coins are addressed by arc (ICArcLive), so a search that reads few arcs
+// can decide them without sampling the world.
 package cascade
 
 import (

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +167,73 @@ func TestSampleICWorldEdgeRate(t *testing.T) {
 	rate := float64(kept) / float64(reps*g.M())
 	if math.Abs(rate-0.4) > 0.02 {
 		t.Fatalf("edge survival rate %v, want ~0.4", rate)
+	}
+}
+
+// pagedGraph builds n nodes with deg out-arcs each to random other nodes,
+// at probabilities drawn from a few values in (0,1).
+func pagedGraph(n, deg int, seed int64) *graph.Graph {
+	rng := xrand.New(seed)
+	b := graph.NewBuilder(n)
+	for u := range n {
+		seen := map[int]bool{u: true}
+		for len(seen) <= deg {
+			v := rng.Intn(n)
+			if !seen[v] {
+				seen[v] = true
+				b.AddEdge(graph.NodeID(u), graph.NodeID(v), float64(1+rng.Intn(9))/10)
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
+// TestICArcLiveMatchesSampledWorld: the coin rule keeps exactly the arcs
+// SampleICWorld keeps, arc for arc, on every world of a seed stream. The
+// graphs include one spanning several threshold pages, and that graph
+// after ApplyDelta re-weights arcs in some of its pages, so the rule must
+// read the copied pages' thresholds at unchanged CSR indices.
+func TestICArcLiveMatchesSampledWorld(t *testing.T) {
+	paged := pagedGraph(700, 4, 3)
+	offsets, targets := paged.OutCSR()
+	var d graph.Delta
+	for _, pos := range xrand.New(4).Perm(len(targets))[:40] {
+		from := sort.Search(paged.N(), func(v int) bool { return int(offsets[v+1]) > pos })
+		_, probs := paged.OutEdges(graph.NodeID(from))
+		d.Edges = append(d.Edges, graph.EdgeDelta{From: graph.NodeID(from), To: targets[pos], P: 1 - probs[pos-int(offsets[from])]/2})
+	}
+	reweighted, res, err := paged.ApplyDelta(d)
+	if err != nil || res.EdgesUpdated != len(d.Edges) {
+		t.Fatalf("re-weight: %v (%+v)", err, res)
+	}
+	for name, g := range map[string]*graph.Graph{
+		"path":       pathGraph(40, 0.5),
+		"paged":      paged,
+		"reweighted": reweighted,
+	} {
+		offsets, targets := g.OutCSR()
+		root := xrand.New(11)
+		for i := range int64(6) {
+			w := SampleICWorld(g, root.SplitN(i))
+			rng := root.SplitN(i)
+			kept := 0
+			for v := range graph.NodeID(g.N()) {
+				thr, _ := g.OutPageThresholds(v)
+				var live []graph.NodeID
+				for j := offsets[v]; j < offsets[v+1]; j++ {
+					if ICArcLive(rng, j, thr[j-offsets[v]]) {
+						live = append(live, targets[j])
+					}
+				}
+				if !slices.Equal(live, w.Out(v)) {
+					t.Fatalf("%s world %d node %d: coin rule keeps %v, sampler kept %v", name, i, v, live, w.Out(v))
+				}
+				kept += len(live)
+			}
+			if kept == 0 || kept == g.M() {
+				t.Fatalf("%s world %d kept %d of %d arcs: the coins decide nothing", name, i, kept, g.M())
+			}
+		}
 	}
 }
 

@@ -23,9 +23,11 @@ const (
 // deltas are small and mostly positive — the zigzag encoding keeps the
 // occasional backward gap cheap instead of fatal. Worlds are graph-shaped
 // but self-contained; persistence binds the payload to the source graph
-// through the frame's fingerprint.
+// through the frame's fingerprint. The payload is sized first, so it takes
+// one allocation.
 func EncodeWorlds(worlds []*World) []byte {
 	var e persist.Enc
+	e.Grow(worldsPayloadLen(worlds))
 	e.Uvarint(uint64(len(worlds)))
 	for _, w := range worlds {
 		n := w.N()
@@ -42,6 +44,26 @@ func EncodeWorlds(worlds []*World) []byte {
 		}
 	}
 	return e.Bytes()
+}
+
+// worldsPayloadLen returns the exact length of EncodeWorlds' payload.
+func worldsPayloadLen(worlds []*World) int {
+	size := persist.UvarintLen(uint64(len(worlds)))
+	for _, w := range worlds {
+		n := w.N()
+		size += persist.UvarintLen(uint64(n))
+		for v := 0; v < n; v++ {
+			size += persist.UvarintLen(uint64(w.offsets[v+1] - w.offsets[v]))
+		}
+		for v := 0; v < n; v++ {
+			prev := int64(0)
+			for _, t := range w.Out(graph.NodeID(v)) {
+				size += persist.SvarintLen(int64(t) - prev)
+				prev = int64(t)
+			}
+		}
+	}
+	return size
 }
 
 // DecodeWorlds reconstructs a world set over an n-node graph from a

@@ -1,7 +1,9 @@
 package cascade
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"testing"
 
 	"fairtcim/internal/generate"
@@ -47,6 +49,36 @@ func TestWorldCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%v: %v", model, err)
 		}
 		worldsEqual(t, model.String(), worlds, back, g.N())
+	}
+}
+
+// TestEncodeWorldsPinnedAndSizedOnce: the payload's bytes are pinned (by
+// SHA-256), so frames already written stay readable and nothing moves
+// them, and the encoder sizes the payload exactly and writes it into one
+// buffer: 200 worlds take as many allocations as one.
+func TestEncodeWorldsPinnedAndSizedOnce(t *testing.T) {
+	g, err := generate.TwoBlock(generate.DefaultTwoBlock(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for model, want := range map[Model]string{
+		IC: "397cd592060480207075a2d3345f14c99f13b584cb498c4ff86651360c3791a1",
+		LT: "956672d2ff41402c752e94ca15488d37274f4122318bd22bc603b58fe09cedda",
+	} {
+		worlds := SampleWorlds(g, model, 20, 9, 2)
+		payload := EncodeWorlds(worlds)
+		if got := fmt.Sprintf("%x", sha256.Sum256(payload)); got != want {
+			t.Errorf("%v: payload SHA-256 %s, want %s", model, got, want)
+		}
+		if n := worldsPayloadLen(worlds); n != len(payload) {
+			t.Errorf("%v: sized %d bytes, wrote %d", model, n, len(payload))
+		}
+		allocs := func(worlds []*World) float64 {
+			return testing.AllocsPerRun(10, func() { EncodeWorlds(worlds) })
+		}
+		if one, many := allocs(worlds[:1]), allocs(SampleWorlds(g, model, 200, 9, 2)); one != many {
+			t.Errorf("%v: EncodeWorlds made %v allocations for 1 world, %v for 200", model, one, many)
+		}
 	}
 }
 

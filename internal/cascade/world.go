@@ -66,6 +66,15 @@ func SampleICWorld(g *graph.Graph, rng *xrand.RNG) *World {
 	return w
 }
 
+// ICArcLive reports whether arc j — its index in g.OutCSR, whose threshold
+// is t — survives in the world SampleICWorld(g, rng) draws. That sampler
+// spends exactly one output of rng per arc, in CSR order, so arc j's coin
+// is rng's j-th output and can be computed alone: a search that reads a
+// few arcs of a world need not draw the others.
+func ICArcLive(rng *xrand.RNG, j int32, t uint64) bool {
+	return rng.At(uint64(j))>>11 < t // BernoulliT's test on that output
+}
+
 // ltScratch is the pooled per-call working state of SampleLTWorld: the
 // chosen-in-neighbor and degree/fill arrays are only needed while one
 // world is being assembled, so repeated sampling (forward-MC accuracy

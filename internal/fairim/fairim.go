@@ -14,7 +14,10 @@
 // Reported utilities are re-estimated on fresh Monte-Carlo worlds, not the
 // worlds the optimizer saw, to avoid optimizer's-curse bias — unless
 // Config.ReportOnSample opts into the low-latency serving path, which
-// reports from the optimization sample.
+// reports from the optimization sample. A fresh report of the 0/1 IC
+// utility draws no world: influence.EstimateIC decides only the arcs the
+// seeds reach, with the answer sampling those worlds would give, bit for
+// bit. LT, delayed and discounted reports sample their worlds.
 package fairim
 
 import (
@@ -113,10 +116,10 @@ type Config struct {
 	// OnIteration — once the channel is closed, the solve aborts after the
 	// current pick and returns ErrCanceled — and inside the sampling loops:
 	// optimization world sampling (IC, LT and delayed), RR-pool sampling,
-	// and the accuracy sizer's doubling rounds all stop between chunks of
-	// samples, so a multi-second sampling phase is interruptible too. Only
-	// the parallel first gain pass and the fresh-world report run to
-	// completion. The serving layer wires a job's cancellation context
+	// the accuracy sizer's doubling rounds and the fresh-world report all
+	// stop between chunks of worlds or sets, so a multi-second sampling
+	// phase is interruptible too. Only the parallel first gain pass runs
+	// to completion. The serving layer wires a job's cancellation context
 	// here.
 	Cancel <-chan struct{}
 	// Warm, if non-nil, primes a budget solve (P1/P4 under CELF) with a
@@ -380,9 +383,19 @@ func (c *Config) newEstimator(g *graph.Graph) (estimator.Estimator, error) {
 	return e, nil
 }
 
-// estimate evaluates seeds on fresh worlds under the configured model.
+// estimate evaluates seeds on the fresh worlds seeded Seed+1 under the
+// configured model. The 0/1 IC utility reads only the coins its search
+// reaches (influence.EstimateIC) and draws no world. LT, delayed and
+// discounted reports still sample their worlds: an LT world picks one
+// in-arc per node, a delayed one spends a varying number of draws on each
+// live arc, and a discounted utility sums floats in the evaluator's order,
+// so none is replayed bit for bit by that search.
 func (c *Config) estimate(g *graph.Graph, seeds []graph.NodeID) ([]float64, error) {
-	e, err := c.forwardMC(g, c.evalSamples(), c.Seed+1, nil)
+	if c.Model == cascade.IC && c.Delay == nil && c.Discount == 0 {
+		util, err := influence.EstimateIC(g, seeds, c.Tau, c.evalSamples(), c.Seed+1, c.Parallelism, c.Cancel)
+		return util, mapCanceled(err)
+	}
+	e, err := c.forwardMC(g, c.evalSamples(), c.Seed+1, c.Cancel)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package fairim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -304,6 +305,37 @@ func TestEvaluateSeeds(t *testing.T) {
 	}
 	if math.Abs(re.Total-solved.Total) > 1e-9 {
 		t.Fatalf("re-evaluation %v != solver report %v", re.Total, solved.Total)
+	}
+}
+
+// TestEvaluateReportHonorsCancel: a fresh-world report stops on a closed
+// Config.Cancel with ErrCanceled, on the IC path that reads coins and on
+// the sampled LT, delayed and discounted paths; an open one changes
+// nothing.
+func TestEvaluateReportHonorsCancel(t *testing.T) {
+	g := smallSBM(t, 18)
+	closed := make(chan struct{})
+	close(closed)
+	for name, set := range map[string]func(*Config){
+		"ic":         func(*Config) {},
+		"lt":         func(c *Config) { c.Model = cascade.LT },
+		"delayed":    func(c *Config) { c.Delay = cascade.GeometricDelay{M: 0.5} },
+		"discounted": func(c *Config) { c.Discount = 0.8 },
+	} {
+		cfg := quickCfg(19)
+		set(&cfg)
+		want, err := Evaluate(g, []graph.NodeID{0, 60}, ProblemSpec{Config: cfg})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cfg.Cancel = make(chan struct{})
+		if got, err := Evaluate(g, []graph.NodeID{0, 60}, ProblemSpec{Config: cfg}); err != nil || got.Total != want.Total {
+			t.Fatalf("%s, open cancel: total %v (%v), want %v", name, got.Total, err, want.Total)
+		}
+		cfg.Cancel = closed
+		if _, err := Evaluate(g, []graph.NodeID{0, 60}, ProblemSpec{Config: cfg}); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%s, closed cancel: got %v, want ErrCanceled", name, err)
+		}
 	}
 }
 

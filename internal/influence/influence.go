@@ -20,15 +20,22 @@
 // activation time is already no worse, so the query costs only the part
 // of the world the candidate actually improves. On a fixed world set each
 // utility is exactly monotone and submodular.
+//
+// A report of a fixed seed set needs no Evaluator under IC: EstimateIC
+// runs one multi-source BFS per world and decides only the arcs it
+// reaches (cascade.ICArcLive), so it reads the worlds SampleWorlds would
+// draw without drawing them, and allocates per worker, not per world.
 package influence
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"fairtcim/internal/cascade"
 	"fairtcim/internal/graph"
 	"fairtcim/internal/par"
+	"fairtcim/internal/xrand"
 )
 
 // unreached is the internal "activation time" of an inactive node. It must
@@ -332,12 +339,20 @@ func Disparity(normUtilities []float64) float64 {
 	return worst
 }
 
-// Estimate evaluates a fixed seed set on freshly sampled worlds — the
-// unbiased final-report path (re-using optimization worlds overstates
-// utility through the optimizer's curse). It returns per-group utilities.
+// Estimate evaluates a fixed seed set on fresh worlds — the unbiased
+// final-report path (re-using optimization worlds overstates utility
+// through the optimizer's curse). It returns per-group utilities. IC
+// worlds are read through EstimateIC, never drawn; LT worlds are sampled
+// and run through the evaluator.
 func Estimate(g *graph.Graph, seeds []graph.NodeID, tau int32, model cascade.Model, samples int, seed int64) ([]float64, error) {
 	if samples <= 0 {
 		return nil, fmt.Errorf("influence: need positive sample count")
+	}
+	if model == cascade.IC {
+		return EstimateIC(g, seeds, tau, samples, seed, 0, nil)
+	}
+	if err := checkSeeds(g, seeds); err != nil {
+		return nil, err
 	}
 	worlds := cascade.SampleWorlds(g, model, samples, seed, 0)
 	e, err := NewEvaluator(g, worlds, tau)
@@ -348,4 +363,101 @@ func Estimate(g *graph.Graph, seeds []graph.NodeID, tau int32, model cascade.Mod
 		e.Add(v)
 	}
 	return e.GroupUtilities(), nil
+}
+
+// EstimateIC returns the per-group 0/1 deadline utilities of a fixed seed
+// set over the r worlds cascade.SampleWorlds(g, cascade.IC, r, seed, ·)
+// would draw, without drawing them. In world i it runs one τ-bounded BFS
+// from every seed at once and decides, with cascade.ICArcLive on the i'th
+// split of the seed stream, only the out-arcs of the nodes it reaches, and
+// of those only the arcs into nodes not reached yet. So a report flips the
+// coins of the part of each world its seeds reach, where sampling the
+// worlds flips every arc's coin and stores each world.
+//
+// Per-group reach is counted in integers, so the result is bit-identical
+// to NewEvaluator plus Add of every seed over the sampled worlds, at any
+// parallelism. Up to parallelism workers (<= 0 means GOMAXPROCS) claim
+// worlds through par.For, each with O(n) scratch, whatever r is. Once
+// cancel is closed the workers stop between chunks of worlds and
+// EstimateIC returns context.Canceled; a nil cancel never fires.
+func EstimateIC(g *graph.Graph, seeds []graph.NodeID, tau int32, r int, seed int64, parallelism int, cancel <-chan struct{}) ([]float64, error) {
+	if r <= 0 {
+		return nil, fmt.Errorf("influence: need positive sample count")
+	}
+	if tau < 0 {
+		return nil, fmt.Errorf("influence: negative deadline %d", tau)
+	}
+	if err := checkSeeds(g, seeds); err != nil {
+		return nil, err
+	}
+	n := g.N()
+	root := xrand.New(seed)
+	offsets, targets := g.OutCSR()
+	var mu sync.Mutex
+	var perWorker [][]int64
+	err := par.For(r, parallelism, cancel, func() func(int) {
+		counts := make([]int64, g.NumGroups())
+		mu.Lock()
+		perWorker = append(perWorker, counts)
+		mu.Unlock()
+		// mark[v] == epoch: v is reached in the current world. queue holds
+		// the reached nodes in BFS order, one hop level after another.
+		mark := make([]uint32, n)
+		queue := make([]graph.NodeID, 0, n)
+		var epoch uint32
+		return func(i int) {
+			if epoch++; epoch == 0 {
+				clear(mark)
+				epoch = 1
+			}
+			rng := root.SplitN(int64(i))
+			queue = queue[:0]
+			for _, s := range seeds {
+				if mark[s] != epoch {
+					mark[s] = epoch
+					queue = append(queue, s)
+				}
+			}
+			head := 0
+			for d := int32(0); d < tau && head < len(queue); d++ {
+				for end := len(queue); head < end; head++ {
+					u := queue[head]
+					lo := offsets[u]
+					thr, _ := g.OutPageThresholds(u)
+					for j := lo; j < offsets[u+1]; j++ {
+						if to := targets[j]; mark[to] != epoch && cascade.ICArcLive(rng, j, thr[j-lo]) {
+							mark[to] = epoch
+							queue = append(queue, to)
+						}
+					}
+				}
+			}
+			for _, v := range queue {
+				counts[g.Group(v)]++
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	util := make([]float64, g.NumGroups())
+	for i := range util {
+		var reached int64
+		for _, counts := range perWorker {
+			reached += counts[i]
+		}
+		util[i] = float64(reached) / float64(r)
+	}
+	return util, nil
+}
+
+// checkSeeds reports a seed outside g's nodes as an error, before any
+// search indexes with it.
+func checkSeeds(g *graph.Graph, seeds []graph.NodeID) error {
+	for _, v := range seeds {
+		if v < 0 || int(v) >= g.N() {
+			return fmt.Errorf("influence: seed %d out of range [0,%d)", v, g.N())
+		}
+	}
+	return nil
 }

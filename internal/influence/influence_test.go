@@ -1,7 +1,11 @@
 package influence
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -336,6 +340,11 @@ func TestEstimateFreshWorlds(t *testing.T) {
 	if _, err := Estimate(g, nil, 3, cascade.IC, 0, 1); err == nil {
 		t.Fatal("zero samples accepted")
 	}
+	for _, model := range []cascade.Model{cascade.IC, cascade.LT} {
+		if _, err := Estimate(g, []graph.NodeID{0, 25}, 3, model, 10, 1); err == nil {
+			t.Fatalf("%v: out-of-range seed accepted", model)
+		}
+	}
 }
 
 func TestEstimateDeterministic(t *testing.T) {
@@ -347,4 +356,132 @@ func TestEstimateDeterministic(t *testing.T) {
 			t.Fatal("Estimate not deterministic for fixed seed")
 		}
 	}
+}
+
+// evaluatorReport is the reference EstimateIC must equal: the evaluator
+// over the sampled worlds, every seed added in turn.
+func evaluatorReport(t testing.TB, g *graph.Graph, seeds []graph.NodeID, tau int32, r int, seed int64) []float64 {
+	t.Helper()
+	e, err := NewEvaluator(g, cascade.SampleWorlds(g, cascade.IC, r, seed, 0), tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range seeds {
+		e.Add(v)
+	}
+	return e.GroupUtilities()
+}
+
+// checkICReport fails unless EstimateIC equals the evaluator's report bit
+// for bit at parallelism 1, 2 and 4.
+func checkICReport(t testing.TB, tag string, g *graph.Graph, seeds []graph.NodeID, tau int32, r int, seed int64) {
+	t.Helper()
+	want := evaluatorReport(t, g, seeds, tau, r, seed)
+	for _, par := range []int{1, 2, 4} {
+		got, err := EstimateIC(g, seeds, tau, r, seed, par, nil)
+		if err != nil {
+			t.Fatalf("%s par=%d: %v", tag, par, err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s par=%d: EstimateIC %v, evaluator over sampled worlds %v", tag, par, got, want)
+			}
+		}
+	}
+}
+
+// TestEstimateICMatchesWorlds: the lazy IC report bit-equals NewEvaluator
+// plus Add over SampleWorlds, on sparse and dense random graphs, at
+// deadlines from 0 to none, for empty, duplicate-laden and plain seed
+// lists, one to 200 worlds and several worker counts.
+func TestEstimateICMatchesWorlds(t *testing.T) {
+	graphs := []*graph.Graph{
+		randomGrouped(1, 40, 2, 0.05, 0.3),
+		randomGrouped(2, 60, 3, 0.08, 0.45),
+		randomGrouped(3, 25, 4, 0.3, 0.9),
+	}
+	seedLists := [][]graph.NodeID{nil, {0, 7, 7, 3, 0}, {5, 1, 2}}
+	for gi, g := range graphs {
+		for _, tau := range []int32{0, 1, 5, cascade.NoDeadline} {
+			for si, seeds := range seedLists {
+				for _, r := range []int{1, 7, 200} {
+					tag := fmt.Sprintf("graph %d tau %d seeds %d r %d", gi, tau, si, r)
+					checkICReport(t, tag, g, seeds, tau, r, int64(gi*1000+r))
+				}
+			}
+		}
+	}
+	// The deadline matters on these graphs, or the matrix tests nothing.
+	g, seeds := graphs[1], seedLists[2]
+	near, _ := EstimateIC(g, seeds, 1, 200, 5, 0, nil)
+	far, _ := EstimateIC(g, seeds, cascade.NoDeadline, 200, 5, 0, nil)
+	if near[0]+near[1]+near[2] >= far[0]+far[1]+far[2] {
+		t.Fatalf("τ=1 reaches %v, τ=∞ %v: no cascade goes past one hop", near, far)
+	}
+}
+
+// TestEstimateICValidation: bad inputs are errors, not panics, and a
+// closed cancel stops the report.
+func TestEstimateICValidation(t *testing.T) {
+	g := randomGrouped(1, 10, 2, 0.2, 0.5)
+	for _, c := range []struct {
+		seeds []graph.NodeID
+		tau   int32
+		r     int
+	}{{nil, 3, 0}, {nil, -1, 5}, {[]graph.NodeID{10}, 3, 5}, {[]graph.NodeID{-1}, 3, 5}} {
+		if _, err := EstimateIC(g, c.seeds, c.tau, c.r, 1, 1, nil); err == nil {
+			t.Errorf("seeds %v tau %d r %d accepted", c.seeds, c.tau, c.r)
+		}
+	}
+	closed := make(chan struct{})
+	close(closed)
+	if _, err := EstimateIC(g, []graph.NodeID{1}, 3, 50, 1, 2, closed); !errors.Is(err, context.Canceled) {
+		t.Fatalf("closed cancel: got %v, want context.Canceled", err)
+	}
+}
+
+// TestEstimateICBytesFlatInR: a report's allocations are worker scratch,
+// not per world, so 2,000 worlds allocate no more bytes than 10.
+func TestEstimateICBytesFlatInR(t *testing.T) {
+	g := randomGrouped(2, 300, 2, 0.02, 0.3)
+	seeds := []graph.NodeID{0, 10, 20}
+	bytesFor := func(r, par int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range 5 {
+			if _, err := EstimateIC(g, seeds, 5, r, 1, par, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 5
+	}
+	for _, par := range []int{1, 2} {
+		small, large := bytesFor(10, par), bytesFor(2000, par)
+		if large > small+512 {
+			t.Errorf("parallelism %d: %d bytes for 2,000 worlds, %d for 10", par, large, small)
+		}
+	}
+}
+
+// FuzzICReportMatchesWorlds: on any small random graph, seed list,
+// deadline and world count, the lazy IC report bit-equals the evaluator
+// over the sampled worlds at every tested parallelism.
+func FuzzICReportMatchesWorlds(f *testing.F) {
+	f.Add(int64(1), uint8(30), uint8(20), uint8(90), int8(3), uint8(7), int64(5), []byte{0, 3, 3})
+	f.Add(int64(2), uint8(8), uint8(200), uint8(255), int8(-1), uint8(1), int64(-9), []byte{})
+	f.Add(int64(3), uint8(60), uint8(5), uint8(40), int8(0), uint8(40), int64(0), []byte{1, 2, 200, 1})
+	f.Fuzz(func(t *testing.T, gseed int64, n, density, pAct uint8, tau int8, r uint8, seed int64, raw []byte) {
+		nodes := 1 + int(n)%64
+		g := randomGrouped(gseed, nodes, 1+int(n)%3, float64(density)/255, float64(pAct)/255)
+		seeds := make([]graph.NodeID, 0, len(raw))
+		for _, b := range raw {
+			seeds = append(seeds, graph.NodeID(int(b)%nodes))
+		}
+		deadline := int32(tau)
+		if deadline < 0 {
+			deadline = cascade.NoDeadline
+		}
+		checkICReport(t, "fuzz", g, seeds, deadline, 1+int(r)%64, seed)
+	})
 }

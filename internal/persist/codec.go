@@ -3,6 +3,8 @@ package persist
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
 // Enc appends little-endian primitives to a growing buffer. The zero
@@ -13,6 +15,11 @@ type Enc struct {
 
 // Bytes returns the encoded buffer.
 func (e *Enc) Bytes() []byte { return e.buf }
+
+// Grow reserves room for n more bytes. A codec that sizes its payload
+// first (UvarintLen, SvarintLen, DeltaU32sLen) writes it into one
+// allocation instead of a chain of doubling copies.
+func (e *Enc) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // U32 appends one uint32.
 func (e *Enc) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
@@ -48,6 +55,14 @@ func (e *Enc) Svarint(v int64) {
 	e.buf = binary.AppendVarint(e.buf, v)
 }
 
+// UvarintLen returns the number of bytes Uvarint appends for v: one per
+// started 7 bits, and one for zero.
+func UvarintLen(v uint64) int { return int((uint(bits.Len64(v|1)) + 6) / 7) }
+
+// SvarintLen returns the number of bytes Svarint appends for v: the
+// UvarintLen of v's zigzag code.
+func SvarintLen(v int64) int { return UvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
+
 // DeltaU32s appends a strictly-increasing []int32 as a Uvarint count, the
 // first value, then the gaps — the delta+varint stream layout of the RR
 // sketch codec. Callers must pass a strictly increasing,
@@ -63,6 +78,17 @@ func (e *Enc) DeltaU32s(s []int32) {
 		}
 		prev = v
 	}
+}
+
+// DeltaU32sLen returns the number of bytes DeltaU32s appends for s.
+func DeltaU32sLen(s []int32) int {
+	n := UvarintLen(uint64(len(s)))
+	prev := int32(0)
+	for _, v := range s {
+		n += UvarintLen(uint64(v - prev))
+		prev = v
+	}
+	return n
 }
 
 // Dec reads little-endian primitives from a buffer. The first malformed

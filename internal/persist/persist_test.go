@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -221,6 +222,38 @@ func TestDecHelpers(t *testing.T) {
 	d = NewDec([]byte{1, 2, 3, 4})
 	if err := d.Close(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing bytes: err = %v", err)
+	}
+}
+
+// TestEncodedLengths: UvarintLen, SvarintLen and DeltaU32sLen give the
+// exact byte counts of what Uvarint, Svarint and DeltaU32s append, at each
+// varint width boundary and at the extremes.
+func TestEncodedLengths(t *testing.T) {
+	var us []uint64
+	for shift := 0; shift < 64; shift += 7 {
+		us = append(us, 1<<shift-1, 1<<shift, 1<<shift+1)
+	}
+	us = append(us, math.MaxUint64)
+	for _, u := range us {
+		var e Enc
+		e.Uvarint(u)
+		if got := UvarintLen(u); got != len(e.Bytes()) {
+			t.Errorf("UvarintLen(%d) = %d, Uvarint wrote %d bytes", u, got, len(e.Bytes()))
+		}
+		for _, v := range []int64{int64(u >> 1), -int64(u >> 1), -int64(u>>1) - 1} {
+			var e Enc
+			e.Svarint(v)
+			if got := SvarintLen(v); got != len(e.Bytes()) {
+				t.Errorf("SvarintLen(%d) = %d, Svarint wrote %d bytes", v, got, len(e.Bytes()))
+			}
+		}
+	}
+	for _, s := range [][]int32{nil, {0}, {127, 128, 300, 20000, math.MaxInt32}} {
+		var e Enc
+		e.DeltaU32s(s)
+		if got := DeltaU32sLen(s); got != len(e.Bytes()) {
+			t.Errorf("DeltaU32sLen(%v) = %d, DeltaU32s wrote %d bytes", s, got, len(e.Bytes()))
+		}
 	}
 }
 

@@ -23,9 +23,10 @@ const (
 // one byte. The graph itself is not serialized — persistence binds the
 // payload to it through the frame's graph fingerprint — so a decoded
 // Collection is the exact index that was saved, over the caller-supplied
-// graph.
+// graph. The payload is sized first, so it takes one allocation.
 func (c *Collection) EncodePayload() []byte {
 	var e persist.Enc
+	e.Grow(c.payloadLen())
 	e.I32(c.tau)
 	e.Ints(c.poolSize)
 	n := len(c.off) - 1
@@ -34,6 +35,17 @@ func (c *Collection) EncodePayload() []byte {
 		e.DeltaU32s(c.refs[c.off[v]:c.off[v+1]])
 	}
 	return e.Bytes()
+}
+
+// payloadLen returns the exact length of EncodePayload's payload.
+func (c *Collection) payloadLen() int {
+	n := len(c.off) - 1
+	// τ (4 bytes) and the pool sizes (a length and one int64 per group).
+	size := 4 + 8*(1+len(c.poolSize)) + persist.UvarintLen(uint64(n))
+	for v := 0; v < n; v++ {
+		size += persist.DeltaU32sLen(c.refs[c.off[v]:c.off[v+1]])
+	}
+	return size
 }
 
 // DecodePayload reconstructs a Collection over g from a payload written by

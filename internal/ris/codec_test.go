@@ -1,7 +1,9 @@
 package ris
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -55,6 +57,40 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	estimatesEqual(t, col, back, []graph.NodeID{0, 7, 42, 199})
+}
+
+// TestEncodePayloadPinnedAndSizedOnce: the payload's bytes are pinned (by
+// SHA-256), so frames already written stay readable and nothing moves
+// them, and the encoder sizes the payload exactly and writes it into one
+// buffer: a pool of 20,000 sets per group takes as many allocations as
+// one of 10.
+func TestEncodePayloadPinnedAndSizedOnce(t *testing.T) {
+	g, err := generate.TwoBlock(generate.DefaultTwoBlock(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := Sample(g, 5, []int{300, 300}, 11, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := col.EncodePayload()
+	const want = "61407c2fceb75fdf59546800cb374cb2ec133eb3c5953aff3d4ec6eebea0881d"
+	if got := fmt.Sprintf("%x", sha256.Sum256(payload)); got != want {
+		t.Errorf("payload SHA-256 %s, want %s", got, want)
+	}
+	if n := col.payloadLen(); n != len(payload) {
+		t.Errorf("sized %d bytes, wrote %d", n, len(payload))
+	}
+	allocs := func(perGroup int) float64 {
+		col, err := Sample(g, 5, []int{perGroup, perGroup}, 11, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(10, func() { col.EncodePayload() })
+	}
+	if small, large := allocs(10), allocs(20000); small != large {
+		t.Errorf("EncodePayload made %v allocations for 10 sets per group, %v for 20,000", small, large)
+	}
 }
 
 // TestCodecRejectsMalformedPayloads: a payload that passed the frame

@@ -70,6 +70,15 @@ func (r *RNG) Uint64() uint64 {
 	return mix64(r.next())
 }
 
+// At returns, without advancing r, the value the Uint64 call after k
+// earlier ones would return: r's k-th output, counting from zero. A
+// splitmix64 state only ever advances by gamma, so any output is one
+// multiply and one mix away, and a caller that spends one output per
+// item of a known order can recompute the draw of any single item.
+func (r *RNG) At(k uint64) uint64 {
+	return mix64(r.state + (k+1)*r.gamma)
+}
+
 // Float64 returns a uniformly distributed value in [0, 1).
 func (r *RNG) Float64() float64 {
 	// 53 high-quality bits -> [0,1) with full double precision.

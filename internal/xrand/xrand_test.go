@@ -90,6 +90,37 @@ func TestSplitNPinned(t *testing.T) {
 	}
 }
 
+// TestAtMatchesStream: At(k) is the value the Uint64 call after k others
+// returns, on generators from New, from Split and from SplitN children
+// (the per-world streams of the samplers), and reading it advances
+// nothing.
+func TestAtMatchesStream(t *testing.T) {
+	meta := New(3)
+	for trial := range 20 {
+		seed := int64(meta.Uint64())
+		var r *RNG
+		switch trial % 3 {
+		case 0:
+			r = New(seed)
+		case 1:
+			r = New(seed).Split()
+		default:
+			r = New(seed).SplitN(int64(meta.Uint64() >> 1))
+		}
+		seq := *r
+		for k := range uint64(300) {
+			if got, want := r.At(k), seq.Uint64(); got != want {
+				t.Fatalf("trial %d: At(%d) = %#x, the stream's value is %#x", trial, k, got, want)
+			}
+		}
+		before := *r
+		r.At(12345)
+		if *r != before {
+			t.Fatalf("trial %d: At advanced the generator", trial)
+		}
+	}
+}
+
 // TestSplitNAllocatesNothing: a child the caller keeps local stays on the
 // stack, so deriving one per sampled item costs no allocation.
 func TestSplitNAllocatesNothing(t *testing.T) {
