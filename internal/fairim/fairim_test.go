@@ -329,8 +329,12 @@ func TestEvaluateReportHonorsCancel(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		cfg.Cancel = make(chan struct{})
-		if got, err := Evaluate(g, []graph.NodeID{0, 60}, ProblemSpec{Config: cfg}); err != nil || got.Total != want.Total {
-			t.Fatalf("%s, open cancel: total %v (%v), want %v", name, got.Total, err, want.Total)
+		got, err := Evaluate(g, []graph.NodeID{0, 60}, ProblemSpec{Config: cfg})
+		if err != nil {
+			t.Fatalf("%s, open cancel: %v", name, err)
+		}
+		if got.Total != want.Total {
+			t.Fatalf("%s, open cancel: total %v, want %v", name, got.Total, want.Total)
 		}
 		cfg.Cancel = closed
 		if _, err := Evaluate(g, []graph.NodeID{0, 60}, ProblemSpec{Config: cfg}); !errors.Is(err, ErrCanceled) {
