@@ -133,7 +133,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	cfg := fairim.DefaultConfig(*seed)
-	cfg.Samples = 0 // budgets come from the spec's Sampling block
 	if *tau < 0 {
 		cfg.Tau = cascade.NoDeadline
 	} else {

@@ -28,15 +28,15 @@ func main() {
 
 	cfg := fairim.DefaultConfig(12)
 	cfg.Tau = 2 // two propagation rounds before the sale ends
-	cfg.Samples = 300
+	worlds := fairim.Sampling{Samples: 300}
 	cfg.Trace = true
 	const quota = 0.2
 
-	p2, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P2, Quota: quota, Config: cfg})
+	p2, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P2, Quota: quota, Sampling: worlds, Config: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
-	p6, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P6, Quota: quota, Config: cfg})
+	p6, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P6, Quota: quota, Sampling: worlds, Config: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}

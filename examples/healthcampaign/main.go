@@ -14,7 +14,6 @@ import (
 	"log"
 	"time"
 
-	"fairtcim/internal/cascade"
 	"fairtcim/internal/datasets"
 	"fairtcim/internal/fairim"
 	"fairtcim/internal/graph"
@@ -58,7 +57,7 @@ func main() {
 	plainSeeds, fairSeeds := solve(fairim.P1), solve(fairim.P4)
 
 	audit := func(name string, seeds []graph.NodeID) {
-		util, err := influence.Estimate(g, seeds, tau, cascade.IC, 500, 3)
+		util, err := influence.EstimateIC(g, seeds, tau, 500, 3, 0, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

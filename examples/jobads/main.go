@@ -32,7 +32,7 @@ func main() {
 
 	cfg := fairim.DefaultConfig(2)
 	cfg.Tau = 5 // the application window is short
-	cfg.Samples = 300
+	worlds := fairim.Sampling{Samples: 300}
 	const budget = 30
 
 	table := stats.NewTable(
@@ -40,7 +40,7 @@ func main() {
 		"strategy", "total%", "g1%", "g2%", "g3%", "g4%", "disparity")
 
 	addRow := func(name string, seeds []graph.NodeID) {
-		res, err := fairim.Evaluate(g, seeds, fairim.ProblemSpec{Config: cfg})
+		res, err := fairim.Evaluate(g, seeds, fairim.ProblemSpec{Sampling: worlds, Config: cfg})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -51,13 +51,13 @@ func main() {
 			res.Disparity)
 	}
 
-	p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: budget, Config: cfg})
+	p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: budget, Sampling: worlds, Config: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
 	addRow("greedy-P1", p1.Seeds)
 
-	p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: budget, Config: cfg})
+	p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: budget, Sampling: worlds, Config: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func main() {
 		Cap:   float64(g.N()) / float64(g.NumGroups()) * targetFrac,
 		Inner: concave.Log{},
 	}
-	p4s, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: budget, Config: wcfg})
+	p4s, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: budget, Sampling: worlds, Config: wcfg})
 	if err != nil {
 		log.Fatal(err)
 	}

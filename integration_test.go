@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"fairtcim/internal/baselines"
-	"fairtcim/internal/cascade"
 	"fairtcim/internal/concave"
 	"fairtcim/internal/datasets"
 	"fairtcim/internal/fairim"
@@ -40,12 +39,12 @@ func TestPipelineRoundTrip(t *testing.T) {
 	}
 	cfg := fairim.DefaultConfig(2)
 	cfg.Tau = 8
-	cfg.Samples = 80
-	a, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: 5, Config: cfg})
+	worlds := fairim.Sampling{Samples: 80}
+	a, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: 5, Sampling: worlds, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fairim.Solve(g2, fairim.ProblemSpec{Problem: fairim.P4, Budget: 5, Config: cfg})
+	b, err := fairim.Solve(g2, fairim.ProblemSpec{Problem: fairim.P4, Budget: 5, Sampling: worlds, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +90,13 @@ func TestFairnessStoryAcrossDatasets(t *testing.T) {
 			}
 			cfg := fairim.DefaultConfig(4)
 			cfg.Tau = c.tau
-			cfg.Samples = 120
+			worlds := fairim.Sampling{Samples: 120}
 			cfg.EvalSamples = 240
-			p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: 20, Config: cfg})
+			p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: 20, Sampling: worlds, Config: cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
-			p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: 20, Config: cfg})
+			p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: 20, Sampling: worlds, Config: cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,9 +131,9 @@ func TestGreedyBeatsBaselinesOnObjective(t *testing.T) {
 	}
 	cfg := fairim.DefaultConfig(6)
 	cfg.Tau = 5
-	cfg.Samples = 150
+	worlds := fairim.Sampling{Samples: 150}
 	const B = 8
-	p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+	p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Sampling: worlds, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +141,7 @@ func TestGreedyBeatsBaselinesOnObjective(t *testing.T) {
 		"degree": baselines.TopDegree(g, B),
 		"random": baselines.Random(g, B, 7),
 	} {
-		res, err := fairim.Evaluate(g, seeds, fairim.ProblemSpec{Config: cfg})
+		res, err := fairim.Evaluate(g, seeds, fairim.ProblemSpec{Sampling: worlds, Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +158,7 @@ func TestRISAndForwardAgreeOnFigOneGraph(t *testing.T) {
 	seeds := []graph.NodeID{names["a"], names["c"]}
 	const tau = 2
 
-	fwd, err := influence.Estimate(g, seeds, tau, cascade.IC, 6000, 8)
+	fwd, err := influence.EstimateIC(g, seeds, tau, 6000, 8, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +190,8 @@ func TestP6DisparityBound(t *testing.T) {
 	for _, quota := range []float64{0.1, 0.3, 0.5} {
 		cfg := fairim.DefaultConfig(10)
 		cfg.Tau = 10
-		cfg.Samples = 150
-		res, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P6, Quota: quota, Config: cfg})
+		worlds := fairim.Sampling{Samples: 150}
+		res, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P6, Quota: quota, Sampling: worlds, Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,8 +211,8 @@ func TestSaturatedWeightedObjective(t *testing.T) {
 	}
 	cfg := fairim.DefaultConfig(2)
 	cfg.Tau = 5
-	cfg.Samples = 150
-	p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: 20, Config: cfg})
+	worlds := fairim.Sampling{Samples: 150}
+	p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: 20, Sampling: worlds, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +222,7 @@ func TestSaturatedWeightedObjective(t *testing.T) {
 		Cap:   float64(g.N()) / float64(g.NumGroups()) * 0.06,
 		Inner: concave.Log{},
 	}
-	sat, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: 20, Config: wcfg})
+	sat, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: 20, Sampling: worlds, Config: wcfg})
 	if err != nil {
 		t.Fatal(err)
 	}

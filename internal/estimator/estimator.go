@@ -8,9 +8,12 @@
 //   - reverse influence sampling (ris.Estimator), the scalability
 //     extension that turns group utilities into RR-set coverage.
 //
-// Both expose the same incremental shape: grow a seed set one node at a
-// time, query per-group marginal gains without committing, and read the
-// current per-group utilities. On a fixed sample (worlds or RR pools) the
+// Both expose the same incremental shape, seven methods: grow a seed set
+// one node at a time (Add, Reset), query per-group marginal gains without
+// committing (GainPerGroup, InitialGains), and read the current per-group
+// utilities (AppendUtilities), the sample size and the graph. Readers a
+// consumer needs beyond those (a scalar gain, the seed list, totals) live
+// on the concrete engines. On a fixed sample (worlds or RR pools) the
 // induced set function is exactly monotone submodular for either engine,
 // so greedy/CELF machinery is engine-agnostic. New diffusion models,
 // sharded or batched estimators plug in behind this interface without
@@ -50,30 +53,16 @@ type Estimator interface {
 	// slice may be reused across calls; copy to keep.
 	GainPerGroup(v graph.NodeID) []float64
 
-	// Gain returns the estimated total-utility increase from adding v.
-	Gain(v graph.NodeID) float64
-
 	// Add commits v to the seed set.
 	Add(v graph.NodeID)
 
-	// Seeds returns the current seed set (shared; do not modify).
-	Seeds() []graph.NodeID
-
-	// GroupUtilities returns the current fτ(S;Vᵢ) estimates.
-	GroupUtilities() []float64
-
-	// NormGroupUtilities returns fτ(S;Vᵢ)/|Vᵢ|.
-	NormGroupUtilities() []float64
-
-	// AppendUtilities appends the current GroupUtilities to utils and
-	// NormGroupUtilities to norms, G entries each, bit for bit as those
-	// methods compute them, and returns the extended slices. It allocates
+	// AppendUtilities appends the current per-group utility estimates
+	// fτ(S;Vᵢ) to utils and their normalized values fτ(S;Vᵢ)/|Vᵢ| to
+	// norms, G entries each, and returns the extended slices. It allocates
 	// only when a buffer lacks room, so a solver can record the utilities
-	// after every pick into two flat buffers.
+	// after every pick into two flat buffers; AppendUtilities(nil, nil)
+	// reads them once.
 	AppendUtilities(utils, norms []float64) ([]float64, []float64)
-
-	// TotalUtility returns the current fτ(S;V) estimate.
-	TotalUtility() float64
 
 	// InitialGains evaluates GainPerGroup for every candidate against the
 	// current seed set and returns the gains in one flat, row-major buffer

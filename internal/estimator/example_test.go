@@ -13,9 +13,10 @@ import (
 
 // ExampleEstimator shows the engine-agnostic contract: the same greedy
 // loop runs unchanged on a forward Monte-Carlo evaluator and on a RIS
-// estimator, because both implement estimator.Estimator. The two-star
-// fixture has certain (p = 1) edges, so both engines are exact and pick
-// the two hubs in the same order.
+// estimator, because both implement estimator.Estimator. A candidate's
+// gain is the sum of its per-group gains. The two-star fixture has certain
+// (p = 1) edges, so both engines are exact and pick the two hubs in the
+// same order.
 func ExampleEstimator() {
 	g := generate.TwoStars()
 
@@ -30,16 +31,27 @@ func ExampleEstimator() {
 	}
 
 	for _, e := range []estimator.Estimator{forward, ris.NewEstimator(col)} {
-		for len(e.Seeds()) < 2 {
+		var seeds []graph.NodeID
+		for len(seeds) < 2 {
 			best, bestGain := graph.NodeID(-1), -1.0
-			for v := 0; v < e.Graph().N(); v++ {
-				if gain := e.Gain(graph.NodeID(v)); gain > bestGain {
-					best, bestGain = graph.NodeID(v), gain
+			for v := range graph.NodeID(e.Graph().N()) {
+				gain := 0.0
+				for _, d := range e.GainPerGroup(v) {
+					gain += d
+				}
+				if gain > bestGain {
+					best, bestGain = v, gain
 				}
 			}
 			e.Add(best)
+			seeds = append(seeds, best)
 		}
-		fmt.Println(e.Seeds(), e.TotalUtility())
+		utils, _ := e.AppendUtilities(nil, nil)
+		total := 0.0
+		for _, u := range utils {
+			total += u
+		}
+		fmt.Println(seeds, total)
 	}
 	// Output:
 	// [0 11] 17

@@ -46,13 +46,13 @@ func runAblCELF(o Options) (*stats.Table, error) {
 	t := stats.NewTable(
 		"Ablation: CELF vs plain greedy on P4-log (same seeds expected)",
 		"variant", "evaluations", "total", "disparity", "seeds-agree")
-	cfg := synthConfig(o, o.Seed+1)
-	lazy, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: cfg})
+	base := synthSpec(o, o.Seed+1)
+	lazy, err := fairim.Solve(g, withBudget(base, fairim.P4, B))
 	if err != nil {
 		return nil, err
 	}
-	cfg.PlainGreedy = true
-	plain, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: cfg})
+	base.PlainGreedy = true
+	plain, err := fairim.Solve(g, withBudget(base, fairim.P4, B))
 	if err != nil {
 		return nil, err
 	}
@@ -77,21 +77,20 @@ func runAblRIS(o Options) (*stats.Table, error) {
 	B := pick(o, 10, 5)
 	pool := pick(o, 3000, 400)
 
-	risRes, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: fairim.Config{
-		Tau: tau, Engine: fairim.EngineRIS, RISPerGroup: pool, Seed: o.Seed + 4, ReportOnSample: true,
-	}})
+	risRes, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Sampling: fairim.Sampling{RISPerGroup: pool},
+		Config: fairim.Config{Tau: tau, Engine: fairim.EngineRIS, Seed: o.Seed + 4, ReportOnSample: true}})
 	if err != nil {
 		return nil, err
 	}
-	cfg := fairim.DefaultConfig(o.Seed + 1)
-	cfg.Tau = tau
-	cfg.Samples = pick(o, 300, 60)
-	fwd, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+	fwdSpec := fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Sampling: fairim.Sampling{Samples: pick(o, 300, 60)},
+		Config: fairim.DefaultConfig(o.Seed + 1)}
+	fwdSpec.Tau = tau
+	fwd, err := fairim.Solve(g, fwdSpec)
 	if err != nil {
 		return nil, err
 	}
 	// Evaluate both seed sets with the same fresh forward estimator.
-	risEval, err := fairim.Evaluate(g, risRes.Seeds, fairim.ProblemSpec{Config: cfg})
+	risEval, err := fairim.Evaluate(g, risRes.Seeds, fwdSpec)
 	if err != nil {
 		return nil, err
 	}
@@ -120,9 +119,9 @@ func runAblCurvature(o Options) (*stats.Table, error) {
 		"Ablation: curvature of H vs total influence and disparity (P4)",
 		"H", "total", "group1", "group2", "disparity")
 	for _, h := range hs {
-		cfg := synthConfig(o, o.Seed+1)
-		cfg.H = h
-		res, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: cfg})
+		base := synthSpec(o, o.Seed+1)
+		base.H = h
+		res, err := fairim.Solve(g, withBudget(base, fairim.P4, B))
 		if err != nil {
 			return nil, err
 		}
@@ -140,18 +139,18 @@ func runAblLT(o Options) (*stats.Table, error) {
 	t := stats.NewTable(
 		"Ablation: Fig 4a repeated under the Linear Threshold model",
 		"algorithm", "total", "group1", "group2", "disparity")
-	cfg := synthConfig(o, o.Seed+1)
-	cfg.Model = cascade.LT
-	cfg.Engine = fairim.EngineForwardMC // RIS cannot express LT
-	p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+	base := synthSpec(o, o.Seed+1)
+	base.Model = cascade.LT
+	base.Engine = fairim.EngineForwardMC // RIS cannot express LT
+	p1, err := fairim.Solve(g, withBudget(base, fairim.P1, B))
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("P1", p1.NormTotal, p1.NormPerGroup[0], p1.NormPerGroup[1], p1.Disparity)
 	for _, h := range []concave.Function{concave.Log{}, concave.Sqrt{}} {
-		c := cfg
+		c := base
 		c.H = h
-		p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: c})
+		p4, err := fairim.Solve(g, withBudget(c, fairim.P4, B))
 		if err != nil {
 			return nil, err
 		}
@@ -178,17 +177,17 @@ func runAblICM(o Options) (*stats.Table, error) {
 		"Ablation: IC-M meeting probability m vs influence and disparity (tau=5)",
 		"m", "P1-total", "P1-disparity", "P4-total", "P4-disparity")
 	for _, m := range ms {
-		cfg := synthConfig(o, o.Seed+1)
-		cfg.Engine = fairim.EngineForwardMC // RIS cannot express meeting delays
-		cfg.Tau = 5                         // tight deadline: mean per-hop delay 1/m now competes with τ
+		base := synthSpec(o, o.Seed+1)
+		base.Engine = fairim.EngineForwardMC // RIS cannot express meeting delays
+		base.Tau = 5                         // tight deadline: mean per-hop delay 1/m now competes with τ
 		if m < 1 {
-			cfg.Delay = cascade.GeometricDelay{M: m}
+			base.Delay = cascade.GeometricDelay{M: m}
 		}
-		p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+		p1, err := fairim.Solve(g, withBudget(base, fairim.P1, B))
 		if err != nil {
 			return nil, err
 		}
-		p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: cfg})
+		p4, err := fairim.Solve(g, withBudget(base, fairim.P4, B))
 		if err != nil {
 			return nil, err
 		}
@@ -215,14 +214,14 @@ func runAblDiscount(o Options) (*stats.Table, error) {
 		"Ablation: discounted utility gamma^t vs influence and disparity (tau=20)",
 		"gamma", "P1-total", "P1-disparity", "P4-total", "P4-disparity")
 	for _, gamma := range gammas {
-		cfg := synthConfig(o, o.Seed+1)
-		cfg.Engine = fairim.EngineForwardMC // RIS cannot express discounting
-		cfg.Discount = gamma
-		p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+		base := synthSpec(o, o.Seed+1)
+		base.Engine = fairim.EngineForwardMC // RIS cannot express discounting
+		base.Discount = gamma
+		p1, err := fairim.Solve(g, withBudget(base, fairim.P1, B))
 		if err != nil {
 			return nil, err
 		}
-		p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: cfg})
+		p4, err := fairim.Solve(g, withBudget(base, fairim.P4, B))
 		if err != nil {
 			return nil, err
 		}
@@ -240,17 +239,17 @@ func runAblRobust(o Options) (*stats.Table, error) {
 		return nil, err
 	}
 	B := synthBudget(o)
-	cfg := synthConfig(o, o.Seed+1)
+	base := synthSpec(o, o.Seed+1)
 	trials := pick(o, 20, 5)
 	drops := []float64{0, 0.2, 0.5}
 	if o.Quick {
 		drops = []float64{0, 0.5}
 	}
-	p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+	p1, err := fairim.Solve(g, withBudget(base, fairim.P1, B))
 	if err != nil {
 		return nil, err
 	}
-	p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: cfg})
+	p4, err := fairim.Solve(g, withBudget(base, fairim.P4, B))
 	if err != nil {
 		return nil, err
 	}
@@ -258,11 +257,11 @@ func runAblRobust(o Options) (*stats.Table, error) {
 		"Ablation: utility/disparity under independent seed dropout",
 		"dropProb", "P1-total", "P1-disparity", "P4-total", "P4-disparity", "P4-worstDisp")
 	for _, q := range drops {
-		r1, err := fairim.EvaluateSeedsRobust(g, p1.Seeds, cfg, q, trials)
+		r1, err := fairim.EvaluateSeedsRobust(g, p1.Seeds, base, q, trials)
 		if err != nil {
 			return nil, err
 		}
-		r4, err := fairim.EvaluateSeedsRobust(g, p4.Seeds, cfg, q, trials)
+		r4, err := fairim.EvaluateSeedsRobust(g, p4.Seeds, base, q, trials)
 		if err != nil {
 			return nil, err
 		}
@@ -282,19 +281,19 @@ func runAblSaturation(o Options) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := riceConfig(o)
-	cfg.Tau = 5
+	base := riceSpec(o)
+	base.Tau = 5
 	B := synthBudget(o)
 
 	t := stats.NewTable(
 		"Ablation: budgeted-parity frontier on Rice (tau=5, all-pairs Eq.2 disparity)",
 		"objective", "total", "disparity")
-	p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+	p1, err := fairim.Solve(g, withBudget(base, fairim.P1, B))
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("P1", p1.NormTotal, p1.Disparity)
-	p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: cfg})
+	p4, err := fairim.Solve(g, withBudget(base, fairim.P4, B))
 	if err != nil {
 		return nil, err
 	}
@@ -305,13 +304,13 @@ func runAblSaturation(o Options) (*stats.Table, error) {
 		targets = []float64{0.05}
 	}
 	for _, target := range targets {
-		wcfg := cfg
+		wcfg := base
 		wcfg.GroupWeights = fairim.NormalizedGroupWeights(g)
 		wcfg.H = concave.Saturated{
 			Cap:   float64(g.N()) / float64(g.NumGroups()) * target,
 			Inner: concave.Log{},
 		}
-		res, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: wcfg})
+		res, err := fairim.Solve(g, withBudget(wcfg, fairim.P4, B))
 		if err != nil {
 			return nil, err
 		}
@@ -341,7 +340,7 @@ func runAblSamples(o Options) (*stats.Table, error) {
 	for _, r := range counts {
 		vals := make([]float64, reps)
 		for rep := 0; rep < reps; rep++ {
-			util, err := influence.Estimate(g, seeds, tau, cascade.IC, r, o.Seed+int64(1000*r+rep))
+			util, err := influence.EstimateIC(g, seeds, tau, r, o.Seed+int64(1000*r+rep), 0, nil)
 			if err != nil {
 				return nil, err
 			}

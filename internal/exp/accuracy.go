@@ -30,7 +30,6 @@ func runAccuracy(o Options) (*stats.Table, error) {
 	B := synthBudget(o)
 	cfg := fairim.DefaultConfig(o.Seed)
 	cfg.Engine = o.Engine
-	cfg.Samples = 0 // budgets come from the Sampling block
 
 	t := stats.NewTable(
 		fmt.Sprintf("accuracy: stopping-rule sizing vs explicit budgets (engine %s, P4, B=%d)", o.Engine, B),

@@ -88,6 +88,20 @@ func pick(o Options, full, quick int) int {
 	return full
 }
 
+// withBudget returns base posed as the budget problem p (P1 or P4) with
+// seed budget b.
+func withBudget(base fairim.ProblemSpec, p fairim.Problem, b int) fairim.ProblemSpec {
+	base.Problem, base.Budget = p, b
+	return base
+}
+
+// withQuota returns base posed as the cover problem p (P2 or P6) with
+// coverage quota q.
+func withQuota(base fairim.ProblemSpec, p fairim.Problem, q float64) fairim.ProblemSpec {
+	base.Problem, base.Quota = p, q
+	return base
+}
+
 // mostDisparatePair returns the two group indices with the largest
 // normalized-utility gap in res — how the paper selects which two of the
 // 4 (Rice) or 5 (SNAP) groups to plot.

@@ -36,12 +36,11 @@ func riceGraph(o Options) (*graph.Graph, error) {
 	return datasets.RiceFacebook(0.01, o.Seed)
 }
 
-func riceConfig(o Options) fairim.Config {
-	cfg := fairim.DefaultConfig(o.Seed + 1)
-	cfg.Engine = o.Engine
-	cfg.Samples = pick(o, 500, 60)
-	cfg.EvalSamples = pick(o, 500, 120)
-	return cfg
+func riceSpec(o Options) fairim.ProblemSpec {
+	spec := fairim.ProblemSpec{Sampling: fairim.Sampling{Samples: pick(o, 500, 60)}, Config: fairim.DefaultConfig(o.Seed + 1)}
+	spec.Engine = o.Engine
+	spec.EvalSamples = pick(o, 500, 120)
+	return spec
 }
 
 func runFig7a(o Options) (*stats.Table, error) {
@@ -49,9 +48,9 @@ func runFig7a(o Options) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := riceConfig(o)
+	base := riceSpec(o)
 	B := synthBudget(o)
-	p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+	p1, err := fairim.Solve(g, withBudget(base, fairim.P1, B))
 	if err != nil {
 		return nil, err
 	}
@@ -61,9 +60,9 @@ func runFig7a(o Options) (*stats.Table, error) {
 		"algorithm", "total", "group1", "group2", "pair-disparity")
 	t.AddRow("P1", p1.NormTotal, p1.NormPerGroup[gi], p1.NormPerGroup[gj], pairDisparity(p1, gi, gj))
 	for _, h := range []concave.Function{concave.Log{}, concave.Sqrt{}} {
-		c := cfg
+		c := base
 		c.H = h
-		p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: c})
+		p4, err := fairim.Solve(g, withBudget(c, fairim.P4, B))
 		if err != nil {
 			return nil, err
 		}
@@ -77,17 +76,17 @@ func runFig7b(o Options) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := riceConfig(o)
+	base := riceSpec(o)
 	maxB := synthBudget(o)
 	budgets := []int{5, 10, 15, 20, 25, 30}
 	if o.Quick {
 		budgets = []int{2, 5, 10}
 	}
-	p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: maxB, Config: cfg})
+	p1, err := fairim.Solve(g, withBudget(base, fairim.P1, maxB))
 	if err != nil {
 		return nil, err
 	}
-	p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: maxB, Config: cfg})
+	p4, err := fairim.Solve(g, withBudget(base, fairim.P4, maxB))
 	if err != nil {
 		return nil, err
 	}
@@ -99,11 +98,11 @@ func runFig7b(o Options) (*stats.Table, error) {
 		if b > len(p1.Seeds) || b > len(p4.Seeds) {
 			continue
 		}
-		r1, err := fairim.Evaluate(g, p1.Seeds[:b], fairim.ProblemSpec{Config: cfg})
+		r1, err := fairim.Evaluate(g, p1.Seeds[:b], base)
 		if err != nil {
 			return nil, err
 		}
-		r4, err := fairim.Evaluate(g, p4.Seeds[:b], fairim.ProblemSpec{Config: cfg})
+		r4, err := fairim.Evaluate(g, p4.Seeds[:b], base)
 		if err != nil {
 			return nil, err
 		}
@@ -130,13 +129,13 @@ func runFig7c(o Options) (*stats.Table, error) {
 		"Fig 7c: Rice-Facebook disparity vs deadline tau (P1 vs P4-log; P1's max-disparity pair)",
 		"tau", "P1", "P4")
 	for _, tau := range taus {
-		cfg := riceConfig(o)
-		cfg.Tau = tau
-		p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+		base := riceSpec(o)
+		base.Tau = tau
+		p1, err := fairim.Solve(g, withBudget(base, fairim.P1, B))
 		if err != nil {
 			return nil, err
 		}
-		p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: cfg})
+		p4, err := fairim.Solve(g, withBudget(base, fairim.P4, B))
 		if err != nil {
 			return nil, err
 		}
@@ -155,13 +154,13 @@ func runFig8a(o Options) (*stats.Table, error) {
 	if o.Quick {
 		quota = 0.1
 	}
-	cfg := riceConfig(o)
-	cfg.Trace = true
-	p2, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P2, Quota: quota, Config: cfg})
+	base := riceSpec(o)
+	base.Trace = true
+	p2, err := fairim.Solve(g, withQuota(base, fairim.P2, quota))
 	if err != nil {
 		return nil, err
 	}
-	p6, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P6, Quota: quota, Config: cfg})
+	p6, err := fairim.Solve(g, withQuota(base, fairim.P6, quota))
 	if err != nil {
 		return nil, err
 	}
@@ -182,14 +181,14 @@ func riceCoverSweep(o Options, title string, sizes bool) (*stats.Table, error) {
 	if o.Quick {
 		quotas = []float64{0.05, 0.1}
 	}
-	cfg := riceConfig(o)
+	base := riceSpec(o)
 	// Determine the reporting pair from the first-quota P2 solution.
-	p2, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P2, Quota: quotas[0], Config: cfg})
+	p2, err := fairim.Solve(g, withQuota(base, fairim.P2, quotas[0]))
 	if err != nil {
 		return nil, err
 	}
 	gi, gj := mostDisparatePair(p2)
-	return coverSweepOn(g, quotas, cfg, title, sizes, gi, gj)
+	return coverSweepOn(g, quotas, base, title, sizes, gi, gj)
 }
 
 func runFig8b(o Options) (*stats.Table, error) {
@@ -203,7 +202,7 @@ func runFig8c(o Options) (*stats.Table, error) {
 // --- Instagram-Activities (§7.1: pe = 0.06, tau = 2, B = 30, candidate
 // subset of 5000 nodes, quotas {0.0015, 0.002}) ---
 
-func instagramSetup(o Options) (*graph.Graph, fairim.Config, error) {
+func instagramSetup(o Options) (*graph.Graph, fairim.ProblemSpec, error) {
 	scale := 0.1
 	candCount := 5000
 	if o.Quick {
@@ -212,20 +211,19 @@ func instagramSetup(o Options) (*graph.Graph, fairim.Config, error) {
 	}
 	g, err := datasets.Instagram(scale, 0.06, o.Seed)
 	if err != nil {
-		return nil, fairim.Config{}, err
+		return nil, fairim.ProblemSpec{}, err
 	}
-	cfg := fairim.DefaultConfig(o.Seed + 1)
-	cfg.Engine = o.Engine
-	cfg.Tau = 2
-	cfg.Samples = pick(o, 300, 40)
-	cfg.EvalSamples = pick(o, 300, 80)
+	spec := fairim.ProblemSpec{Sampling: fairim.Sampling{Samples: pick(o, 300, 40)}, Config: fairim.DefaultConfig(o.Seed + 1)}
+	spec.Engine = o.Engine
+	spec.Tau = 2
+	spec.EvalSamples = pick(o, 300, 80)
 	rng := xrand.New(o.Seed + 2)
-	cfg.Candidates = sortedCandidates(g, candCount, rng.Sample(g.N(), min(candCount, g.N())))
-	return g, cfg, nil
+	spec.Candidates = sortedCandidates(g, candCount, rng.Sample(g.N(), min(candCount, g.N())))
+	return g, spec, nil
 }
 
 func runFig9a(o Options) (*stats.Table, error) {
-	g, cfg, err := instagramSetup(o)
+	g, base, err := instagramSetup(o)
 	if err != nil {
 		return nil, err
 	}
@@ -233,15 +231,15 @@ func runFig9a(o Options) (*stats.Table, error) {
 	t := stats.NewTable(
 		"Fig 9a: Instagram budget problem, fraction influenced per gender",
 		"algorithm", "total", "male", "female", "disparity")
-	p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+	p1, err := fairim.Solve(g, withBudget(base, fairim.P1, B))
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("P1", p1.NormTotal, p1.NormPerGroup[0], p1.NormPerGroup[1], p1.Disparity)
 	for _, h := range []concave.Function{concave.Log{}, concave.Sqrt{}} {
-		c := cfg
+		c := base
 		c.H = h
-		p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: c})
+		p4, err := fairim.Solve(g, withBudget(c, fairim.P4, B))
 		if err != nil {
 			return nil, err
 		}
@@ -258,50 +256,49 @@ func instagramQuotas(o Options) []float64 {
 }
 
 func runFig9b(o Options) (*stats.Table, error) {
-	g, cfg, err := instagramSetup(o)
+	g, base, err := instagramSetup(o)
 	if err != nil {
 		return nil, err
 	}
-	return coverSweepOn(g, instagramQuotas(o), cfg,
+	return coverSweepOn(g, instagramQuotas(o), base,
 		"Fig 9b: Instagram cover problem, fraction influenced per gender", false, 0, 1)
 }
 
 func runFig9c(o Options) (*stats.Table, error) {
-	g, cfg, err := instagramSetup(o)
+	g, base, err := instagramSetup(o)
 	if err != nil {
 		return nil, err
 	}
-	return coverSweepOn(g, instagramQuotas(o), cfg,
+	return coverSweepOn(g, instagramQuotas(o), base,
 		"Fig 9c: Instagram cover problem, solution set size", true, 0, 1)
 }
 
 // --- Facebook-SNAP (Appendix C: pe = 0.01, tau = 20, five topological
 // groups via spectral clustering, Q = 0.1) ---
 
-func snapSetup(o Options) (*graph.Graph, fairim.Config, error) {
+func snapSetup(o Options) (*graph.Graph, fairim.ProblemSpec, error) {
 	g, err := datasets.FacebookSnap(0.01, o.Seed)
 	if err != nil {
-		return nil, fairim.Config{}, err
+		return nil, fairim.ProblemSpec{}, err
 	}
 	// Re-derive groups from topology, as the paper does.
 	gr, err := topologicalGroups(g, 5, o.Seed+3)
 	if err != nil {
-		return nil, fairim.Config{}, err
+		return nil, fairim.ProblemSpec{}, err
 	}
-	cfg := fairim.DefaultConfig(o.Seed + 1)
-	cfg.Engine = o.Engine
-	cfg.Samples = pick(o, 200, 40)
-	cfg.EvalSamples = pick(o, 300, 80)
-	return gr, cfg, nil
+	spec := fairim.ProblemSpec{Sampling: fairim.Sampling{Samples: pick(o, 200, 40)}, Config: fairim.DefaultConfig(o.Seed + 1)}
+	spec.Engine = o.Engine
+	spec.EvalSamples = pick(o, 300, 80)
+	return gr, spec, nil
 }
 
 func runFig10a(o Options) (*stats.Table, error) {
-	g, cfg, err := snapSetup(o)
+	g, base, err := snapSetup(o)
 	if err != nil {
 		return nil, err
 	}
 	B := synthBudget(o)
-	p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+	p1, err := fairim.Solve(g, withBudget(base, fairim.P1, B))
 	if err != nil {
 		return nil, err
 	}
@@ -311,9 +308,9 @@ func runFig10a(o Options) (*stats.Table, error) {
 		"algorithm", "total", "group1", "group2", "pair-disparity")
 	t.AddRow("P1", p1.NormTotal, p1.NormPerGroup[gi], p1.NormPerGroup[gj], pairDisparity(p1, gi, gj))
 	for _, h := range []concave.Function{concave.Log{}, concave.Sqrt{}} {
-		c := cfg
+		c := base
 		c.H = h
-		p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: c})
+		p4, err := fairim.Solve(g, withBudget(c, fairim.P4, B))
 		if err != nil {
 			return nil, err
 		}
@@ -330,26 +327,26 @@ func snapQuota(o Options) []float64 {
 }
 
 func runFig10b(o Options) (*stats.Table, error) {
-	g, cfg, err := snapSetup(o)
+	g, base, err := snapSetup(o)
 	if err != nil {
 		return nil, err
 	}
 	quotas := snapQuota(o)
-	p2, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P2, Quota: quotas[0], Config: cfg})
+	p2, err := fairim.Solve(g, withQuota(base, fairim.P2, quotas[0]))
 	if err != nil {
 		return nil, err
 	}
 	gi, gj := mostDisparatePair(p2)
-	return coverSweepOn(g, quotas, cfg,
+	return coverSweepOn(g, quotas, base,
 		"Fig 10b: Facebook-SNAP cover problem, group influence", false, gi, gj)
 }
 
 func runFig10c(o Options) (*stats.Table, error) {
-	g, cfg, err := snapSetup(o)
+	g, base, err := snapSetup(o)
 	if err != nil {
 		return nil, err
 	}
-	return coverSweepOn(g, snapQuota(o), cfg,
+	return coverSweepOn(g, snapQuota(o), base,
 		"Fig 10c: Facebook-SNAP cover problem, solution set size", true, 0, 1)
 }
 

@@ -26,12 +26,11 @@ func synthGraph(o Options, seed int64) (*graph.Graph, error) {
 	return generate.TwoBlock(cfg)
 }
 
-func synthConfig(o Options, seed int64) fairim.Config {
-	cfg := fairim.DefaultConfig(seed)
-	cfg.Engine = o.Engine
-	cfg.Samples = pick(o, 200, 50)
-	cfg.EvalSamples = pick(o, 400, 100)
-	return cfg
+func synthSpec(o Options, seed int64) fairim.ProblemSpec {
+	spec := fairim.ProblemSpec{Sampling: fairim.Sampling{Samples: pick(o, 200, 50)}, Config: fairim.DefaultConfig(seed)}
+	spec.Engine = o.Engine
+	spec.EvalSamples = pick(o, 400, 100)
+	return spec
 }
 
 func synthBudget(o Options) int { return pick(o, 30, 10) }
@@ -116,20 +115,19 @@ func runFig1(o Options) (*stats.Table, error) {
 	taus := []int32{cascade.NoDeadline, 4, 2}
 	tauName := map[int32]string{cascade.NoDeadline: "inf", 4: "4", 2: "2"}
 	for _, tau := range taus {
-		cfg := fairim.Config{
+		base := fairim.ProblemSpec{Sampling: fairim.Sampling{Samples: pick(o, 300, 80)}, Config: fairim.Config{
 			Tau:         tau,
 			Model:       cascade.IC,
 			Engine:      o.Engine,
-			Samples:     pick(o, 300, 80),
 			EvalSamples: pick(o, 1000, 200),
 			Seed:        o.Seed,
 			H:           concave.Log{},
-		}
-		p1, err := fairim.SolveTCIMBudgetExact(g, 2, cfg)
+		}}
+		p1, err := fairim.SolveExact(g, withBudget(base, fairim.P1, 2))
 		if err != nil {
 			return nil, err
 		}
-		p4, err := fairim.SolveFairTCIMBudgetExact(g, 2, cfg)
+		p4, err := fairim.SolveExact(g, withBudget(base, fairim.P4, 2))
 		if err != nil {
 			return nil, err
 		}
@@ -146,23 +144,23 @@ func runFig4a(o Options) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := synthConfig(o, o.Seed+1)
+	base := synthSpec(o, o.Seed+1)
 	B := synthBudget(o)
 
 	t := stats.NewTable(
 		"Fig 4a: fraction influenced, synthetic SBM (tau=20, B=30)",
 		"algorithm", "total", "group1", "group2", "disparity")
 
-	p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+	p1, err := fairim.Solve(g, withBudget(base, fairim.P1, B))
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("P1", p1.NormTotal, p1.NormPerGroup[0], p1.NormPerGroup[1], p1.Disparity)
 
 	for _, h := range []concave.Function{concave.Log{}, concave.Sqrt{}} {
-		c := cfg
+		c := base
 		c.H = h
-		p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: c})
+		p4, err := fairim.Solve(g, withBudget(c, fairim.P4, B))
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +174,7 @@ func runFig4b(o Options) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := synthConfig(o, o.Seed+1)
+	base := synthSpec(o, o.Seed+1)
 	maxB := synthBudget(o)
 	budgets := []int{5, 10, 15, 20, 25, 30}
 	if o.Quick {
@@ -185,11 +183,11 @@ func runFig4b(o Options) (*stats.Table, error) {
 
 	// Greedy solutions nest, so one max-budget run yields every prefix;
 	// each prefix is re-evaluated on fresh worlds.
-	p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: maxB, Config: cfg})
+	p1, err := fairim.Solve(g, withBudget(base, fairim.P1, maxB))
 	if err != nil {
 		return nil, err
 	}
-	p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: maxB, Config: cfg})
+	p4, err := fairim.Solve(g, withBudget(base, fairim.P4, maxB))
 	if err != nil {
 		return nil, err
 	}
@@ -200,11 +198,11 @@ func runFig4b(o Options) (*stats.Table, error) {
 		if b > len(p1.Seeds) || b > len(p4.Seeds) {
 			continue
 		}
-		r1, err := fairim.Evaluate(g, p1.Seeds[:b], fairim.ProblemSpec{Config: cfg})
+		r1, err := fairim.Evaluate(g, p1.Seeds[:b], base)
 		if err != nil {
 			return nil, err
 		}
-		r4, err := fairim.Evaluate(g, p4.Seeds[:b], fairim.ProblemSpec{Config: cfg})
+		r4, err := fairim.Evaluate(g, p4.Seeds[:b], base)
 		if err != nil {
 			return nil, err
 		}
@@ -229,13 +227,13 @@ func runFig4c(o Options) (*stats.Table, error) {
 		"Fig 4c: disparity vs deadline tau, P1 vs P4-log",
 		"tau", "P1", "P4")
 	for _, tau := range taus {
-		cfg := synthConfig(o, o.Seed+1)
-		cfg.Tau = tau
-		p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+		base := synthSpec(o, o.Seed+1)
+		base.Tau = tau
+		p1, err := fairim.Solve(g, withBudget(base, fairim.P1, B))
 		if err != nil {
 			return nil, err
 		}
-		p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: cfg})
+		p4, err := fairim.Solve(g, withBudget(base, fairim.P4, B))
 		if err != nil {
 			return nil, err
 		}
@@ -265,13 +263,13 @@ func runFig5a(o Options) (*stats.Table, error) {
 		}
 		row := make([]float64, 0, 4)
 		for _, tau := range []int32{2, cascade.NoDeadline} {
-			cfg := synthConfig(o, o.Seed+1)
-			cfg.Tau = tau
-			p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+			base := synthSpec(o, o.Seed+1)
+			base.Tau = tau
+			p1, err := fairim.Solve(g, withBudget(base, fairim.P1, B))
 			if err != nil {
 				return nil, err
 			}
-			p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: cfg})
+			p4, err := fairim.Solve(g, withBudget(base, fairim.P4, B))
 			if err != nil {
 				return nil, err
 			}
@@ -303,12 +301,12 @@ func runFig5b(o Options) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := synthConfig(o, o.Seed+1)
-		p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+		base := synthSpec(o, o.Seed+1)
+		p1, err := fairim.Solve(g, withBudget(base, fairim.P1, B))
 		if err != nil {
 			return nil, err
 		}
-		p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: cfg})
+		p4, err := fairim.Solve(g, withBudget(base, fairim.P4, B))
 		if err != nil {
 			return nil, err
 		}
@@ -339,12 +337,12 @@ func runFig5c(o Options) (*stats.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := synthConfig(o, o.Seed+1)
-		p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+		base := synthSpec(o, o.Seed+1)
+		p1, err := fairim.Solve(g, withBudget(base, fairim.P1, B))
 		if err != nil {
 			return nil, err
 		}
-		p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: cfg})
+		p4, err := fairim.Solve(g, withBudget(base, fairim.P4, B))
 		if err != nil {
 			return nil, err
 		}
@@ -362,13 +360,13 @@ func runFig6a(o Options) (*stats.Table, error) {
 	if o.Quick {
 		quota = 0.15
 	}
-	cfg := synthConfig(o, o.Seed+1)
-	cfg.Trace = true
-	p2, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P2, Quota: quota, Config: cfg})
+	base := synthSpec(o, o.Seed+1)
+	base.Trace = true
+	p2, err := fairim.Solve(g, withQuota(base, fairim.P2, quota))
 	if err != nil {
 		return nil, err
 	}
-	p6, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P6, Quota: quota, Config: cfg})
+	p6, err := fairim.Solve(g, withQuota(base, fairim.P6, quota))
 	if err != nil {
 		return nil, err
 	}
@@ -398,13 +396,13 @@ func coverQuotaSweep(o Options, title string, sizes bool) (*stats.Table, error) 
 	if o.Quick {
 		quotas = []float64{0.1, 0.2}
 	}
-	cfg := synthConfig(o, o.Seed+1)
-	return coverSweepOn(g, quotas, cfg, title, sizes, 0, 1)
+	base := synthSpec(o, o.Seed+1)
+	return coverSweepOn(g, quotas, base, title, sizes, 0, 1)
 }
 
 // coverSweepOn runs P2 and P6 for each quota on g and tabulates either the
 // two groups' influence fractions or the seed-set sizes.
-func coverSweepOn(g *graph.Graph, quotas []float64, cfg fairim.Config, title string, sizes bool, gi, gj int) (*stats.Table, error) {
+func coverSweepOn(g *graph.Graph, quotas []float64, base fairim.ProblemSpec, title string, sizes bool, gi, gj int) (*stats.Table, error) {
 	var t *stats.Table
 	if sizes {
 		t = stats.NewTable(title, "Q", "P2-size", "P6-size")
@@ -412,11 +410,11 @@ func coverSweepOn(g *graph.Graph, quotas []float64, cfg fairim.Config, title str
 		t = stats.NewTable(title, "Q", "P2-g1", "P2-g2", "P6-g1", "P6-g2")
 	}
 	for _, q := range quotas {
-		p2, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P2, Quota: q, Config: cfg})
+		p2, err := fairim.Solve(g, withQuota(base, fairim.P2, q))
 		if err != nil {
 			return nil, err
 		}
-		p6, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P6, Quota: q, Config: cfg})
+		p6, err := fairim.Solve(g, withQuota(base, fairim.P6, q))
 		if err != nil {
 			return nil, err
 		}

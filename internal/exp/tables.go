@@ -79,14 +79,14 @@ func runTabBaselines(o Options) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := synthConfig(o, o.Seed+1)
+	base := synthSpec(o, o.Seed+1)
 	B := synthBudget(o)
 
 	t := stats.NewTable(
 		"Seeding strategies on the synthetic SBM (tau=20): reach vs disparity",
 		"strategy", "total", "group1", "group2", "disparity")
 	addSeeds := func(name string, seeds []graph.NodeID) error {
-		res, err := fairim.Evaluate(g, seeds, fairim.ProblemSpec{Config: cfg})
+		res, err := fairim.Evaluate(g, seeds, base)
 		if err != nil {
 			return err
 		}
@@ -94,14 +94,14 @@ func runTabBaselines(o Options) (*stats.Table, error) {
 		return nil
 	}
 
-	p1, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P1, Budget: B, Config: cfg})
+	p1, err := fairim.Solve(g, withBudget(base, fairim.P1, B))
 	if err != nil {
 		return nil, err
 	}
 	if err := addSeeds("greedy-P1", p1.Seeds); err != nil {
 		return nil, err
 	}
-	p4, err := fairim.Solve(g, fairim.ProblemSpec{Problem: fairim.P4, Budget: B, Config: cfg})
+	p4, err := fairim.Solve(g, withBudget(base, fairim.P4, B))
 	if err != nil {
 		return nil, err
 	}

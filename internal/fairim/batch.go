@@ -101,7 +101,7 @@ func (s ProblemSpec) shareable(g *graph.Graph) (shareKey, bool) {
 		c.Estimator != nil || c.Warm != nil {
 		return shareKey{}, false
 	}
-	if s.Sampling.Samples < 0 || s.Sampling.RISPerGroup < 0 || c.Samples < 0 || c.EvalSamples < 0 || c.RISPerGroup < 0 {
+	if s.Sampling.Samples < 0 || s.Sampling.RISPerGroup < 0 || c.EvalSamples < 0 {
 		return shareKey{}, false
 	}
 	acc := s.Sampling.Accuracy

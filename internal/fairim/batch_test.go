@@ -68,16 +68,16 @@ func TestSolveBatchParityMatrix(t *testing.T) {
 	g := smallSBM(t, 7)
 	engines := []struct {
 		name string
+		smp  Sampling
 		cfg  func() Config
 	}{
-		{"forward-mc", func() Config {
+		{"forward-mc", quick, func() Config {
 			cfg := quickCfg(5)
 			return cfg
 		}},
-		{"ris", func() Config {
+		{"ris", Sampling{Samples: quick.Samples, RISPerGroup: 400}, func() Config {
 			cfg := quickCfg(5)
 			cfg.Engine = EngineRIS
-			cfg.RISPerGroup = 400
 			return cfg
 		}},
 	}
@@ -99,6 +99,9 @@ func TestSolveBatchParityMatrix(t *testing.T) {
 				{Problem: P6, Quota: 0.25, Config: base},
 				{Problem: P6, Quota: 0.25, Config: traced},
 				{Problem: P2, Quota: 0.5, Config: base}, // different quota: own group
+			}
+			for i := range specs {
+				specs[i].Sampling = eng.smp
 			}
 			outcomes, report := SolveBatch(g, specs, nil)
 			if len(outcomes) != len(specs) {
@@ -130,11 +133,11 @@ func TestSolveBatchWarmPrefix(t *testing.T) {
 	g := smallSBM(t, 3)
 	base := quickCfg(9)
 	base.Engine = EngineRIS
-	base.RISPerGroup = 400
+	smp := Sampling{Samples: quick.Samples, RISPerGroup: 400}
 
 	capture := base
 	capture.CaptureWarm = true
-	seedRun, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Config: capture})
+	seedRun, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Sampling: smp, Config: capture})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +148,7 @@ func TestSolveBatchWarmPrefix(t *testing.T) {
 	budgets := []int{2, 4, 7}
 	specs := make([]ProblemSpec, len(budgets))
 	for i, b := range budgets {
-		specs[i] = ProblemSpec{Problem: P4, Budget: b, Config: base}
+		specs[i] = ProblemSpec{Problem: P4, Budget: b, Sampling: smp, Config: base}
 	}
 	warmCalls := 0
 	var captured *WarmStart
@@ -192,7 +195,7 @@ func TestSolveBatchGrouping(t *testing.T) {
 	fw := quickCfg(2)
 	rs := quickCfg(2)
 	rs.Engine = EngineRIS
-	rs.RISPerGroup = 300
+	rsSmp := Sampling{Samples: quick.Samples, RISPerGroup: 300}
 	plain := fw
 	plain.PlainGreedy = true
 	restricted := fw
@@ -209,22 +212,22 @@ func TestSolveBatchGrouping(t *testing.T) {
 
 	acc := &Accuracy{Epsilon: 0.4, Delta: 0.2}
 	specs := []ProblemSpec{
-		{Problem: P1, Budget: 3, Config: fw},                                    // 0: singleton (no partner)
-		{Problem: P1, Budget: 3, Config: rs},                                    // 1: other engine, own unit
-		{Problem: P1, Budget: 2, Config: plain},                                 // 2: plain greedy, alone
-		{Problem: P1, Budget: 2, Config: restricted},                            // 3: candidate-restricted, alone
+		{Problem: P1, Budget: 3, Sampling: quick, Config: fw},                   // 0: singleton (no partner)
+		{Problem: P1, Budget: 3, Sampling: rsSmp, Config: rs},                   // 1: other engine, own unit
+		{Problem: P1, Budget: 2, Sampling: quick, Config: plain},                // 2: plain greedy, alone
+		{Problem: P1, Budget: 2, Sampling: quick, Config: restricted},           // 3: candidate-restricted, alone
 		{Problem: P4, Budget: 3, Sampling: Sampling{Accuracy: acc}, Config: fw}, // 4: accuracy pair...
 		{Problem: P4, Budget: 3, Sampling: Sampling{Accuracy: acc}, Config: fw}, // 5: ...same sizing budget, shares
 		{Problem: P4, Budget: 5, Sampling: Sampling{Accuracy: acc}, Config: fw}, // 6: other sizing budget, alone
-		{Problem: P1, Budget: 0, Config: fw},                                    // 7: invalid budget
-		{Problem: 0, Budget: 3, Config: fw},                                     // 8: invalid problem
+		{Problem: P1, Budget: 0, Sampling: quick, Config: fw},                   // 7: invalid budget
+		{Problem: 0, Budget: 3, Sampling: quick, Config: fw},                    // 8: invalid problem
 		// Lone specs streaming their picks (OnIteration is set below).
-		{Problem: P4, Budget: 3, Config: weighted},   // 9: group weights
-		{Problem: P1, Budget: 3, Config: discounted}, // 10: discounted diffusion
-		{Problem: P1, Budget: 3, Config: delayed},    // 11: delayed diffusion
-		{Problem: P2, Quota: 0.3, Config: plain},     // 12: plain-greedy cover
-		{Problem: P6, Quota: 0.25, Config: plain},    // 13: plain-greedy fair cover
-		{Problem: P4, Budget: 4, Config: reported},   // 14: on-sample report with trace
+		{Problem: P4, Budget: 3, Sampling: quick, Config: weighted},   // 9: group weights
+		{Problem: P1, Budget: 3, Sampling: quick, Config: discounted}, // 10: discounted diffusion
+		{Problem: P1, Budget: 3, Sampling: quick, Config: delayed},    // 11: delayed diffusion
+		{Problem: P2, Quota: 0.3, Sampling: quick, Config: plain},     // 12: plain-greedy cover
+		{Problem: P6, Quota: 0.25, Sampling: quick, Config: plain},    // 13: plain-greedy fair cover
+		{Problem: P4, Budget: 4, Sampling: quick, Config: reported},   // 14: on-sample report with trace
 	}
 	const streamed = 9
 	streams := make([][]IterationStat, len(specs))
@@ -299,7 +302,7 @@ func TestSolveBatchSingletonHooks(t *testing.T) {
 	cfg := DefaultConfig(5)
 	cfg.Tau = 5
 	cfg.Engine = EngineRIS
-	cfg.RISPerGroup = 300
+	smp := Sampling{RISPerGroup: 300}
 	cfg.ReportOnSample = true
 	col, err := ris.Sample(g, cfg.Tau, []int{300, 300}, cfg.Seed, 0)
 	if err != nil {
@@ -308,7 +311,7 @@ func TestSolveBatchSingletonHooks(t *testing.T) {
 	capture := cfg
 	capture.Estimator = ris.NewEstimator(col)
 	capture.CaptureWarm = true
-	prefix, err := Solve(g, ProblemSpec{Problem: P4, Budget: 3, Config: capture})
+	prefix, err := Solve(g, ProblemSpec{Problem: P4, Budget: 3, Sampling: smp, Config: capture})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +320,7 @@ func TestSolveBatchSingletonHooks(t *testing.T) {
 	}
 
 	var picks []IterationStat
-	spec := ProblemSpec{Problem: P4, Budget: 5, Config: cfg}
+	spec := ProblemSpec{Problem: P4, Budget: 5, Sampling: smp, Config: cfg}
 	spec.OnIteration = func(st IterationStat) { picks = append(picks, st) }
 	estimatorCalls := 0
 	var captured *WarmStart
@@ -366,8 +369,8 @@ func TestSolveBatchSaturatedMember(t *testing.T) {
 	b.SetGroups([]int{0, 0, 0, 1, 1})
 	g := b.MustBuild()
 	specs := []ProblemSpec{
-		{Problem: P1, Budget: 1, Config: quickCfg(1)},
-		{Problem: P1, Budget: 3, Config: quickCfg(1)},
+		{Problem: P1, Budget: 1, Sampling: quick, Config: quickCfg(1)},
+		{Problem: P1, Budget: 3, Sampling: quick, Config: quickCfg(1)},
 	}
 	outcomes, report := SolveBatch(g, specs, nil)
 	if report.Groups != 1 || report.Coalesced != 2 {
@@ -388,8 +391,8 @@ func TestSolveBatchSeedsNotAliased(t *testing.T) {
 	g := smallSBM(t, 6)
 	base := quickCfg(11)
 	specs := []ProblemSpec{
-		{Problem: P1, Budget: 2, Config: base},
-		{Problem: P1, Budget: 4, Config: base},
+		{Problem: P1, Budget: 2, Sampling: quick, Config: base},
+		{Problem: P1, Budget: 4, Sampling: quick, Config: base},
 	}
 	outcomes, _ := SolveBatch(g, specs, nil)
 	for i := range outcomes {

@@ -18,9 +18,8 @@ func TestEnginesAgreeOnDeterministicGraph(t *testing.T) {
 	for _, engine := range []Engine{EngineForwardMC, EngineRIS} {
 		cfg := DefaultConfig(1)
 		cfg.Tau = 1
-		cfg.Samples = 50
 		cfg.Engine = engine
-		res, err := Solve(g, ProblemSpec{Problem: P1, Budget: 2, Config: cfg})
+		res, err := Solve(g, ProblemSpec{Problem: P1, Budget: 2, Sampling: Sampling{Samples: 50}, Config: cfg})
 		if err != nil {
 			t.Fatalf("%v: %v", engine, err)
 		}

@@ -3,46 +3,33 @@ package fairim
 import (
 	"fmt"
 
-	"fairtcim/internal/estimator"
 	"fairtcim/internal/graph"
 	"fairtcim/internal/submodular"
 )
 
-// The exact solvers enumerate every candidate subset of the given budget
-// and are exponential in the budget. They exist for the 38-node Figure-1
+// SolveExact solves the spec's budget problem, P1 or P4, by enumerating
+// every candidate subset of the budget on the optimization sample the spec
+// sizes, and reports the optimum on fresh worlds like Solve. It is
+// exponential in the budget, and exists for the 38-node Figure-1
 // illustration (which reports *optimal* solutions, not greedy ones) and as
-// test oracles for the greedy guarantees.
-
-// SolveTCIMBudgetExact solves P1 by exhaustive enumeration.
-func SolveTCIMBudgetExact(g *graph.Graph, budget int, cfg Config) (*Result, error) {
-	return solveExact("P1", g, budget, cfg, func(e estimator.Estimator) *objective {
-		return newObjective(g, e, totalValue{}, Config{}, min(budget, g.N()))
-	})
-}
-
-// SolveFairTCIMBudgetExact solves P4 by exhaustive enumeration.
-func SolveFairTCIMBudgetExact(g *graph.Graph, budget int, cfg Config) (*Result, error) {
-	return solveExact("P4", g, budget, cfg, func(e estimator.Estimator) *objective {
-		return newObjective(g, e, concaveValue{h: cfg.h(), weights: cfg.GroupWeights}, Config{}, min(budget, g.N()))
-	})
-}
-
-func solveExact(problem string, g *graph.Graph, budget int, cfg Config, mk func(estimator.Estimator) *objective) (*Result, error) {
-	if err := cfg.validate(g); err != nil {
+// a test oracle for the greedy guarantees.
+func SolveExact(g *graph.Graph, spec ProblemSpec) (*Result, error) {
+	if err := spec.validateConstraint(); err != nil {
 		return nil, err
 	}
-	if budget <= 0 {
-		return nil, fmt.Errorf("fairim: budget must be positive, got %d", budget)
+	if !spec.Problem.IsBudget() {
+		return nil, fmt.Errorf("fairim: the exact solver takes P1 or P4, got %v", spec.Problem)
 	}
-	eval, err := cfg.newEstimator(g)
+	cfg, eval, err := spec.resolve(g, spec.Budget, resolveSolve)
 	if err != nil {
 		return nil, err
 	}
+	vf := spec.valueFn()
 	factory := func() submodular.Objective {
 		eval.Reset()
-		return mk(eval)
+		return newObjective(g, eval, vf, Config{}, min(spec.Budget, g.N()))
 	}
-	seeds, _, err := submodular.BruteForceMax(factory, cfg.candidates(g), budget)
+	seeds, _, err := submodular.BruteForceMax(factory, cfg.candidates(g), spec.Budget)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +37,7 @@ func solveExact(problem string, g *graph.Graph, budget int, cfg Config, mk func(
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Problem: problem, Seeds: seeds, PerGroup: perGroup}
+	out := &Result{Problem: spec.Problem.String(), Seeds: seeds, PerGroup: perGroup}
 	fillDerived(out, g)
 	return out, nil
 }

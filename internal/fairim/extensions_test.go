@@ -17,7 +17,7 @@ func TestDelayedDiffusionSolve(t *testing.T) {
 	cfg.Tau = 6
 	cfg.Delay = cascade.GeometricDelay{M: 0.5}
 
-	res, err := Solve(g, ProblemSpec{Problem: P4, Budget: 5, Config: cfg})
+	res, err := Solve(g, ProblemSpec{Problem: P4, Budget: 5, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestDelayedDiffusionSolve(t *testing.T) {
 	// Same budget without delays reaches more people within the deadline.
 	cfg2 := cfg
 	cfg2.Delay = nil
-	plain, err := Solve(g, ProblemSpec{Problem: P4, Budget: 5, Config: cfg2})
+	plain, err := Solve(g, ProblemSpec{Problem: P4, Budget: 5, Sampling: quick, Config: cfg2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +43,12 @@ func TestDelayedCoverNeedsMoreSeeds(t *testing.T) {
 	cfg.Tau = 6
 	const quota = 0.15
 
-	plain, err := Solve(g, ProblemSpec{Problem: P2, Quota: quota, Config: cfg})
+	plain, err := Solve(g, ProblemSpec{Problem: P2, Quota: quota, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Delay = cascade.GeometricDelay{M: 0.4}
-	delayed, err := Solve(g, ProblemSpec{Problem: P2, Quota: quota, Config: cfg})
+	delayed, err := Solve(g, ProblemSpec{Problem: P2, Quota: quota, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +62,12 @@ func TestDelayedValidation(t *testing.T) {
 	cfg := quickCfg(35)
 	cfg.Delay = cascade.GeometricDelay{M: 0.5}
 	cfg.Model = cascade.LT
-	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: cfg}); err == nil {
+	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Sampling: quick, Config: cfg}); err == nil {
 		t.Fatal("Delay+LT accepted")
 	}
 	cfg.Model = cascade.IC
 	cfg.Discount = 0.5
-	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: cfg}); err == nil {
+	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Sampling: quick, Config: cfg}); err == nil {
 		t.Fatal("Delay+Discount accepted")
 	}
 }
@@ -77,7 +77,7 @@ func TestDiscountedSolve(t *testing.T) {
 	cfg := quickCfg(37)
 	cfg.Discount = 0.7
 
-	res, err := Solve(g, ProblemSpec{Problem: P4, Budget: 5, Config: cfg})
+	res, err := Solve(g, ProblemSpec{Problem: P4, Budget: 5, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestDiscountedSolve(t *testing.T) {
 	// seeds (report paths differ only in the discount).
 	cfg2 := cfg
 	cfg2.Discount = 0
-	same, err := Evaluate(g, res.Seeds, ProblemSpec{Config: cfg2})
+	same, err := Evaluate(g, res.Seeds, ProblemSpec{Sampling: quick, Config: cfg2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestDiscountValidation(t *testing.T) {
 	cfg := quickCfg(39)
 	for _, d := range []float64{-0.2, 1.0, 2.5} {
 		cfg.Discount = d
-		if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: cfg}); err == nil {
+		if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Sampling: quick, Config: cfg}); err == nil {
 			t.Fatalf("discount %v accepted", d)
 		}
 	}
@@ -113,7 +113,7 @@ func TestDiscountedEvaluateSeeds(t *testing.T) {
 	g := smallSBM(t, 40)
 	cfg := quickCfg(41)
 	cfg.Discount = 0.8
-	res, err := Evaluate(g, []graph.NodeID{0, 50}, ProblemSpec{Config: cfg})
+	res, err := Evaluate(g, []graph.NodeID{0, 50}, ProblemSpec{Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestDelayedTraceMonotone(t *testing.T) {
 	cfg.Tau = 8
 	cfg.Delay = cascade.UniformDelay{Min: 1, Max: 3}
 	cfg.Trace = true
-	res, err := Solve(g, ProblemSpec{Problem: P6, Quota: 0.1, Config: cfg})
+	res, err := Solve(g, ProblemSpec{Problem: P6, Quota: 0.1, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,6 @@ import (
 	"fairtcim/internal/estimator"
 	"fairtcim/internal/graph"
 	"fairtcim/internal/influence"
-	"fairtcim/internal/ris"
 	"fairtcim/internal/submodular"
 )
 
@@ -78,14 +77,15 @@ func EngineByName(name string) (Engine, error) {
 // Config carries the parameters shared by all solvers. The zero value is
 // not usable; start from DefaultConfig.
 type Config struct {
-	Tau         int32         // deadline τ; cascade.NoDeadline means τ = ∞
-	Model       cascade.Model // diffusion model (IC default, LT extension)
-	Engine      Engine        // estimation engine (forward Monte Carlo default)
-	Samples     int           // Monte-Carlo worlds used during optimization
-	EvalSamples int           // fresh worlds for the final report; 0 = Samples
-	// RISPerGroup is the number of RR sets sampled per group when Engine
-	// is EngineRIS; 0 derives a pool from Samples (20·Samples per group).
-	RISPerGroup int
+	Tau    int32         // deadline τ; cascade.NoDeadline means τ = ∞
+	Model  cascade.Model // diffusion model (IC default, LT extension)
+	Engine Engine        // estimation engine (forward Monte Carlo default)
+	// EvalSamples is the number of fresh worlds the final report draws. 0
+	// takes the accuracy target's EvalWorlds when ProblemSpec.Sampling
+	// sets one, else the optimization world count ProblemSpec.Counts
+	// resolves. The optimization sample itself is sized only by
+	// ProblemSpec.Sampling.
+	EvalSamples int
 	Seed        int64            // seeds both world sets deterministically
 	Parallelism int              // worker count for sampling and first-pass gains; 0 = GOMAXPROCS
 	Candidates  []graph.NodeID   // permissible seeds; nil = every node
@@ -145,7 +145,7 @@ type Config struct {
 	// set) is Reset and reused, skipping sampling entirely. Its graph must
 	// match the solve's graph, and the instance must not be shared by
 	// concurrent solves — build one estimator per request from the shared
-	// (read-only) sample. Engine, Samples and RISPerGroup are ignored for
+	// (read-only) sample. Engine and ProblemSpec.Sampling are ignored for
 	// optimization when set; final-report estimation still uses Model,
 	// EvalSamples and Seed.
 	Estimator estimator.Estimator
@@ -195,9 +195,11 @@ type WarmStart struct {
 }
 
 // DefaultConfig returns the paper's synthetic-experiment defaults (§6.1):
-// τ = 20 and 200 Monte-Carlo samples.
+// τ = 20 under IC with the log wrapper. The 200 Monte-Carlo samples of
+// §6.1 are DefaultSamples, which ProblemSpec.Counts applies when
+// ProblemSpec.Sampling sets no count.
 func DefaultConfig(seed int64) Config {
-	return Config{Tau: 20, Model: cascade.IC, Samples: 200, Seed: seed, H: concave.Log{}}
+	return Config{Tau: 20, Model: cascade.IC, Seed: seed, H: concave.Log{}}
 }
 
 // IterationStat snapshots the state after one greedy pick, estimated on
@@ -245,9 +247,6 @@ func (c *Config) validate(g *graph.Graph) error {
 	if c.Tau < 0 {
 		return fmt.Errorf("fairim: negative deadline %d", c.Tau)
 	}
-	if c.Samples <= 0 {
-		return fmt.Errorf("fairim: need positive Samples, got %d", c.Samples)
-	}
 	if c.EvalSamples < 0 {
 		return fmt.Errorf("fairim: negative EvalSamples")
 	}
@@ -278,9 +277,6 @@ func (c *Config) validate(g *graph.Graph) error {
 		if c.Discount > 0 {
 			return fmt.Errorf("fairim: Delay and Discount cannot be combined")
 		}
-	}
-	if c.RISPerGroup < 0 {
-		return fmt.Errorf("fairim: negative RISPerGroup")
 	}
 	if c.Estimator != nil && c.Estimator.Graph() != g {
 		return fmt.Errorf("fairim: injected estimator built for a different graph")
@@ -337,13 +333,6 @@ func (c *Config) h() concave.Function {
 	return c.H
 }
 
-func (c *Config) evalSamples() int {
-	if c.EvalSamples > 0 {
-		return c.EvalSamples
-	}
-	return c.Samples
-}
-
 func (c *Config) maxSeeds(g *graph.Graph) int {
 	if c.MaxSeeds > 0 {
 		return c.MaxSeeds
@@ -351,40 +340,9 @@ func (c *Config) maxSeeds(g *graph.Graph) int {
 	return g.N()
 }
 
-// risPerGroup resolves the per-group RR pool size.
-func (c *Config) risPerGroup() int {
-	_, n := ProblemSpec{Config: *c}.Counts()
-	return n
-}
-
-// newEstimator returns the injected warm estimator if one is configured,
-// else samples the optimization sample (live-edge worlds or RR pools, per
-// c.Engine) and wraps it in the matching estimator.
-func (c *Config) newEstimator(g *graph.Graph) (estimator.Estimator, error) {
-	if c.Estimator != nil {
-		c.Estimator.Reset()
-		return c.Estimator, nil
-	}
-	if c.Engine == EngineRIS {
-		perGroup := make([]int, g.NumGroups())
-		for i := range perGroup {
-			perGroup[i] = c.risPerGroup()
-		}
-		col, err := ris.SampleCancel(g, c.Tau, perGroup, c.Seed, c.Parallelism, c.Cancel)
-		if err != nil {
-			return nil, mapCanceled(err)
-		}
-		return ris.NewEstimator(col), nil
-	}
-	e, err := c.forwardMC(g, c.Samples, c.Seed, c.Cancel)
-	if err != nil {
-		return nil, err // an untyped nil, not a nil *influence.Evaluator
-	}
-	return e, nil
-}
-
-// estimate evaluates seeds on the fresh worlds seeded Seed+1 under the
-// configured model. The 0/1 IC utility reads only the coins its search
+// estimate evaluates seeds on the EvalSamples fresh worlds seeded Seed+1
+// under the configured model; c must come from ProblemSpec.resolve, which
+// fills EvalSamples. The 0/1 IC utility reads only the coins its search
 // reaches (influence.EstimateIC) and draws no world. LT, delayed and
 // discounted reports still sample their worlds: an LT world picks one
 // in-arc per node, a delayed one spends a varying number of draws on each
@@ -392,10 +350,10 @@ func (c *Config) newEstimator(g *graph.Graph) (estimator.Estimator, error) {
 // so none is replayed bit for bit by that search.
 func (c *Config) estimate(g *graph.Graph, seeds []graph.NodeID) ([]float64, error) {
 	if c.Model == cascade.IC && c.Delay == nil && c.Discount == 0 {
-		util, err := influence.EstimateIC(g, seeds, c.Tau, c.evalSamples(), c.Seed+1, c.Parallelism, c.Cancel)
+		util, err := influence.EstimateIC(g, seeds, c.Tau, c.EvalSamples, c.Seed+1, c.Parallelism, c.Cancel)
 		return util, mapCanceled(err)
 	}
-	e, err := c.forwardMC(g, c.evalSamples(), c.Seed+1, c.Cancel)
+	e, err := c.forwardMC(g, c.EvalSamples, c.Seed+1, c.Cancel)
 	if err != nil {
 		return nil, err
 	}

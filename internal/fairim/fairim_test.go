@@ -24,35 +24,41 @@ func smallSBM(t *testing.T, seed int64) *graph.Graph {
 	return g
 }
 
+// quickCfg and quick together size the package's quick solves: τ = 10,
+// 60 forward-MC worlds (so 1,200 RR sets per group under RIS) and 120
+// report worlds.
 func quickCfg(seed int64) Config {
 	cfg := DefaultConfig(seed)
 	cfg.Tau = 10
-	cfg.Samples = 60
 	cfg.EvalSamples = 120
 	return cfg
 }
 
+var quick = Sampling{Samples: 60}
+
 func TestConfigValidation(t *testing.T) {
 	g := smallSBM(t, 1)
-	bad := []Config{
-		{Tau: -1, Samples: 10},
-		{Tau: 5, Samples: -2}, // zero now means DefaultSamples; negative stays invalid
-		{Tau: 5, Samples: 10, EvalSamples: -1},
-		{Tau: 5, Samples: 10, Candidates: []graph.NodeID{-1}},
-		{Tau: 5, Samples: 10, Candidates: []graph.NodeID{9999}},
+	ten := Sampling{Samples: 10}
+	bad := []ProblemSpec{
+		{Sampling: ten, Config: Config{Tau: -1}},
+		{Sampling: Sampling{Samples: -2}, Config: Config{Tau: 5}}, // zero means DefaultSamples; negative stays invalid
+		{Sampling: ten, Config: Config{Tau: 5, EvalSamples: -1}},
+		{Sampling: ten, Config: Config{Tau: 5, Candidates: []graph.NodeID{-1}}},
+		{Sampling: ten, Config: Config{Tau: 5, Candidates: []graph.NodeID{9999}}},
 	}
-	for i, cfg := range bad {
-		if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 2, Config: cfg}); err == nil {
+	for i, spec := range bad {
+		spec.Problem, spec.Budget = P1, 2
+		if _, err := Solve(g, spec); err == nil {
 			t.Fatalf("case %d: invalid config accepted", i)
 		}
 	}
-	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 0, Config: quickCfg(1)}); err == nil {
+	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 0, Sampling: quick, Config: quickCfg(1)}); err == nil {
 		t.Fatal("zero budget accepted")
 	}
-	if _, err := Solve(g, ProblemSpec{Problem: P2, Quota: 0, Config: quickCfg(1)}); err == nil {
+	if _, err := Solve(g, ProblemSpec{Problem: P2, Quota: 0, Sampling: quick, Config: quickCfg(1)}); err == nil {
 		t.Fatal("zero quota accepted")
 	}
-	if _, err := Solve(g, ProblemSpec{Problem: P2, Quota: 1.5, Config: quickCfg(1)}); err == nil {
+	if _, err := Solve(g, ProblemSpec{Problem: P2, Quota: 1.5, Sampling: quick, Config: quickCfg(1)}); err == nil {
 		t.Fatal("quota > 1 accepted")
 	}
 }
@@ -61,7 +67,7 @@ func TestBudgetSolversBasic(t *testing.T) {
 	g := smallSBM(t, 2)
 	cfg := quickCfg(3)
 	for _, p := range []Problem{P1, P4} {
-		res, err := Solve(g, ProblemSpec{Problem: p, Budget: 5, Config: cfg})
+		res, err := Solve(g, ProblemSpec{Problem: p, Budget: 5, Sampling: quick, Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,11 +106,11 @@ func TestFairnessReducesDisparity(t *testing.T) {
 		t.Run(engine.String(), func(t *testing.T) {
 			cfg := quickCfg(5)
 			cfg.Engine = engine
-			p1, err := Solve(g, ProblemSpec{Problem: P1, Budget: 8, Config: cfg})
+			p1, err := Solve(g, ProblemSpec{Problem: P1, Budget: 8, Sampling: quick, Config: cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
-			p4, err := Solve(g, ProblemSpec{Problem: P4, Budget: 8, Config: cfg})
+			p4, err := Solve(g, ProblemSpec{Problem: P4, Budget: 8, Sampling: quick, Config: cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,11 +127,11 @@ func TestFairnessReducesDisparity(t *testing.T) {
 func TestDeterministicForSeed(t *testing.T) {
 	g := smallSBM(t, 6)
 	cfg := quickCfg(7)
-	a, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Config: cfg})
+	a, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Config: cfg})
+	b, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +148,12 @@ func TestDeterministicForSeed(t *testing.T) {
 func TestPlainGreedyMatchesCELF(t *testing.T) {
 	g := smallSBM(t, 8)
 	cfg := quickCfg(9)
-	lazy, err := Solve(g, ProblemSpec{Problem: P4, Budget: 6, Config: cfg})
+	lazy, err := Solve(g, ProblemSpec{Problem: P4, Budget: 6, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.PlainGreedy = true
-	plain, err := Solve(g, ProblemSpec{Problem: P4, Budget: 6, Config: cfg})
+	plain, err := Solve(g, ProblemSpec{Problem: P4, Budget: 6, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +174,7 @@ func TestCoverSolversReachQuota(t *testing.T) {
 		t.Run(engine.String(), func(t *testing.T) {
 			cfg := quickCfg(11)
 			cfg.Engine = engine
-			p2, err := Solve(g, ProblemSpec{Problem: P2, Quota: quota, Config: cfg})
+			p2, err := Solve(g, ProblemSpec{Problem: P2, Quota: quota, Sampling: quick, Config: cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +182,7 @@ func TestCoverSolversReachQuota(t *testing.T) {
 				t.Fatalf("P2 reached %v < quota %v", p2.NormTotal, quota)
 			}
 
-			p6, err := Solve(g, ProblemSpec{Problem: P6, Quota: quota, Config: cfg})
+			p6, err := Solve(g, ProblemSpec{Problem: P6, Quota: quota, Sampling: quick, Config: cfg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +209,7 @@ func TestCoverInfeasibleQuota(t *testing.T) {
 	g := b.MustBuild()
 	cfg := quickCfg(12)
 	cfg.MaxSeeds = 1
-	if _, err := Solve(g, ProblemSpec{Problem: P6, Quota: 1.0, Config: cfg}); err == nil {
+	if _, err := Solve(g, ProblemSpec{Problem: P6, Quota: 1.0, Sampling: quick, Config: cfg}); err == nil {
 		t.Fatal("infeasible cover did not error")
 	}
 }
@@ -215,7 +221,7 @@ func TestCoverIsolatedGraphFullQuota(t *testing.T) {
 	b.SetGroups([]int{0, 0, 1, 1})
 	g := b.MustBuild()
 	cfg := quickCfg(13)
-	res, err := Solve(g, ProblemSpec{Problem: P6, Quota: 1.0, Config: cfg})
+	res, err := Solve(g, ProblemSpec{Problem: P6, Quota: 1.0, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +237,7 @@ func TestTraceRecorded(t *testing.T) {
 	g := smallSBM(t, 14)
 	cfg := quickCfg(15)
 	cfg.Trace = true
-	res, err := Solve(g, ProblemSpec{Problem: P6, Quota: 0.15, Config: cfg})
+	res, err := Solve(g, ProblemSpec{Problem: P6, Quota: 0.15, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +254,7 @@ func TestTraceRecorded(t *testing.T) {
 	}
 	// No trace by default.
 	cfg.Trace = false
-	res2, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: cfg})
+	res2, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +267,7 @@ func TestCandidateRestriction(t *testing.T) {
 	g := smallSBM(t, 16)
 	cfg := quickCfg(17)
 	cfg.Candidates = []graph.NodeID{0, 1, 2, 3, 4}
-	res, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: cfg})
+	res, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +278,7 @@ func TestCandidateRestriction(t *testing.T) {
 	}
 	// A budget beyond the candidate set stops once every candidate is
 	// seeded: each unseeded node still gains at least itself.
-	res, err = Solve(g, ProblemSpec{Problem: P1, Budget: 8, Config: cfg})
+	res, err = Solve(g, ProblemSpec{Problem: P1, Budget: 8, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,22 +290,22 @@ func TestCandidateRestriction(t *testing.T) {
 func TestEvaluateSeeds(t *testing.T) {
 	g := smallSBM(t, 18)
 	cfg := quickCfg(19)
-	res, err := Evaluate(g, []graph.NodeID{0, 60}, ProblemSpec{Config: cfg})
+	res, err := Evaluate(g, []graph.NodeID{0, 60}, ProblemSpec{Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Total < 2 {
 		t.Fatalf("total %v < seed count", res.Total)
 	}
-	if _, err := Evaluate(g, []graph.NodeID{-2}, ProblemSpec{Config: cfg}); err == nil {
+	if _, err := Evaluate(g, []graph.NodeID{-2}, ProblemSpec{Sampling: quick, Config: cfg}); err == nil {
 		t.Fatal("bad seed accepted")
 	}
 	// Evaluate on a solver's output reproduces the solver's report.
-	solved, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: cfg})
+	solved, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	re, err := Evaluate(g, solved.Seeds, ProblemSpec{Config: cfg})
+	re, err := Evaluate(g, solved.Seeds, ProblemSpec{Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,12 +330,12 @@ func TestEvaluateReportHonorsCancel(t *testing.T) {
 	} {
 		cfg := quickCfg(19)
 		set(&cfg)
-		want, err := Evaluate(g, []graph.NodeID{0, 60}, ProblemSpec{Config: cfg})
+		want, err := Evaluate(g, []graph.NodeID{0, 60}, ProblemSpec{Sampling: quick, Config: cfg})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		cfg.Cancel = make(chan struct{})
-		got, err := Evaluate(g, []graph.NodeID{0, 60}, ProblemSpec{Config: cfg})
+		got, err := Evaluate(g, []graph.NodeID{0, 60}, ProblemSpec{Sampling: quick, Config: cfg})
 		if err != nil {
 			t.Fatalf("%s, open cancel: %v", name, err)
 		}
@@ -337,7 +343,7 @@ func TestEvaluateReportHonorsCancel(t *testing.T) {
 			t.Fatalf("%s, open cancel: total %v, want %v", name, got.Total, want.Total)
 		}
 		cfg.Cancel = closed
-		if _, err := Evaluate(g, []graph.NodeID{0, 60}, ProblemSpec{Config: cfg}); !errors.Is(err, ErrCanceled) {
+		if _, err := Evaluate(g, []graph.NodeID{0, 60}, ProblemSpec{Sampling: quick, Config: cfg}); !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%s, closed cancel: got %v, want ErrCanceled", name, err)
 		}
 	}
@@ -345,13 +351,15 @@ func TestEvaluateReportHonorsCancel(t *testing.T) {
 
 func TestExactSolversOnFig1(t *testing.T) {
 	g, names := generate.Fig1Example()
-	cfg := Config{Tau: 2, Model: cascade.IC, Samples: 120, EvalSamples: 400, Seed: 20, H: concave.Log{}}
+	spec := ProblemSpec{Problem: P1, Budget: 2, Sampling: Sampling{Samples: 120},
+		Config: Config{Tau: 2, Model: cascade.IC, EvalSamples: 400, Seed: 20, H: concave.Log{}}}
 
-	p1, err := SolveTCIMBudgetExact(g, 2, cfg)
+	p1, err := SolveExact(g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p4, err := SolveFairTCIMBudgetExact(g, 2, cfg)
+	spec.Problem = P4
+	p4, err := SolveExact(g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,16 +377,33 @@ func TestExactSolversOnFig1(t *testing.T) {
 	_ = names
 }
 
+// TestSolveExactRejects: the exact solver takes only a budget problem with
+// a positive budget.
+func TestSolveExactRejects(t *testing.T) {
+	g, _ := generate.Fig1Example()
+	for _, spec := range []ProblemSpec{
+		{Problem: P2, Quota: 0.2, Sampling: quick, Config: quickCfg(1)},
+		{Problem: P6, Quota: 0.2, Sampling: quick, Config: quickCfg(1)},
+		{Problem: P4, Sampling: quick, Config: quickCfg(1)},
+		{Budget: 2, Sampling: quick, Config: quickCfg(1)},
+	} {
+		if _, err := SolveExact(g, spec); err == nil {
+			t.Errorf("%v with budget %d accepted", spec.Problem, spec.Budget)
+		}
+	}
+}
+
 func TestExactBeatsGreedyNever(t *testing.T) {
 	// Greedy can never beat the exact optimum on the same objective
 	// (evaluated on the same fresh worlds).
 	g, _ := generate.Fig1Example()
-	cfg := Config{Tau: 4, Model: cascade.IC, Samples: 80, EvalSamples: 300, Seed: 21}
-	exact, err := SolveTCIMBudgetExact(g, 2, cfg)
+	spec := ProblemSpec{Problem: P1, Budget: 2, Sampling: Sampling{Samples: 80},
+		Config: Config{Tau: 4, Model: cascade.IC, EvalSamples: 300, Seed: 21}}
+	exact, err := SolveExact(g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := Solve(g, ProblemSpec{Problem: P1, Budget: 2, Config: cfg})
+	greedy, err := Solve(g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,12 +430,14 @@ func TestTheoremOneHoldsEmpirically(t *testing.T) {
 	// fτ(greedy-P4) >= (1-1/e)·H(fτ(P1 optimum)) per Theorem 1, checked on
 	// the Fig-1 instance where the optimum is computable.
 	g, _ := generate.Fig1Example()
-	cfg := Config{Tau: 4, Model: cascade.IC, Samples: 100, EvalSamples: 400, Seed: 22, H: concave.Log{}}
-	opt, err := SolveTCIMBudgetExact(g, 2, cfg)
+	spec := ProblemSpec{Problem: P1, Budget: 2, Sampling: Sampling{Samples: 100},
+		Config: Config{Tau: 4, Model: cascade.IC, EvalSamples: 400, Seed: 22, H: concave.Log{}}}
+	opt, err := SolveExact(g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fair, err := Solve(g, ProblemSpec{Problem: P4, Budget: 2, Config: cfg})
+	spec.Problem = P4
+	fair, err := Solve(g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +451,7 @@ func TestLTModelSupported(t *testing.T) {
 	g := smallSBM(t, 23)
 	cfg := quickCfg(24)
 	cfg.Model = cascade.LT
-	res, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Config: cfg})
+	res, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,8 +462,8 @@ func TestLTModelSupported(t *testing.T) {
 
 func TestDefaultConfig(t *testing.T) {
 	cfg := DefaultConfig(5)
-	if cfg.Tau != 20 || cfg.Samples != 200 || cfg.Seed != 5 {
-		t.Fatalf("DefaultConfig = %+v", cfg)
+	if samples, _ := (ProblemSpec{Config: cfg}).Counts(); cfg.Tau != 20 || samples != 200 || cfg.Seed != 5 {
+		t.Fatalf("DefaultConfig = %+v, %d samples", cfg, samples)
 	}
 	if cfg.H.Name() != "log" {
 		t.Fatalf("default H = %q", cfg.H.Name())

@@ -130,15 +130,22 @@ func newObjective(g *graph.Graph, eval estimator.Estimator, vf valueFn, cfg Conf
 	if eval == nil {
 		// Answered from the memo: report the sample it was captured on.
 		o.samples, o.risPerGroup = cfg.Warm.samples, cfg.Warm.risPerGroup
-	} else if _, ok := eval.(*ris.Estimator); ok {
-		o.risPerGroup = eval.SampleSize()
 	} else {
-		o.samples = eval.SampleSize()
+		o.samples, o.risPerGroup = sampleSizes(eval)
 	}
 	// A cancel that fired before the first pick stops the optimizer
 	// before it spends anything.
 	o.pollCancel()
 	return o
+}
+
+// sampleSizes reports eval's sample the way Result does: forward-MC worlds,
+// or RR sets per group for a RIS estimator.
+func sampleSizes(eval estimator.Estimator) (samples, risPerGroup int) {
+	if _, ok := eval.(*ris.Estimator); ok {
+		return 0, eval.SampleSize()
+	}
+	return eval.SampleSize(), 0
 }
 
 // pollCancel latches ErrCanceled once the cancel channel is closed; the

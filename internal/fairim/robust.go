@@ -27,10 +27,12 @@ type RobustResult struct {
 
 // EvaluateSeedsRobust estimates the expected utility and disparity of a
 // seed set when each seed independently fails with probability dropProb.
-// Each trial samples a surviving subset and evaluates it on fresh worlds
-// (sub-seeded deterministically from cfg.Seed).
-func EvaluateSeedsRobust(g *graph.Graph, seeds []graph.NodeID, cfg Config, dropProb float64, trials int) (*RobustResult, error) {
-	if err := cfg.validate(g); err != nil {
+// Each trial samples a surviving subset and evaluates it on the spec's
+// fresh report worlds (sub-seeded deterministically from spec.Seed), as
+// Evaluate would; spec.Problem and the constraint fields are ignored.
+func EvaluateSeedsRobust(g *graph.Graph, seeds []graph.NodeID, spec ProblemSpec, dropProb float64, trials int) (*RobustResult, error) {
+	cfg, _, err := spec.resolve(g, len(seeds), resolveEvalFresh)
+	if err != nil {
 		return nil, err
 	}
 	if dropProb < 0 || dropProb >= 1 {

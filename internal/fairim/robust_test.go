@@ -9,30 +9,30 @@ import (
 
 func TestRobustValidation(t *testing.T) {
 	g := smallSBM(t, 50)
-	cfg := quickCfg(51)
-	if _, err := EvaluateSeedsRobust(g, []graph.NodeID{0}, cfg, -0.1, 5); err == nil {
+	spec := ProblemSpec{Sampling: quick, Config: quickCfg(51)}
+	if _, err := EvaluateSeedsRobust(g, []graph.NodeID{0}, spec, -0.1, 5); err == nil {
 		t.Fatal("negative drop accepted")
 	}
-	if _, err := EvaluateSeedsRobust(g, []graph.NodeID{0}, cfg, 1.0, 5); err == nil {
+	if _, err := EvaluateSeedsRobust(g, []graph.NodeID{0}, spec, 1.0, 5); err == nil {
 		t.Fatal("drop=1 accepted")
 	}
-	if _, err := EvaluateSeedsRobust(g, []graph.NodeID{0}, cfg, 0.2, 0); err == nil {
+	if _, err := EvaluateSeedsRobust(g, []graph.NodeID{0}, spec, 0.2, 0); err == nil {
 		t.Fatal("zero trials accepted")
 	}
-	if _, err := EvaluateSeedsRobust(g, []graph.NodeID{-5}, cfg, 0.2, 3); err == nil {
+	if _, err := EvaluateSeedsRobust(g, []graph.NodeID{-5}, spec, 0.2, 3); err == nil {
 		t.Fatal("bad seed accepted")
 	}
 }
 
 func TestRobustZeroDropMatchesPlain(t *testing.T) {
 	g := smallSBM(t, 52)
-	cfg := quickCfg(53)
+	spec := ProblemSpec{Sampling: quick, Config: quickCfg(53)}
 	seeds := []graph.NodeID{0, 30, 90}
-	plain, err := Evaluate(g, seeds, ProblemSpec{Config: cfg})
+	plain, err := Evaluate(g, seeds, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	robust, err := EvaluateSeedsRobust(g, seeds, cfg, 0, 3)
+	robust, err := EvaluateSeedsRobust(g, seeds, spec, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,16 +45,17 @@ func TestRobustZeroDropMatchesPlain(t *testing.T) {
 
 func TestRobustDropReducesUtility(t *testing.T) {
 	g := smallSBM(t, 54)
-	cfg := quickCfg(55)
-	res, err := Solve(g, ProblemSpec{Problem: P1, Budget: 8, Config: cfg})
+	spec := ProblemSpec{Sampling: quick, Config: quickCfg(55)}
+	spec.Problem, spec.Budget = P1, 8
+	res, err := Solve(g, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	light, err := EvaluateSeedsRobust(g, res.Seeds, cfg, 0.1, 8)
+	light, err := EvaluateSeedsRobust(g, res.Seeds, spec, 0.1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy, err := EvaluateSeedsRobust(g, res.Seeds, cfg, 0.7, 8)
+	heavy, err := EvaluateSeedsRobust(g, res.Seeds, spec, 0.7, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +69,13 @@ func TestRobustDropReducesUtility(t *testing.T) {
 
 func TestRobustDeterministic(t *testing.T) {
 	g := smallSBM(t, 56)
-	cfg := quickCfg(57)
+	spec := ProblemSpec{Sampling: quick, Config: quickCfg(57)}
 	seeds := []graph.NodeID{1, 2, 3, 4}
-	a, err := EvaluateSeedsRobust(g, seeds, cfg, 0.3, 5)
+	a, err := EvaluateSeedsRobust(g, seeds, spec, 0.3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EvaluateSeedsRobust(g, seeds, cfg, 0.3, 5)
+	b, err := EvaluateSeedsRobust(g, seeds, spec, 0.3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,14 +83,14 @@ func (a Accuracy) validate() error {
 	return nil
 }
 
-// Sampling selects the optimization sample budget: either explicit counts
-// (Samples for forward Monte Carlo, RISPerGroup for the RIS engine) or an
-// Accuracy target the solver resolves into counts itself — an IMM-style
-// geometric-doubling pool sizer for RIS (ris.SampleForAccuracy), a
-// Hoeffding-based world count for forward MC (HoeffdingWorlds). Setting
-// both explicit counts and an Accuracy target is an error. The zero value
-// falls back to the embedded Config's Samples/RISPerGroup fields, then to
-// the defaults ProblemSpec.Counts documents.
+// Sampling is the one home of the optimization sample's size: either
+// explicit counts (Samples for forward Monte Carlo, RISPerGroup for the
+// RIS engine) or an Accuracy target the solver resolves into counts itself
+// — an IMM-style geometric-doubling pool sizer for RIS
+// (ris.SampleForAccuracy), a Hoeffding-based world count for forward MC
+// (HoeffdingWorlds). Setting both explicit counts and an Accuracy target
+// is an error. An unset count takes the default ProblemSpec.Counts
+// documents.
 type Sampling struct {
 	Samples     int       // explicit forward-MC world count
 	RISPerGroup int       // explicit RR sets per group (RIS engine)
@@ -112,8 +112,7 @@ type ProblemSpec struct {
 	Budget  int     // seed budget B (P1/P4)
 	Quota   float64 // coverage quota Q in (0,1] (P2/P6)
 
-	// Sampling sizes the optimization sample. Its explicit counts take
-	// precedence over the embedded Config's Samples/RISPerGroup.
+	// Sampling sizes the optimization sample; nothing else does.
 	Sampling Sampling
 
 	// Config carries the remaining solver options: deadline, diffusion
@@ -122,23 +121,16 @@ type ProblemSpec struct {
 }
 
 // Counts returns the forward-MC world count and the RR sets per group the
-// spec's explicit budgets resolve to. A positive Sampling count takes
-// precedence over the embedded Config's; a world count still unset is
+// spec's explicit Sampling counts resolve to: an unset world count is
 // DefaultSamples, and an unset pool holds 20 RR sets per world. The solve,
 // the batch planner's share key and the serving layer's request decoding
 // all derive the counts here, so they cannot disagree.
 func (s ProblemSpec) Counts() (samples, risPerGroup int) {
-	samples, risPerGroup = s.Config.Samples, s.Config.RISPerGroup
+	samples, risPerGroup = DefaultSamples, s.Sampling.RISPerGroup
 	if s.Sampling.Samples > 0 {
 		samples = s.Sampling.Samples
 	}
-	if s.Sampling.RISPerGroup > 0 {
-		risPerGroup = s.Sampling.RISPerGroup
-	}
-	if samples == 0 {
-		samples = DefaultSamples
-	}
-	if risPerGroup == 0 {
+	if risPerGroup <= 0 {
 		risPerGroup = 20 * samples
 	}
 	return samples, risPerGroup
@@ -203,8 +195,8 @@ func EvalWorlds(a Accuracy, groups int) (int, error) {
 	return int(math.Ceil(need)), nil
 }
 
-// resolveMode tells resolve what the resulting Config will drive, which
-// decides how an accuracy target is turned into sample budgets.
+// resolveMode tells resolve what the run will do with its estimator,
+// which decides how an accuracy target is turned into sample budgets.
 type resolveMode int
 
 const (
@@ -222,79 +214,87 @@ const (
 	resolveEvalFresh
 )
 
-// resolve turns the spec into a ready-to-run Config: explicit sampling
-// budgets are merged over the embedded Config's, accuracy targets are
-// resolved into concrete budgets (sampling RR pools via the stopping rule
-// for RIS, which injects the sized sample as the estimator), and defaults
-// fill anything still unset. k is the seed-set size the accuracy union
-// bound covers. An injected Estimator always wins for optimization;
-// accuracy then only sizes the fresh-world report.
-func (s ProblemSpec) resolve(g *graph.Graph, k int, mode resolveMode) (Config, error) {
+// resolve validates the spec and returns the Config its run reports with,
+// EvalSamples filled in, and the estimator it optimizes on:
+//   - none under resolveEvalFresh;
+//   - the injected Config.Estimator, Reset, which carries its own sample
+//     (an accuracy target then only sizes the fresh-world report);
+//   - one over a sample the accuracy target sizes for k seeds;
+//   - else one over the explicit counts Counts derives.
+//
+// It is the only code in the package that draws an optimization sample.
+func (s ProblemSpec) resolve(g *graph.Graph, k int, mode resolveMode) (Config, estimator.Estimator, error) {
 	cfg := s.Config
 	if s.Sampling.Samples < 0 {
-		return cfg, fmt.Errorf("fairim: negative Sampling.Samples %d", s.Sampling.Samples)
+		return cfg, nil, fmt.Errorf("fairim: negative Sampling.Samples %d", s.Sampling.Samples)
 	}
 	if s.Sampling.RISPerGroup < 0 {
-		return cfg, fmt.Errorf("fairim: negative Sampling.RISPerGroup %d", s.Sampling.RISPerGroup)
+		return cfg, nil, fmt.Errorf("fairim: negative Sampling.RISPerGroup %d", s.Sampling.RISPerGroup)
 	}
 	acc := s.Sampling.Accuracy
 	if acc != nil {
 		if s.Sampling.Samples > 0 || s.Sampling.RISPerGroup > 0 {
-			return cfg, fmt.Errorf("fairim: Sampling sets both explicit budgets and an accuracy target; choose one")
+			return cfg, nil, fmt.Errorf("fairim: Sampling sets both explicit budgets and an accuracy target; choose one")
 		}
 		if err := acc.validate(); err != nil {
-			return cfg, err
+			return cfg, nil, err
 		}
 	}
-	cfg.Samples, cfg.RISPerGroup = s.Counts()
 	if err := cfg.validate(g); err != nil {
-		return cfg, err
+		return cfg, nil, err
 	}
-	if acc == nil {
-		return cfg, nil
-	}
-
+	samples, perGroup := s.Counts()
 	if cfg.EvalSamples == 0 {
-		var err error
-		if cfg.EvalSamples, err = EvalWorlds(*acc, g.NumGroups()); err != nil {
-			return cfg, err
+		cfg.EvalSamples = samples
+		if acc != nil {
+			var err error
+			if cfg.EvalSamples, err = EvalWorlds(*acc, g.NumGroups()); err != nil {
+				return cfg, nil, err
+			}
 		}
 	}
-	if cfg.Estimator != nil || mode == resolveEvalFresh {
-		// A warm estimator carries its own sample, and neither a
-		// fresh-world evaluation nor a memo answer touches the
-		// optimization sample — either way there is nothing to size (and
-		// for RIS, a sized pool would be an expensive build thrown away
-		// unused).
-		return cfg, nil
+	if mode == resolveEvalFresh {
+		return cfg, nil, nil
 	}
-	if k < 1 {
-		k = 1
-	}
-	if mode == resolveEvalSample && cfg.Engine != EngineRIS {
-		// One fixed seed set: no candidate union, the plain per-set
-		// Hoeffding count suffices.
-		var err error
-		if cfg.Samples, err = EvalWorlds(*acc, g.NumGroups()); err != nil {
-			return cfg, err
-		}
-		return cfg, nil
+	if cfg.Estimator != nil {
+		cfg.Estimator.Reset()
+		return cfg, cfg.Estimator, nil
 	}
 	if cfg.Engine == EngineRIS {
-		col, err := ris.SampleForAccuracyCancel(g, cfg.Tau, k, acc.Epsilon, acc.Delta, cfg.Seed, cfg.Parallelism, cfg.Cancel)
-		if err != nil {
-			return cfg, mapCanceled(err)
+		var col *ris.Collection
+		var err error
+		if acc != nil {
+			col, err = ris.SampleForAccuracyCancel(g, cfg.Tau, max(k, 1), acc.Epsilon, acc.Delta, cfg.Seed, cfg.Parallelism, cfg.Cancel)
+		} else {
+			pools := make([]int, g.NumGroups())
+			for i := range pools {
+				pools[i] = perGroup
+			}
+			col, err = ris.SampleCancel(g, cfg.Tau, pools, cfg.Seed, cfg.Parallelism, cfg.Cancel)
 		}
-		cfg.Estimator = ris.NewEstimator(col)
-		cfg.RISPerGroup = cfg.Estimator.SampleSize()
-		return cfg, nil
+		if err != nil {
+			return cfg, nil, mapCanceled(err)
+		}
+		return cfg, ris.NewEstimator(col), nil
 	}
-	m, err := HoeffdingWorlds(acc.Epsilon, acc.Delta, k, g.N(), g.NumGroups())
+	if acc != nil {
+		var err error
+		if mode == resolveEvalSample {
+			// One fixed seed set: no candidate union, the plain per-set
+			// Hoeffding count suffices.
+			samples, err = EvalWorlds(*acc, g.NumGroups())
+		} else {
+			samples, err = HoeffdingWorlds(acc.Epsilon, acc.Delta, max(k, 1), g.N(), g.NumGroups())
+		}
+		if err != nil {
+			return cfg, nil, err
+		}
+	}
+	e, err := cfg.forwardMC(g, samples, cfg.Seed, cfg.Cancel)
 	if err != nil {
-		return cfg, err
+		return cfg, nil, err // an untyped nil, not a nil *influence.Evaluator
 	}
-	cfg.Samples = m
-	return cfg, nil
+	return cfg, e, nil
 }
 
 // validateConstraint checks the problem kind and its constraint value.
@@ -314,28 +314,31 @@ func (s ProblemSpec) validateConstraint() error {
 	return nil
 }
 
-// objectiveFor is the one P1/P2/P4/P6 objective constructor, shared by
-// Solve and SolveBatch; P4 carries the optional group weights. eval is nil
-// for a spec answered from its memo (see fromMemo).
-func (s ProblemSpec) objectiveFor(g *graph.Graph, eval estimator.Estimator, cfg Config) *objective {
-	var vf valueFn
+// valueFn is the one P1/P2/P4/P6 value function, shared by Solve,
+// SolveBatch and SolveExact; P4 carries the optional group weights.
+func (s ProblemSpec) valueFn() valueFn {
 	switch s.Problem {
 	case P1:
-		vf = totalValue{}
+		return totalValue{}
 	case P4:
-		vf = concaveValue{h: cfg.h(), weights: cfg.GroupWeights}
+		return concaveValue{h: s.h(), weights: s.GroupWeights}
 	case P2:
-		vf = totalQuotaValue{quota: s.Quota}
+		return totalQuotaValue{quota: s.Quota}
 	default: // P6
-		vf = groupQuotaValue{quota: s.Quota}
+		return groupQuotaValue{quota: s.Quota}
 	}
+}
+
+// objectiveFor builds the objective a greedy run drives. eval is nil for
+// a spec answered from its memo (see fromMemo).
+func (s ProblemSpec) objectiveFor(g *graph.Graph, eval estimator.Estimator, cfg Config) *objective {
 	rows := 0
 	if s.Problem.IsBudget() && cfg.Warm == nil {
 		// A cold budget run commits at most one row per pick; a warm one
 		// starts from the memo's rows instead.
 		rows = min(s.Budget, g.N())
 	}
-	return newObjective(g, eval, vf, cfg, rows)
+	return newObjective(g, eval, s.valueFn(), cfg, rows)
 }
 
 // fromMemo reports whether the spec's warm prefix answers its whole
@@ -350,20 +353,13 @@ func (s ProblemSpec) fromMemo() bool {
 // reports are still sized. Every other spec samples or reuses its
 // estimator.
 func (s ProblemSpec) prepare(g *graph.Graph) (Config, *objective, error) {
-	memo := s.fromMemo()
 	mode := resolveSolve
-	if memo {
+	if s.fromMemo() {
 		mode = resolveEvalFresh
 	}
-	cfg, err := s.resolve(g, s.SizingSeeds(g), mode)
+	cfg, eval, err := s.resolve(g, s.SizingSeeds(g), mode)
 	if err != nil {
 		return cfg, nil, err
-	}
-	var eval estimator.Estimator
-	if !memo {
-		if eval, err = cfg.newEstimator(g); err != nil {
-			return cfg, nil, err
-		}
 	}
 	return cfg, s.objectiveFor(g, eval, cfg), nil
 }
@@ -431,42 +427,27 @@ func Evaluate(g *graph.Graph, seeds []graph.NodeID, spec ProblemSpec) (*Result, 
 			return nil, fmt.Errorf("fairim: seed %d out of range", v)
 		}
 	}
-	k := len(seeds)
-	if k < 1 {
-		k = 1
-	}
 	mode := resolveEvalFresh
 	if spec.ReportOnSample {
 		mode = resolveEvalSample
 	}
-	cfg, err := spec.resolve(g, k, mode)
+	cfg, eval, err := spec.resolve(g, len(seeds), mode)
 	if err != nil {
 		return nil, err
 	}
-	var perGroup []float64
 	r := &Result{Problem: "eval", Seeds: append([]graph.NodeID(nil), seeds...)}
-	if cfg.ReportOnSample {
-		eval, err := cfg.newEstimator(g)
-		if err != nil {
-			return nil, err
-		}
+	if eval != nil {
 		for _, v := range seeds {
 			eval.Add(v)
 		}
-		perGroup = eval.GroupUtilities()
-		if _, isRIS := eval.(*ris.Estimator); isRIS {
-			r.RISPerGroup = eval.SampleSize()
-		} else {
-			r.Samples = eval.SampleSize()
-		}
+		r.PerGroup, _ = eval.AppendUtilities(nil, nil)
+		r.Samples, r.RISPerGroup = sampleSizes(eval)
 	} else {
-		perGroup, err = cfg.estimate(g, seeds)
-		if err != nil {
+		if r.PerGroup, err = cfg.estimate(g, seeds); err != nil {
 			return nil, err
 		}
-		r.Samples = cfg.evalSamples()
+		r.Samples = cfg.EvalSamples
 	}
-	r.PerGroup = perGroup
 	fillDerived(r, g)
 	return r, nil
 }

@@ -36,10 +36,10 @@ func TestProblemByName(t *testing.T) {
 func TestSolveRejectsBadSpecs(t *testing.T) {
 	g := smallSBM(t, 1)
 	cases := map[string]ProblemSpec{
-		"zero problem":     {Budget: 3, Config: quickCfg(1)},
-		"zero budget":      {Problem: P1, Config: quickCfg(1)},
-		"zero quota":       {Problem: P6, Config: quickCfg(1)},
-		"quota above one":  {Problem: P2, Quota: 1.5, Config: quickCfg(1)},
+		"zero problem":     {Budget: 3, Sampling: quick, Config: quickCfg(1)},
+		"zero budget":      {Problem: P1, Sampling: quick, Config: quickCfg(1)},
+		"zero quota":       {Problem: P6, Sampling: quick, Config: quickCfg(1)},
+		"quota above one":  {Problem: P2, Quota: 1.5, Sampling: quick, Config: quickCfg(1)},
 		"negative samples": {Problem: P1, Budget: 3, Sampling: Sampling{Samples: -5}, Config: quickCfg(1)},
 		"explicit and accuracy": {Problem: P1, Budget: 3,
 			Sampling: Sampling{Samples: 50, Accuracy: &Accuracy{Epsilon: 0.2, Delta: 0.1}}, Config: quickCfg(1)},
@@ -55,27 +55,35 @@ func TestSolveRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-// TestSolveSamplingBlockPrecedence: explicit Sampling budgets override the
-// embedded Config's, and the zero spec falls back to DefaultSamples.
-func TestSolveSamplingBlockPrecedence(t *testing.T) {
+// TestSolveSamplingCounts: the Sampling block alone sizes the
+// optimization sample. An explicit count is what the solve draws, the zero
+// spec falls back to DefaultSamples, and an unset RR pool holds 20 sets
+// per world.
+func TestSolveSamplingCounts(t *testing.T) {
 	g := generate.TwoStars()
 	cfg := DefaultConfig(1)
 	cfg.Tau = 3
-	cfg.Samples = 40
 	res, err := Solve(g, ProblemSpec{Problem: P1, Budget: 1, Sampling: Sampling{Samples: 77}, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Samples != 77 {
-		t.Errorf("resolved samples %d, want Sampling override 77", res.Samples)
+		t.Errorf("resolved samples %d, want the Sampling count 77", res.Samples)
 	}
-	cfg.Samples = 0
 	res, err = Solve(g, ProblemSpec{Problem: P1, Budget: 1, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Samples != DefaultSamples {
 		t.Errorf("resolved samples %d, want default %d", res.Samples, DefaultSamples)
+	}
+	cfg.Engine = EngineRIS
+	res, err = Solve(g, ProblemSpec{Problem: P1, Budget: 1, Sampling: Sampling{Samples: 10}, Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RISPerGroup != 200 {
+		t.Errorf("resolved pool %d, want 20 RR sets per world = 200", res.RISPerGroup)
 	}
 }
 
@@ -85,7 +93,6 @@ func TestSolveAccuracyForwardMC(t *testing.T) {
 	g := generate.TwoStars()
 	cfg := DefaultConfig(1)
 	cfg.Tau = 3
-	cfg.Samples = 0
 	spec := ProblemSpec{
 		Problem: P4, Budget: 2,
 		Sampling: Sampling{Accuracy: &Accuracy{Epsilon: 0.2, Delta: 0.05}},
@@ -114,7 +121,6 @@ func TestSolveAccuracyRIS(t *testing.T) {
 	cfg := DefaultConfig(2)
 	cfg.Tau = 5
 	cfg.Engine = EngineRIS
-	cfg.Samples = 0
 	res, err := Solve(g, ProblemSpec{
 		Problem: P4, Budget: 3,
 		Sampling: Sampling{Accuracy: &Accuracy{Epsilon: 0.3, Delta: 0.1}},
@@ -169,7 +175,7 @@ func TestOnIterationStreams(t *testing.T) {
 	cfg.Trace = true
 	var streamed []IterationStat
 	cfg.OnIteration = func(st IterationStat) { streamed = append(streamed, st) }
-	res, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Config: cfg})
+	res, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Sampling: quick, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +270,6 @@ func TestEvaluateAccuracySizesForSingleSet(t *testing.T) {
 	g := smallSBM(t, 8)
 	cfg := DefaultConfig(3)
 	cfg.Tau = 5
-	cfg.Samples = 0
 	cfg.ReportOnSample = true
 	spec := ProblemSpec{Sampling: Sampling{Accuracy: &Accuracy{Epsilon: 0.2, Delta: 0.05}}, Config: cfg}
 	res, err := Evaluate(g, []graph.NodeID{0, 4}, spec)
@@ -288,7 +293,6 @@ func TestEvaluateAccuracySizesForSingleSet(t *testing.T) {
 	rcfg := DefaultConfig(3)
 	rcfg.Tau = 5
 	rcfg.Engine = EngineRIS
-	rcfg.Samples = 0
 	fresh, err := Evaluate(g, []graph.NodeID{0, 4},
 		ProblemSpec{Sampling: Sampling{Accuracy: &Accuracy{Epsilon: 0.2, Delta: 0.05}}, Config: rcfg})
 	if err != nil {
@@ -328,7 +332,7 @@ func TestSolveCancelBetweenPicks(t *testing.T) {
 			close(cancel)
 		}
 	}
-	_, err := Solve(g, ProblemSpec{Problem: P4, Budget: 10, Config: cfg})
+	_, err := Solve(g, ProblemSpec{Problem: P4, Budget: 10, Sampling: quick, Config: cfg})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -347,7 +351,7 @@ func TestSolveCancelBetweenPicks(t *testing.T) {
 			close(cancel)
 		}
 	}
-	_, err = Solve(g, ProblemSpec{Problem: P6, Quota: 0.9, Config: ccfg})
+	_, err = Solve(g, ProblemSpec{Problem: P6, Quota: 0.9, Sampling: quick, Config: ccfg})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("cover: err = %v, want ErrCanceled", err)
 	}
@@ -361,13 +365,13 @@ func TestSolveCancelBetweenPicks(t *testing.T) {
 	pcfg := quickCfg(6)
 	pcfg.Cancel = pre
 	pcfg.OnIteration = func(IterationStat) { t.Fatal("pick happened after pre-cancel") }
-	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: pcfg}); !errors.Is(err, ErrCanceled) {
+	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Sampling: quick, Config: pcfg}); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled: err = %v, want ErrCanceled", err)
 	}
 
 	// A nil Cancel changes nothing.
 	ncfg := quickCfg(6)
-	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: ncfg}); err != nil {
+	if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Sampling: quick, Config: ncfg}); err != nil {
 		t.Fatalf("nil cancel: %v", err)
 	}
 }

@@ -43,19 +43,19 @@ func TestWarmExtensionMatchesColdSolve(t *testing.T) {
 			cfg := DefaultConfig(5)
 			cfg.Tau = 5
 			cfg.Engine = engine
-			cfg.Samples = 150
+			smp := Sampling{Samples: 150}
 			cfg.ReportOnSample = true
 			cfg.Trace = true
 
 			coldCfg := cfg
-			cold, err := Solve(g, ProblemSpec{Problem: problem, Budget: big, Config: coldCfg})
+			cold, err := Solve(g, ProblemSpec{Problem: problem, Budget: big, Sampling: smp, Config: coldCfg})
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			smallCfg := cfg
 			smallCfg.CaptureWarm = true
-			first, err := Solve(g, ProblemSpec{Problem: problem, Budget: small, Config: smallCfg})
+			first, err := Solve(g, ProblemSpec{Problem: problem, Budget: small, Sampling: smp, Config: smallCfg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestWarmExtensionMatchesColdSolve(t *testing.T) {
 			warmCfg := cfg
 			warmCfg.Warm = first.Warm
 			warmCfg.CaptureWarm = true
-			ext, err := Solve(g, ProblemSpec{Problem: problem, Budget: big, Config: warmCfg})
+			ext, err := Solve(g, ProblemSpec{Problem: problem, Budget: big, Sampling: smp, Config: warmCfg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,10 +115,10 @@ func TestWarmShorterBudgetIsPureReplay(t *testing.T) {
 	g := warmTestGraph(t)
 	cfg := DefaultConfig(5)
 	cfg.Tau = 5
-	cfg.Samples = 150
+	smp := Sampling{Samples: 150}
 	cfg.ReportOnSample = true
 	cfg.CaptureWarm = true
-	full, err := Solve(g, ProblemSpec{Problem: P1, Budget: 8, Config: cfg})
+	full, err := Solve(g, ProblemSpec{Problem: P1, Budget: 8, Sampling: smp, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestWarmShorterBudgetIsPureReplay(t *testing.T) {
 		t.Fatal("no warm state captured")
 	}
 	cfg.Warm = full.Warm
-	short, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: cfg})
+	short, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Sampling: smp, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,15 +150,15 @@ func TestWarmUnboundedBudget(t *testing.T) {
 	cfg := DefaultConfig(5)
 	cfg.Tau = 5
 	cfg.Engine = EngineRIS
-	cfg.RISPerGroup = 50
+	smp := Sampling{RISPerGroup: 50}
 	cfg.ReportOnSample = true
 	cfg.CaptureWarm = true
-	prefix, err := Solve(g, ProblemSpec{Problem: P1, Budget: 2, Config: cfg})
+	prefix, err := Solve(g, ProblemSpec{Problem: P1, Budget: 2, Sampling: smp, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Warm = prefix.Warm
-	res, err := Solve(g, ProblemSpec{Problem: P1, Budget: math.MaxInt, Config: cfg})
+	res, err := Solve(g, ProblemSpec{Problem: P1, Budget: math.MaxInt, Sampling: smp, Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,9 +270,8 @@ func TestCancelDuringSampling(t *testing.T) {
 		cfg := DefaultConfig(3)
 		cfg.Tau = 5
 		cfg.Engine = engine
-		cfg.Samples = 2000
 		cfg.Cancel = done
-		if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Config: cfg}); !errors.Is(err, ErrCanceled) {
+		if _, err := Solve(g, ProblemSpec{Problem: P1, Budget: 3, Sampling: Sampling{Samples: 2000}, Config: cfg}); !errors.Is(err, ErrCanceled) {
 			t.Errorf("%v: got %v, want ErrCanceled", engine, err)
 		}
 	}
@@ -315,11 +314,11 @@ func TestWarmReplayMatchesColdSolve(t *testing.T) {
 		budgets  []int
 		set      func(*Config)
 	}{
-		{"ris", Sampling{}, every, func(c *Config) { c.Engine, c.RISPerGroup = EngineRIS, 300 }},
-		{"ic", Sampling{}, every, func(c *Config) {}},
-		{"lt", Sampling{}, every, func(c *Config) { c.Model = cascade.LT }},
-		{"delayed", Sampling{}, every, func(c *Config) { c.Delay = cascade.GeometricDelay{M: 0.5} }},
-		{"discounted", Sampling{}, every, func(c *Config) { c.Discount = 0.8 }},
+		{"ris", Sampling{Samples: quick.Samples, RISPerGroup: 300}, every, func(c *Config) { c.Engine = EngineRIS }},
+		{"ic", quick, every, func(c *Config) {}},
+		{"lt", quick, every, func(c *Config) { c.Model = cascade.LT }},
+		{"delayed", quick, every, func(c *Config) { c.Delay = cascade.GeometricDelay{M: 0.5} }},
+		{"discounted", quick, every, func(c *Config) { c.Discount = 0.8 }},
 		// An accuracy-sized sample depends on the sizing budget, so a memo
 		// is equivalent only at the budget it was captured at; there the
 		// replay must report the sizes the capturing run resolved.
@@ -392,7 +391,7 @@ func TestMemoUnitBuildsNothing(t *testing.T) {
 			label := fmt.Sprintf("n=%d worlds=%d", n, worlds)
 			base := DefaultConfig(2)
 			base.Tau = 5
-			base.Samples = worlds
+			smp := Sampling{Samples: worlds}
 			base.ReportOnSample = true
 			sample := cascade.SampleWorlds(g, cascade.IC, worlds, base.Seed, 0)
 			build := func(int, ProblemSpec) (estimator.Estimator, error) {
@@ -403,14 +402,14 @@ func TestMemoUnitBuildsNothing(t *testing.T) {
 			if capture.Estimator, err = build(0, ProblemSpec{}); err != nil {
 				t.Fatal(err)
 			}
-			memo, err := Solve(g, ProblemSpec{Problem: P4, Budget: memoK, Config: capture})
+			memo, err := Solve(g, ProblemSpec{Problem: P4, Budget: memoK, Sampling: smp, Config: capture})
 			if err != nil {
 				t.Fatal(err)
 			}
 			memoHook := func(int, ProblemSpec) *WarmStart { return memo.Warm }
 			specs := []ProblemSpec{
-				{Problem: P4, Budget: 6, Config: base},
-				{Problem: P4, Budget: memoK, Config: base},
+				{Problem: P4, Budget: 6, Sampling: smp, Config: base},
+				{Problem: P4, Budget: memoK, Sampling: smp, Config: base},
 			}
 			outs, _ := SolveBatch(g, specs, &BatchOptions{
 				Estimator: func(int, ProblemSpec) (estimator.Estimator, error) {
@@ -458,11 +457,11 @@ func TestWarmMemoSharedSafely(t *testing.T) {
 	g := warmTestGraph(t)
 	cfg := DefaultConfig(5)
 	cfg.Tau = 5
-	cfg.Samples = 80
+	smp := Sampling{Samples: 80}
 	cfg.ReportOnSample = true
 	capture := cfg
 	capture.CaptureWarm = true
-	memo, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Config: capture})
+	memo, err := Solve(g, ProblemSpec{Problem: P4, Budget: 4, Sampling: smp, Config: capture})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +479,7 @@ func TestWarmMemoSharedSafely(t *testing.T) {
 			warm := cfg
 			warm.Warm = w
 			warm.Trace = true
-			results[i], errs[i] = Solve(g, ProblemSpec{Problem: P4, Budget: b, Config: warm})
+			results[i], errs[i] = Solve(g, ProblemSpec{Problem: P4, Budget: b, Sampling: smp, Config: warm})
 		}()
 	}
 	wg.Wait()

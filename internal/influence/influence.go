@@ -339,32 +339,6 @@ func Disparity(normUtilities []float64) float64 {
 	return worst
 }
 
-// Estimate evaluates a fixed seed set on fresh worlds — the unbiased
-// final-report path (re-using optimization worlds overstates utility
-// through the optimizer's curse). It returns per-group utilities. IC
-// worlds are read through EstimateIC, never drawn; LT worlds are sampled
-// and run through the evaluator.
-func Estimate(g *graph.Graph, seeds []graph.NodeID, tau int32, model cascade.Model, samples int, seed int64) ([]float64, error) {
-	if samples <= 0 {
-		return nil, fmt.Errorf("influence: need positive sample count")
-	}
-	if model == cascade.IC {
-		return EstimateIC(g, seeds, tau, samples, seed, 0, nil)
-	}
-	if err := checkSeeds(g, seeds); err != nil {
-		return nil, err
-	}
-	worlds := cascade.SampleWorlds(g, model, samples, seed, 0)
-	e, err := NewEvaluator(g, worlds, tau)
-	if err != nil {
-		return nil, err
-	}
-	for _, v := range seeds {
-		e.Add(v)
-	}
-	return e.GroupUtilities(), nil
-}
-
 // EstimateIC returns the per-group 0/1 deadline utilities of a fixed seed
 // set over the r worlds cascade.SampleWorlds(g, cascade.IC, r, seed, ·)
 // would draw, without drawing them. In world i it runs one τ-bounded BFS

@@ -326,7 +326,7 @@ func TestDisparity(t *testing.T) {
 
 func TestEstimateFreshWorlds(t *testing.T) {
 	g := randomGrouped(6, 25, 2, 0.1, 0.4)
-	util, err := Estimate(g, []graph.NodeID{0, 3}, 3, cascade.IC, 200, 99)
+	util, err := EstimateIC(g, []graph.NodeID{0, 3}, 3, 200, 99, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,23 +337,21 @@ func TestEstimateFreshWorlds(t *testing.T) {
 	if total < 2 { // at least the seeds themselves
 		t.Fatalf("total %v < 2", total)
 	}
-	if _, err := Estimate(g, nil, 3, cascade.IC, 0, 1); err == nil {
+	if _, err := EstimateIC(g, nil, 3, 0, 1, 0, nil); err == nil {
 		t.Fatal("zero samples accepted")
 	}
-	for _, model := range []cascade.Model{cascade.IC, cascade.LT} {
-		if _, err := Estimate(g, []graph.NodeID{0, 25}, 3, model, 10, 1); err == nil {
-			t.Fatalf("%v: out-of-range seed accepted", model)
-		}
+	if _, err := EstimateIC(g, []graph.NodeID{0, 25}, 3, 10, 1, 0, nil); err == nil {
+		t.Fatal("out-of-range seed accepted")
 	}
 }
 
 func TestEstimateDeterministic(t *testing.T) {
 	g := randomGrouped(6, 25, 2, 0.1, 0.4)
-	a, _ := Estimate(g, []graph.NodeID{1}, 2, cascade.IC, 50, 7)
-	b, _ := Estimate(g, []graph.NodeID{1}, 2, cascade.IC, 50, 7)
+	a, _ := EstimateIC(g, []graph.NodeID{1}, 2, 50, 7, 0, nil)
+	b, _ := EstimateIC(g, []graph.NodeID{1}, 2, 50, 7, 0, nil)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatal("Estimate not deterministic for fixed seed")
+			t.Fatal("EstimateIC not deterministic for fixed seed")
 		}
 	}
 }

@@ -3,7 +3,6 @@ package ris_test
 import (
 	"testing"
 
-	"fairtcim/internal/cascade"
 	"fairtcim/internal/fairim"
 	"fairtcim/internal/generate"
 	"fairtcim/internal/graph"
@@ -50,7 +49,7 @@ func TestSolveCoverReachesQuota(t *testing.T) {
 		t.Fatal("no seeds")
 	}
 	// Audit with the forward estimator.
-	util, err := influence.Estimate(g, seeds, 5, cascade.IC, 800, 23)
+	util, err := influence.EstimateIC(g, seeds, 5, 800, 23, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestSolveFairCoverCoversEveryGroup(t *testing.T) {
 	if len(fair) < len(plain) {
 		t.Fatalf("fair cover used %d seeds, plain %d", len(fair), len(plain))
 	}
-	util, err := influence.Estimate(g, fair, 5, cascade.IC, 800, 27)
+	util, err := influence.EstimateIC(g, fair, 5, 800, 27, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"fairtcim/internal/cascade"
 	"fairtcim/internal/generate"
 	"fairtcim/internal/graph"
 	"fairtcim/internal/influence"
@@ -112,7 +111,7 @@ func TestEstimatorMatchesForwardMC(t *testing.T) {
 	}
 	risUtil := e.GroupUtilities()
 
-	fwd, err := influence.Estimate(g, seeds, tau, cascade.IC, 4000, 12)
+	fwd, err := influence.EstimateIC(g, seeds, tau, 4000, 12, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

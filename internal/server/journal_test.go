@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fairtcim/internal/graph"
 )
 
 // TestJobJournalReplayTrimsAndSkipsGarbage: replay keeps the last
@@ -247,4 +251,79 @@ func TestJobJournalEmptyDir(t *testing.T) {
 	if err != nil || len(again) != 1 {
 		t.Fatalf("replay after first append: %v, %+v", err, again)
 	}
+}
+
+// FuzzJobJournalReplay: whatever jobs.jsonl holds at startup, opening the
+// journal neither fails nor panics. It keeps at most retention records,
+// each with an ID; a job store restored from them lists them; and the
+// compacted file it leaves re-opens with no line dropped, into the same
+// records.
+func FuzzJobJournalReplay(f *testing.F) {
+	const retention = 4
+	done, err := json.Marshal(jobRecord{
+		ID: "a", Graph: "g", Problem: "P4", Status: JobDone, Picks: 2,
+		Result: &SolveResponse{Problem: "P4", Graph: "g", Engine: "ris",
+			UtilityReport: UtilityReport{Seeds: []graph.NodeID{0, 11}, Total: 17, PerGroup: []float64{8, 9}},
+			Trace:         []TraceEvent{{Iteration: 1, Seed: 0, Objective: 2.5, NormGroup: []float64{0.5, 0.25}}}},
+		Created:  time.Date(2024, 1, 2, 3, 4, 5, 6, time.UTC),
+		Finished: time.Date(2024, 1, 2, 3, 4, 6, 0, time.FixedZone("", 3600)),
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		"",
+		string(done) + "\n",
+		string(done) + "\n" + `{"id":"b","status":"failed","error":"boom"}` + "\n" + `{"id":"torn",`,
+		`{"id":"q","status":"queued"}` + "\n" + `{"id":"c","status":"canceled"}` + "\n" + `{"id":"c","status":"done"}`,
+		"not json\n\n{}\n[]\n" + `{"ID":"upper","Status":"done","created":"2024-01-02T03:04:05+23:59"}`,
+		strings.Repeat(`{"id":"r","status":"done"}`+"\n", 2*retention),
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "jobs.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, records, err := openJobJournal(path, retention)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if len(records) > retention {
+			t.Fatalf("replay kept %d records, retention %d", len(records), retention)
+		}
+		for i, rec := range records {
+			if rec.ID == "" {
+				t.Fatalf("record %d has no ID: %+v", i, rec)
+			}
+		}
+		st := newJobStore(4, retention, nil)
+		st.restore(records)
+		st.list()
+
+		again, reopened, err := openJobJournal(path, retention)
+		if err != nil {
+			t.Fatalf("re-open: %v", err)
+		}
+		if again.dropped != 0 {
+			t.Fatalf("re-opening the compacted journal dropped %d lines", again.dropped)
+		}
+		if len(reopened) != len(records) {
+			t.Fatalf("re-open gave %d records, first open %d", len(reopened), len(records))
+		}
+		for i := range records {
+			want, err := json.Marshal(records[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(reopened[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("record %d re-opened as %s, was %s", i, got, want)
+			}
+		}
+	})
 }

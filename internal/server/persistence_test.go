@@ -48,7 +48,8 @@ func sampleUtilities(t *testing.T, smp *sample, tau int32) []float64 {
 	}
 	est.Add(0)
 	est.Add(11)
-	return est.GroupUtilities()
+	utils, _ := est.AppendUtilities(nil, nil)
+	return utils
 }
 
 // TestCacheDiskRoundTrip: a second cache over the same state dir serves
