@@ -71,6 +71,50 @@ func tieGroupCoverage(rng *xrand.RNG, n, m int) func() Objective {
 	}
 }
 
+// poolCoverage builds an instance shaped like a RIS pool of small RR sets,
+// as a unit-weight linear coverage and as a groupCoverage over the same
+// sets. Each of the n candidates covers one element of its own, and the
+// elements spread over two to five groups; about one in four candidates
+// whose element lies in group 0 also covers one or two other group-0
+// elements, as a node does that sits in other roots' RR sets. So the
+// first-pass rows take at most G + 2 ≤ 7 distinct values, a unit in one
+// group or two or three in group 0, and hundreds of candidates share each,
+// while a pick that covers a shared element drops its owner's gain to 0
+// beneath a row that still bounds it by 1.
+func poolCoverage(rng *xrand.RNG, n int) (linear, grouped func() Objective) {
+	groups := 2 + rng.Intn(4)
+	group := make([]int, n)
+	var first []int // the elements of group 0
+	for e := range group {
+		if group[e] = rng.Intn(groups); group[e] == 0 {
+			first = append(first, e)
+		}
+	}
+	sets := make([][]int, n)
+	for v := range sets {
+		sets[v] = []int{v}
+		if group[v] == 0 && rng.Intn(4) == 0 {
+			for range 1 + rng.Intn(2) {
+				if e := first[rng.Intn(len(first))]; !slices.Contains(sets[v], e) {
+					sets[v] = append(sets[v], e)
+				}
+			}
+		}
+	}
+	weights := make([]float64, n)
+	for e := range weights {
+		weights[e] = 1
+	}
+	linear = func() Objective { return newCoverage(sets, weights) }
+	grouped = func() Objective {
+		return &groupCoverage{
+			sets: sets, group: group, covered: make([]bool, n),
+			util: make([]float64, groups), row: make([]float64, groups), x: make([]float64, groups),
+		}
+	}
+	return linear, grouped
+}
+
 func (c *groupCoverage) GainRow(v graph.NodeID) (float64, []float64) {
 	clear(c.row)
 	for _, e := range c.sets[v] {
@@ -268,16 +312,29 @@ func checkSnapshotRows(t *testing.T, obj Objective, snap *LazySnapshot) {
 // unit-weight and linear, and split into groups under Σᵢ H(coverᵢ), where
 // CELF keeps rows and prunes by their bounds: GreedyMax, cold CELF, and
 // CELF captured at every budget k and resumed to K return the same seeds
-// and values, whatever the candidate order. On the grouped instances the
-// bounds must save evaluations overall.
+// and values, whatever the candidate order. Beside the small random
+// instances it runs RR-pool-shaped ones, whose hundreds of candidates
+// share a few first-pass rows. On the grouped instances the bounds must
+// save evaluations overall.
 func TestCanonicalGreedyAgrees(t *testing.T) {
 	var rowEvals, plainEvals int
+	const budget = 12
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := xrand.New(seed)
 		n, m := 2+rng.Intn(40), 1+rng.Intn(30)
 		linear := tieCoverage(rng, n, m)
 		grouped := tieGroupCoverage(rng, n, m)
-		const budget = 12
+		for split := 0; split <= budget; split++ {
+			checkCanonical(t, linear, n, budget, split, rng)
+			r, p := checkCanonical(t, grouped, n, budget, split, rng)
+			rowEvals += r
+			plainEvals += p
+		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := xrand.New(seed)
+		n := 200 + rng.Intn(200)
+		linear, grouped := poolCoverage(rng, n)
 		for split := 0; split <= budget; split++ {
 			checkCanonical(t, linear, n, budget, split, rng)
 			r, p := checkCanonical(t, grouped, n, budget, split, rng)
@@ -292,7 +349,7 @@ func TestCanonicalGreedyAgrees(t *testing.T) {
 
 // FuzzLazyGreedyMatchesGreedy fuzzes the same identity over the instance,
 // the candidate orders, the budget and the resume split, on a linear and
-// a grouped instance each.
+// a grouped instance each, small and random and RR-pool-shaped.
 func FuzzLazyGreedyMatchesGreedy(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(10), int64(2), uint8(6), uint8(3))
 	f.Add(int64(7), uint8(40), uint8(3), int64(9), uint8(12), uint8(0))
@@ -305,5 +362,9 @@ func FuzzLazyGreedyMatchesGreedy(f *testing.F) {
 		grouped := tieGroupCoverage(rng, nodes, elems)
 		checkCanonical(t, linear, nodes, k, int(split)%(k+1), xrand.New(order))
 		checkCanonical(t, grouped, nodes, k, int(split)%(k+1), xrand.New(order))
+		pool := 100 + int(n)
+		poolLinear, poolGrouped := poolCoverage(rng, pool)
+		checkCanonical(t, poolLinear, pool, k, int(split)%(k+1), xrand.New(order))
+		checkCanonical(t, poolGrouped, pool, k, int(split)%(k+1), xrand.New(order))
 	})
 }
