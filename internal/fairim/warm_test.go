@@ -170,10 +170,11 @@ func TestWarmUnboundedBudget(t *testing.T) {
 // TestRISFirstPassSkipsUncoveredNodes: on a graph where most nodes lie in
 // no RR set, a RIS solve's first pass evaluates only the nodes that do —
 // within Config.Candidates when that is set — and the snapshot it
-// memoizes holds only indexed candidates with a positive gain, in arrays
-// sized to those candidates, not to the graph: a prefix memo keeps the
-// snapshot as captured. The seeds are still those of the plain greedy
-// ablation, which scans every node.
+// memoizes holds only indexed candidates with a positive gain. The
+// snapshot's node array is sized to the candidates CELF is given
+// (submodular's TestSnapshotCostPerCandidate), so it is sized to the
+// indexed nodes, not to the graph. The seeds are still those of the plain
+// greedy ablation, which scans every node.
 func TestRISFirstPassSkipsUncoveredNodes(t *testing.T) {
 	g := warmTestGraph(t)
 	col, err := ris.Sample(g, 2, []int{10, 10}, 5, 1)
@@ -223,19 +224,15 @@ func TestRISFirstPassSkipsUncoveredNodes(t *testing.T) {
 	if res.Warm == nil {
 		t.Fatal("no warm state captured")
 	}
-	items, rows := res.Warm.Snapshot.Items, res.Warm.Snapshot.Rows
-	if len(items)+len(res.Seeds) > len(indexed) {
-		t.Errorf("snapshot holds %d items beside %d picks; only %d nodes are indexed", len(items), len(res.Seeds), len(indexed))
-	}
-	groups := g.NumGroups()
-	if len(rows) != groups*len(items) || cap(items) > len(indexed) || cap(rows) > groups*len(indexed) {
-		t.Errorf("snapshot of %d items keeps capacity for %d items and %d of %d row entries; %d nodes are indexed, %d groups",
-			len(items), cap(items), cap(rows), len(rows), len(indexed), groups)
-	}
-	for _, it := range items {
-		if it.Gain <= 0 || !slices.Contains(indexed, it.Node) {
-			t.Errorf("snapshot item %+v: want an indexed node with a positive gain", it)
+	kept := 0
+	for v, gain := range res.Warm.Snapshot.All() {
+		kept++
+		if gain <= 0 || !slices.Contains(indexed, v) {
+			t.Errorf("snapshot keeps node %d under key %v: want an indexed node with a positive gain", v, gain)
 		}
+	}
+	if kept+len(res.Seeds) > len(indexed) {
+		t.Errorf("snapshot holds %d candidates beside %d picks; only %d nodes are indexed", kept, len(res.Seeds), len(indexed))
 	}
 	plain := solve(P4, 5, func(c *Config) { c.PlainGreedy = true })
 	if !slices.Equal(res.Seeds, plain.Seeds) {

@@ -107,14 +107,17 @@ func newEvaluator[W interface{ N() int }](g *graph.Graph, worlds []W, tau int32)
 			return nil, fmt.Errorf("influence: world %d has %d nodes, graph has %d", i, w.N(), g.N())
 		}
 	}
+	// Every world's activation times are cut from one R×N block, each row
+	// capped at its length so that no append can spill into the next.
 	e := &Evaluator{g: g, tau: tau}
+	n := g.N()
+	block := make([]int32, len(worlds)*n)
+	for v := range block {
+		block[v] = unreached
+	}
 	e.dist = make([][]int32, len(worlds))
 	for w := range worlds {
-		d := make([]int32, g.N())
-		for v := range d {
-			d[v] = unreached
-		}
-		e.dist[w] = d
+		e.dist[w] = block[w*n : (w+1)*n : (w+1)*n]
 	}
 	e.sums = make([]float64, g.NumGroups())
 	e.scratch = e.newScratch()

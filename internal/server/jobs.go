@@ -68,8 +68,10 @@ type job struct {
 	cancel    context.CancelFunc
 	cancelReq bool
 	// restoredPicks carries the pick count of a journal-restored job,
-	// whose trace buffer is gone.
+	// whose trace buffer is gone, and resultCut that its journal record
+	// was written without the result (jobRecord.ResultCut).
 	restoredPicks int
+	resultCut     bool
 	// final is the terminal record settle decided, set before it is
 	// journaled and published; record reports it from then on.
 	final *jobRecord
@@ -183,15 +185,16 @@ func (j *job) recordLocked() jobRecord {
 		picks = j.restoredPicks
 	}
 	return jobRecord{
-		ID:       j.id,
-		Graph:    j.graphN,
-		Problem:  j.problem,
-		Status:   j.state,
-		Error:    j.errMsg,
-		Picks:    picks,
-		Result:   j.result,
-		Created:  j.created,
-		Finished: j.finished,
+		ID:        j.id,
+		Graph:     j.graphN,
+		Problem:   j.problem,
+		Status:    j.state,
+		Error:     j.errMsg,
+		Picks:     picks,
+		Result:    j.result,
+		ResultCut: j.resultCut,
+		Created:   j.created,
+		Finished:  j.finished,
 	}
 }
 
@@ -204,11 +207,15 @@ type JobStatus struct {
 	Problem string `json:"problem"`
 	// Picks counts greedy iterations completed so far — live progress for
 	// pollers who do not consume the SSE trace.
-	Picks     int            `json:"picks"`
-	Error     string         `json:"error,omitempty"`
-	Result    *SolveResponse `json:"result,omitempty"`
-	StatusURL string         `json:"status_url"`
-	TraceURL  string         `json:"trace_url"`
+	Picks  int            `json:"picks"`
+	Error  string         `json:"error,omitempty"`
+	Result *SolveResponse `json:"result,omitempty"`
+	// ResultCut reports a finished job restored from the journal without
+	// its result, whose record would have outgrown the journal's line
+	// bound (16 MiB, a few million seeds); Result is then absent.
+	ResultCut bool   `json:"result_cut,omitempty"`
+	StatusURL string `json:"status_url"`
+	TraceURL  string `json:"trace_url"`
 }
 
 func (j *job) status() JobStatus {
@@ -226,6 +233,7 @@ func (j *job) status() JobStatus {
 		Picks:     picks,
 		Error:     j.errMsg,
 		Result:    j.result,
+		ResultCut: j.resultCut,
 		StatusURL: "/v1/jobs/" + j.id,
 		TraceURL:  "/v1/jobs/" + j.id + "/trace",
 	}
@@ -293,6 +301,7 @@ func (st *jobStore) restore(records []jobRecord) {
 			result:        rec.Result,
 			errMsg:        rec.Error,
 			restoredPicks: rec.Picks,
+			resultCut:     rec.ResultCut,
 			notify:        make(chan struct{}),
 		}
 		st.jobs[j.id] = j

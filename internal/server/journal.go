@@ -17,15 +17,18 @@ import (
 // restart. Traces are not journaled: they exist for live streaming, and
 // replaying a finished job's stream is served from Result instead.
 type jobRecord struct {
-	ID       string         `json:"id"`
-	Graph    string         `json:"graph"`
-	Problem  string         `json:"problem"`
-	Status   string         `json:"status"`
-	Error    string         `json:"error,omitempty"`
-	Picks    int            `json:"picks"`
-	Result   *SolveResponse `json:"result,omitempty"`
-	Created  time.Time      `json:"created"`
-	Finished time.Time      `json:"finished"`
+	ID      string         `json:"id"`
+	Graph   string         `json:"graph"`
+	Problem string         `json:"problem"`
+	Status  string         `json:"status"`
+	Error   string         `json:"error,omitempty"`
+	Picks   int            `json:"picks"`
+	Result  *SolveResponse `json:"result,omitempty"`
+	// ResultCut marks a record written without its result, which would
+	// have outgrown maxJournalLine (see journalLine).
+	ResultCut bool      `json:"result_cut,omitempty"`
+	Created   time.Time `json:"created"`
+	Finished  time.Time `json:"finished"`
 }
 
 // jobJournal is the append-only finished-job log at
@@ -64,10 +67,30 @@ func openJobJournal(path string, retention int) (*jobJournal, []jobRecord, error
 	return j, records, nil
 }
 
-// maxJournalLine bounds the bytes replay holds for one record. Nothing
-// bounds a record when it is appended, so a longer line (a finished job
-// with a few million seeds) is skipped on replay like a torn one.
+// maxJournalLine bounds the bytes replay holds for one record; a longer
+// line is skipped like a torn one. The writers never produce one
+// (journalLine), so such a line is foreign.
 const maxJournalLine = 16 << 20
+
+// journalLine encodes rec as one journal line, newline included, bounded
+// by maxJournalLine. A record that would outgrow it — a finished job with
+// a few million seeds — keeps its ID, graph, problem, status, picks and
+// times but not its result, and says so in ResultCut: no reader can take
+// part of a seed list for the whole answer, and a restart keeps the job.
+func journalLine(rec jobRecord) ([]byte, error) {
+	line, err := json.Marshal(rec)
+	if err == nil && len(line) >= maxJournalLine {
+		rec.Result, rec.ResultCut = nil, true
+		line, err = json.Marshal(rec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(line) >= maxJournalLine {
+		return nil, fmt.Errorf("server: job %.64q: a %d-byte record outgrows the journal even without its result", rec.ID, len(line))
+	}
+	return append(line, '\n'), nil
+}
 
 // replay reads every parseable record in file order, skipping torn,
 // foreign and over-long lines, and counts the lines it skipped. A line
@@ -143,12 +166,20 @@ func (j *jobJournal) compactLocked(records []jobRecord) error {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	enc := json.NewEncoder(tmp)
+	w := bufio.NewWriter(tmp)
 	for _, rec := range records {
-		if err := enc.Encode(rec); err != nil {
+		line, err := journalLine(rec)
+		if err == nil {
+			_, err = w.Write(line)
+		}
+		if err != nil {
 			tmp.Close()
 			return err
 		}
+	}
+	if err := w.Flush(); err != nil {
+		tmp.Close()
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -167,6 +198,10 @@ func (j *jobJournal) compactLocked(records []jobRecord) error {
 // append writes one finished job to the log. Failures are returned for
 // the caller to count; the in-memory store is already authoritative.
 func (j *jobJournal) append(rec jobRecord) error {
+	line, err := journalLine(rec)
+	if err != nil {
+		return err
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -174,7 +209,7 @@ func (j *jobJournal) append(rec jobRecord) error {
 		return err
 	}
 	defer f.Close()
-	if err := json.NewEncoder(f).Encode(rec); err != nil {
+	if _, err := f.Write(line); err != nil {
 		return err
 	}
 	j.lines++

@@ -173,9 +173,9 @@ func shuffledNodes(rng *xrand.RNG, n int) []graph.NodeID {
 // checkCanonical asserts that three greedy runs over the n-node instance,
 // each on its own shuffle of the candidates, return the same seeds and
 // values: GreedyMax, cold CELF at budget, and CELF captured at split then
-// resumed to budget. The captured snapshot must hold only items that can
-// gain and, for a non-linear GroupObjective, each item's row, one that
-// bounds the item's current row and gain; the resumed run must spend,
+// resumed to budget. The captured snapshot must hold only classes that can
+// gain and, for a non-linear GroupObjective, each class's row, one that
+// bounds its members' current rows and gains; the resumed run must spend,
 // pick for pick, the evaluations the cold run spent. Cold CELF without
 // rows must pick the same seeds too, and for a GroupObjective so must
 // CELF fed a precomputed first pass of per-group gains, spending the cold
@@ -218,12 +218,7 @@ func checkCanonical(t *testing.T, factory func() Objective, n, budget, split int
 		for _, v := range head.Seeds {
 			obj.Add(v)
 		}
-		checkSnapshotRows(t, obj, snap)
-		for _, it := range snap.Items {
-			if it.Gain <= 0 {
-				t.Fatalf("split %d: snapshot keeps %+v, which can never gain", split, it)
-			}
-		}
+		checkSnapshot(t, obj, snap)
 		ext, _, err := LazyGreedyMaxResume(obj, snap, budget-split)
 		if err != nil {
 			t.Fatal(err)
@@ -278,31 +273,49 @@ func checkPrecomputedPass(t *testing.T, factory func() Objective, cands []graph.
 	}
 }
 
-// checkSnapshotRows asserts that snap carries one row per item exactly
-// when obj is a non-linear GroupObjective, and that each row and key
-// bound the item's current per-group gains and gain on obj, which holds
-// the snapshot's picks.
-func checkSnapshotRows(t *testing.T, obj Objective, snap *LazySnapshot) {
+// checkSnapshot asserts that snap is a CELF state on obj, which holds the
+// snapshot's picks: its classes are non-empty ascending runs of distinct
+// members, each evaluated before the snapshot's round (or in round 0, if
+// that is the snapshot's) under a positive key
+// that bounds every member's current gain, and each keeps a row exactly
+// when obj is a non-linear GroupObjective, one that bounds every member's
+// current per-group gains.
+func checkSnapshot(t *testing.T, obj Objective, snap *LazySnapshot) {
 	t.Helper()
 	group, ok := obj.(GroupObjective)
-	if !ok || group.Linear() {
-		if snap.Rows != nil {
-			t.Fatalf("snapshot keeps %d row entries for an objective without rows", len(snap.Rows))
-		}
-		return
+	width := 0
+	if ok && !group.Linear() {
+		width = len(group.Utilities())
 	}
-	width := len(group.Utilities())
-	if len(snap.Rows) != len(snap.Items)*width {
-		t.Fatalf("snapshot carries %d row entries for %d items of %d groups", len(snap.Rows), len(snap.Items), width)
+	if width == 0 && snap.rows != nil {
+		t.Fatalf("snapshot keeps %d row entries for an objective without rows", len(snap.rows))
 	}
-	for i, it := range snap.Items {
-		g, row := group.GainRow(it.Node)
-		if g > it.Gain {
-			t.Fatalf("item %+v: current gain %v exceeds its key", it, g)
+	seen := map[graph.NodeID]bool{}
+	for _, c := range snap.classes {
+		members := snap.nodes[c.lo : c.lo+c.n]
+		if c.n < 1 || c.gain <= 0 || int(c.round) >= max(snap.round, 1) {
+			t.Fatalf("class %+v of %v: want members, a positive key and an evaluation before round %d", c, members, max(snap.round, 1))
 		}
-		for j, d := range row {
-			if d > float64(snap.Rows[i*width+j]) {
-				t.Fatalf("item %+v: current row %v exceeds its kept row %v", it, row, snap.Rows[i*width:(i+1)*width])
+		for i, v := range members {
+			if seen[v] || i > 0 && members[i-1] >= v {
+				t.Fatalf("class %+v: members %v are not an ascending run of distinct nodes", c, members)
+			}
+			seen[v] = true
+			if width == 0 {
+				if g := obj.Gain(v); g > c.gain {
+					t.Fatalf("class %+v: member %d gains %v above its key", c, v, g)
+				}
+				continue
+			}
+			kept := snap.rows[int(c.row)*width : int(c.row+1)*width]
+			g, row := group.GainRow(v)
+			if g > c.gain {
+				t.Fatalf("class %+v: member %d gains %v above its key", c, v, g)
+			}
+			for j, d := range row {
+				if d > float64(kept[j]) {
+					t.Fatalf("class %+v: member %d's current row %v exceeds its kept row %v", c, v, row, kept)
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package submodular
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -76,7 +77,7 @@ func TestResumeDoesNotMutateSnapshot(t *testing.T) {
 	if snap == nil {
 		t.Fatal("no snapshot captured")
 	}
-	before := append([]LazyItem(nil), snap.Items...)
+	classes, nodes, rows := slices.Clone(snap.classes), slices.Clone(snap.nodes), slices.Clone(snap.rows)
 
 	extend := func() []graph.NodeID {
 		obj := factory()
@@ -90,10 +91,8 @@ func TestResumeDoesNotMutateSnapshot(t *testing.T) {
 		return ext.Seeds
 	}
 	first := extend()
-	for i, it := range snap.Items {
-		if it != before[i] {
-			t.Fatalf("resume mutated snapshot item %d: %+v -> %+v", i, before[i], it)
-		}
+	if !slices.Equal(snap.classes, classes) || !slices.Equal(snap.nodes, nodes) || !slices.Equal(snap.rows, rows) {
+		t.Fatalf("resume mutated the snapshot: classes %v -> %v, nodes %v -> %v, rows %v -> %v", classes, snap.classes, nodes, snap.nodes, rows, snap.rows)
 	}
 	second := extend()
 	if len(first) != len(second) {
@@ -135,6 +134,18 @@ func TestResumeValidation(t *testing.T) {
 	if _, _, err := LazyGreedyMaxCapture(grouped(), cands, 2, make([]float64, len(cands)*width+1)); err == nil {
 		t.Error("initial gains of the wrong length accepted")
 	}
+	// A snapshot's classes keep rows exactly when its objective does, so
+	// neither kind resumes on the other.
+	_, rowSnap, err := LazyGreedyMaxCapture(grouped(), cands, 2, nil)
+	if err != nil || rowSnap == nil || len(rowSnap.classes) == 0 {
+		t.Fatalf("grouped capture: snapshot %+v, err %v", rowSnap, err)
+	}
+	if _, _, err := LazyGreedyMaxResume(factory(), rowSnap, 1); err == nil {
+		t.Error("a snapshot with rows resumed on an objective without")
+	}
+	if _, _, err := LazyGreedyMaxResume(grouped(), snap, 1); err == nil {
+		t.Error("a snapshot without rows resumed on an objective with them")
+	}
 }
 
 // TestCaptureAtLastPositivePick: a run that fills its budget with the last
@@ -148,7 +159,7 @@ func TestCaptureAtLastPositivePick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Seeds) != 2 || snap == nil || len(snap.Items) != 0 || snap.Round != 2 {
+	if len(res.Seeds) != 2 || snap == nil || len(snap.classes) != 0 || snap.round != 2 {
 		t.Fatalf("budget 2: seeds %v, snapshot %+v; want 2 seeds and an empty snapshot at round 2", res.Seeds, snap)
 	}
 	if res, snap, err = LazyGreedyMaxCapture(newCoverage(sets, weights), cands, 3, nil); err != nil || len(res.Seeds) != 2 || snap != nil {
