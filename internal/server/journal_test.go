@@ -120,17 +120,13 @@ func TestJobJournalSkipsOverlongRecord(t *testing.T) {
 
 // TestJobJournalBoundsOverlongRecord: a finished job whose result encodes
 // past maxJournalLine (2.25 million seeds here) is journaled without it,
-// behind result_cut, by both writers: the append, and the compaction that
-// reopening runs. So the journal reopens twice with every record and
-// drops no line, the job keeps its ID, graph, problem, status, picks and
-// times, no restored status carries part of a seed list, and a record
-// under the bound keeps its result.
+// behind result_cut, by both writers: an append, and a compaction from
+// the live store's records, which still hold the whole result. So the
+// journal reopens with every record and drops no line, the job keeps its
+// ID, graph, problem, status, picks and times, no restored status
+// carries part of a seed list, and a record under the bound keeps its
+// result.
 func TestJobJournalBoundsOverlongRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jobs.jsonl")
-	journal, _, err := openJobJournal(path, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
 	created := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
 	seeds := make([]graph.NodeID, 2_250_000)
 	for i := range seeds {
@@ -140,33 +136,45 @@ func TestJobJournalBoundsOverlongRecord(t *testing.T) {
 		Result: &SolveResponse{Problem: "P1", UtilityReport: UtilityReport{Seeds: seeds}}, Created: created, Finished: created.Add(time.Minute)}
 	small := jobRecord{ID: "small", Graph: "g", Problem: "P4", Status: JobDone, Picks: 1,
 		Result: &SolveResponse{Problem: "P4", UtilityReport: UtilityReport{Seeds: []graph.NodeID{7}}}, Created: created, Finished: created}
-	for _, rec := range []jobRecord{huge, small} {
-		if err := journal.append(rec); err != nil {
+	writers := map[string]func(*jobJournal) error{
+		"append": func(j *jobJournal) error {
+			if err := j.append(huge); err != nil {
+				return err
+			}
+			return j.append(small)
+		},
+		"compact": func(j *jobJournal) error { return j.compact([]jobRecord{huge, small}) },
+	}
+	for name, write := range writers {
+		path := filepath.Join(t.TempDir(), "jobs.jsonl")
+		journal, _, err := openJobJournal(path, 10)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for reopen := 1; reopen <= 2; reopen++ {
+		if err := write(journal); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		journal, records, err := openJobJournal(path, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if journal.dropped != 0 || len(records) != 2 {
-			t.Fatalf("reopen %d: %d records and %d dropped lines, want 2 and 0", reopen, len(records), journal.dropped)
+			t.Fatalf("%s: reopened with %d records and %d dropped lines, want 2 and 0", name, len(records), journal.dropped)
 		}
 		got := records[0]
 		want := huge
 		want.Result, want.ResultCut = nil, true
 		if got.ID != want.ID || got.Graph != want.Graph || got.Problem != want.Problem || got.Status != want.Status ||
 			got.Picks != want.Picks || !got.Created.Equal(want.Created) || !got.Finished.Equal(want.Finished) || got.Result != nil || !got.ResultCut {
-			t.Fatalf("reopen %d: over-bound job restored as %+v, want %+v", reopen, got, want)
+			t.Fatalf("%s: over-bound job restored as %+v, want %+v", name, got, want)
 		}
 		if r := records[1]; r.ResultCut || r.Result == nil || len(r.Result.Seeds) != 1 || r.Result.Seeds[0] != 7 {
-			t.Fatalf("reopen %d: small job restored as %+v, want its result", reopen, r)
+			t.Fatalf("%s: small job restored as %+v, want its result", name, r)
 		}
 		st := newJobStore(1, 10, nil)
 		st.restore(records)
 		if status := st.jobs["huge"].status(); status.Result != nil || !status.ResultCut || status.Picks != len(seeds) {
-			t.Fatalf("reopen %d: restored status %+v, want no result, result_cut and %d picks", reopen, status, len(seeds))
+			t.Fatalf("%s: restored status %+v, want no result, result_cut and %d picks", name, status, len(seeds))
 		}
 	}
 }

@@ -276,10 +276,10 @@ func checkPrecomputedPass(t *testing.T, factory func() Objective, cands []graph.
 // checkSnapshot asserts that snap is a CELF state on obj, which holds the
 // snapshot's picks: its classes are non-empty ascending runs of distinct
 // members, each evaluated before the snapshot's round (or in round 0, if
-// that is the snapshot's) under a positive key
-// that bounds every member's current gain, and each keeps a row exactly
-// when obj is a non-linear GroupObjective, one that bounds every member's
-// current per-group gains.
+// that is the snapshot's) under a positive key that bounds every
+// member's current gain, and each keeps a row exactly when obj is a
+// non-linear GroupObjective, one that bounds every member's current
+// per-group gains.
 func checkSnapshot(t *testing.T, obj Objective, snap *LazySnapshot) {
 	t.Helper()
 	group, ok := obj.(GroupObjective)

@@ -137,8 +137,8 @@ func GreedyMax(obj Objective, candidates []graph.NodeID, budget int) (Result, er
 //	Gain(v) ≤ vf(u + Δ) − vf(u).
 //
 // For a concave vf (P4's Σᵢ H) or a truncated one (P2/P6) that bound
-// shrinks as u grows, while the stale gain CELF keys the item by does
-// not, so CELF keeps each heap item's last row and evaluates a stale top
+// shrinks as u grows, while the stale gain CELF keys a candidate by does
+// not, so CELF keeps each tie class's last row and evaluates a stale top
 // only when its bound still ranks first. For a linear vf the bound is the
 // stale gain, and no rows are kept.
 type GroupObjective interface {
@@ -165,15 +165,15 @@ type GroupObjective interface {
 // every class shares, and when the objective is a non-linear
 // GroupObjective it keeps one row, in float32 rounded up. So a snapshot
 // holds 4 bytes per candidate, the node array, beside one entry and at
-// most one row per class. The heap holds only candidates whose gain bound is positive; no
-// other candidate can ever be picked. Because this state after k picks is
-// a function of the objective and those k picks only — not of the
-// eventual budget — a snapshot from a budget-k run is bit-identical to a
-// larger run's state at pick k, so resuming it extends the solution,
-// evaluation for evaluation, exactly as the larger cold run would have
-// continued. Snapshots are immutable once captured: Resume copies the
-// entries and rows before mutating them and only reads the node array, so
-// one snapshot can serve any number of extensions.
+// most one row per class. The heap holds only candidates whose gain bound
+// is positive; no other candidate can ever be picked. Because this state
+// after k picks is a function of the objective and those k picks only —
+// not of the eventual budget — a snapshot from a budget-k run is
+// bit-identical to a larger run's state at pick k, so resuming it extends
+// the solution, evaluation for evaluation, exactly as the larger cold run
+// would have continued. Snapshots are immutable once captured: Resume
+// copies the entries and rows before mutating them and only reads the
+// node array, so one snapshot can serve any number of extensions.
 type LazySnapshot struct {
 	classes []lazyClass
 	nodes   []graph.NodeID
@@ -512,7 +512,7 @@ func (p *tiePass) class(i int, h *celfHeap) int32 {
 		key = []float64{g}
 	}
 	if 2*(len(p.classes)+1) > len(p.slots) {
-		p.grow()
+		p.rehash(2 * len(p.slots))
 	}
 	mask := len(p.slots) - 1
 	for s := int(hashBits(key)) & mask; ; s = (s + 1) & mask {
@@ -546,9 +546,6 @@ func (p *tiePass) reserve(n int) {
 	}
 	p.rehash(size)
 }
-
-// grow doubles the slots.
-func (p *tiePass) grow() { p.rehash(2 * len(p.slots)) }
 
 // rehash re-inserts every class into size slots, a power of two.
 func (p *tiePass) rehash(size int) {
