@@ -413,8 +413,9 @@ func firstPass(obj Objective, candidates []graph.NodeID, initial []float64, res 
 	live, kept := int32(0), 0
 	for i := range candidates {
 		if i == probe && 4*len(p.classes) > 3*probe {
-			// Mostly distinct so far, as forward-MC rows are: room for
-			// every candidate at once costs less than doubling up to it.
+			// Mostly distinct so far, as forward-MC rows on a small pool
+			// of worlds can be: room for every candidate at once costs
+			// less than doubling up to it.
 			p.reserve(len(candidates))
 		}
 		if c := &p.classes[p.class(i, h)]; c.gain > 0 {
